@@ -126,9 +126,8 @@ def cohomology_groups(g: Subgraph) -> tuple[AbelianGroup, AbelianGroup]:
     """(H0, H1): the kernel is free, the cokernel carries the torsion."""
     a = d0_matrix(g)
     h1 = cokernel_structure(a)
-    from .intlinalg import smith_normal_form
-    h0 = AbelianGroup(a.cols - smith_normal_form(a).rank)
-    return h0, h1
+    rank = a.rows - h1.rank  # rank of d0, from the same decomposition
+    return AbelianGroup(a.cols - rank), h1
 
 
 def torsion_order_p(g: Subgraph, p: int) -> int:

@@ -28,6 +28,7 @@ from .graphs import (
     boundary_valuation,
     components,
     full_subgraph,
+    p_valuation,
     reduce_graph,
     reduction,
     require_prime,
@@ -176,7 +177,7 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
             continue
         anchor = min(
             v for v in node.graph.vertex_set
-            if _val(node.graph.parent.weight[v], p) == node.min_val)
+            if p_valuation(node.graph.parent.weight[v], p) == node.min_val)
         below = reduction(node.graph, p, node.level - 1)
         target_graph = next(c for c in components(below)
                             if anchor in c.vertex_set)
@@ -212,19 +213,11 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
         delta = node.graph
         forest.witness[delta] = min(
             v for v in delta.vertex_set
-            if _val(delta.parent.weight[v], p) == node.min_val)
+            if p_valuation(delta.parent.weight[v], p) == node.min_val)
 
     _build_phi(forest)
     _assign_orientations(forest)
     return forest
-
-
-def _val(n: int, p: int) -> int:
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a
 
 
 def _build_phi(forest: FundamentalForest) -> None:
@@ -257,7 +250,7 @@ def _build_phi(forest: FundamentalForest) -> None:
                 raise AssertionError(
                     f"uncovered multi-vertex child {comp} of {delta}")
             v = comp.min_vertex()
-            mv = _val(delta.parent.weight[v], p)
+            mv = p_valuation(delta.parent.weight[v], p)
             bv = boundary_valuation(comp, p)
             if mv != bv:
                 raise AssertionError(

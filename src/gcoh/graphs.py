@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 Edge = tuple[str, str]
@@ -24,6 +25,7 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+@lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
     if p < 2:
         return False

@@ -1,20 +1,28 @@
 """Exact integer linear algebra: Smith normal form and friends.
 
-This is the oracle everything else is checked against, so it is kept
-simple and self-verifying: every Smith decomposition is validated by
-multiplying back before it is returned.
+This is the oracle everything else is checked against, so every Smith
+decomposition is checked exactly before it is returned (`check_smith`).
+Matrices are dense, entries are Python ints (arbitrary precision).
 
-Matrices are dense, entries are Python ints (arbitrary precision), and
-instances are desk-scale, so no attempt is made at asymptotic cleverness.
-The only performance concession is the pivoting rule: always pick a
-nonzero entry of minimal absolute value to keep coefficient growth down.
+The oracle does only the work its caller asks for.  Callers that read
+the divisors, the rank or V (cohomology, cokernels, kernels) let a tall
+matrix, and a wide one when V is not read either, be compressed first:
+its rows (or columns) are reduced to an echelon Hermite block H on the
+short side, certified by A == C @ H and H == R @ A, and the SNF then
+runs on H with transforms no larger than short x short.  Solving needs
+U and keeps the full path, and so do matrices whose sides differ by
+less than the shape rule's gap (COMPRESS_MIN_GAP).  Pivots are entries
+of minimal absolute value, to keep coefficient growth down, and the
+multiply-back products skip zero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Iterable, Optional, Sequence
+from math import gcd, prod
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+from .graphs import p_valuation
 
 Vector = tuple[int, ...]
 
@@ -31,7 +39,7 @@ class IntMatrix:
     def __init__(self, entries: Iterable[Iterable[int]], ncols: Optional[int] = None,
                  row_labels: Sequence = (), col_labels: Sequence = ()):
         self.entries: tuple[Vector, ...] = tuple(
-            tuple(int(x) for x in row) for row in entries)
+            tuple(map(int, row)) for row in entries)
         self.nrows = len(self.entries)
         if self.entries:
             widths = {len(r) for r in self.entries}
@@ -125,14 +133,25 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """A @ B, row by row, skipping the zero entries of both factors.
+
+    The multiply-back checks run through here; their factors (edge-vertex
+    matrices with two nonzeros a row, transforms close to the identity)
+    are mostly zero, so the cost follows the nonzeros, not the shape.
+    """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries)) if b.entries else []
-    if not bt:
-        bt = [(0,) * b.rows] * b.cols if b.cols else []
-    out = (tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-           for row in a.entries)
-    return IntMatrix(out, ncols=b.cols, row_labels=a.row_labels,
+    n = b.cols
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    out = []
+    for row in a.entries:
+        acc = [0] * n
+        for x, b_row in zip(row, b_rows):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return IntMatrix(out, ncols=n, row_labels=a.row_labels,
                      col_labels=b.col_labels)
 
 
@@ -169,13 +188,34 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+class HermiteBlock(NamedTuple):
+    """An echelon block H with the same lattice as A, and its certificate.
+
+    side "rows": H holds at most A.cols rows, A == C @ H and H == R @ A.
+    side "cols": the transpose of that, A == H @ C and H == A @ R.
+    The two identities make each lattice contain the other, so A and H
+    have the same elementary divisors; on the row side they also have
+    the same integer kernel and the same kernel mod p**s.
+    """
+
+    side: str
+    h: IntMatrix
+    c: IntMatrix
+    r: IntMatrix
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ A @ V == S with U, V unimodular and S in Smith normal form."""
+    """U @ B @ V == S with U, V unimodular and S in Smith normal form.
+
+    B is A itself, or the Hermite block `hermite.h` when that is set;
+    S has A's nonzero diagonal either way.
+    """
 
     u: IntMatrix
     s: IntMatrix
     v: IntMatrix
+    hermite: Optional[HermiteBlock] = None
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -190,111 +230,227 @@ class SmithDecomposition:
         return len(self.diagonal)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Compute U, S, V with U*A*V = S diagonal, d1 | d2 | ... | dr > 0.
+# Shape rule for the compressed path: it is taken when the long side of A
+# exceeds the short side by at least this many.  It saves the transform
+# rows beyond the short side and pays for the Hermite certificate; on
+# edge-vertex matrices the two break even near this gap.
+COMPRESS_MIN_GAP = 20
 
-    Row operations accumulate in U, column operations in V; the result is
-    verified by multiplying back before returning.
+
+def smith_normal_form(a: IntMatrix, transforms: str = "uv") -> SmithDecomposition:
+    """Compute U, S, V with U*B*V = S diagonal, d1 | d2 | ... | dr > 0.
+
+    `transforms` names what the caller reads besides the diagonal:
+      "uv"  U and V for A itself (B = A; U is rows x rows);
+      "v"   V for A: a tall A is first compressed to its row Hermite
+            block H, and U acts on H;
+      ""    neither: a tall or a wide A is compressed on its long side.
+    Compression follows the shape rule at COMPRESS_MIN_GAP.  Row
+    operations accumulate in U, column operations in V, and the result
+    passes `check_smith` before it is returned.
     """
-    m, n = a.rows, a.cols
-    s = [list(row) for row in a.entries]
+    if transforms not in ("uv", "v", ""):
+        raise ValueError(f"unknown transforms {transforms!r}")
+    side = None
+    if transforms != "uv" and abs(a.rows - a.cols) >= COMPRESS_MIN_GAP:
+        if a.rows > a.cols:
+            side = "rows"
+        elif not transforms:
+            side = "cols"
+    if side is None:
+        u, s, v = _smith(a.entries, a.rows, a.cols)
+        dec = SmithDecomposition(u, s, v)
+    else:
+        block = _hermite_block(a, side)
+        h = block.h
+        dec = SmithDecomposition(*_smith(h.entries, h.rows, h.cols), block)
+    check_smith(a, dec)
+    return dec
+
+
+def check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
+    """Raise AssertionError unless `dec` multiplies back exactly: U*A*V == S,
+    or the two Hermite identities and U*H*V == S."""
+    b = a
+    block = dec.hermite
+    if block is not None:
+        if block.side == "rows":
+            ok = matmul(block.c, block.h) == a and matmul(block.r, a) == block.h
+        else:
+            ok = matmul(block.h, block.c) == a and matmul(a, block.r) == block.h
+        if not ok:
+            raise AssertionError("Hermite block certificate failed to multiply back")
+        b = block.h
+    if matmul(matmul(dec.u, b), dec.v) != dec.s:
+        raise AssertionError("Smith decomposition failed to multiply back")
+
+
+def _hermite_block(a: IntMatrix, side: str) -> HermiteBlock:
+    if side == "rows":
+        return HermiteBlock(side, *_hermite_rows(a.entries, a.cols))
+    h, c, r = _hermite_rows(a.transpose().entries, a.rows)
+    return HermiteBlock(side, h.transpose(), c.transpose(), r.transpose())
+
+
+def _hermite_rows(rows: Sequence[Vector], n: int):
+    """(H, C, R): an echelon block H of the rows, rows == C @ H, H == R @ rows.
+
+    Column by column, the row whose entry has least absolute value is the
+    pivot and reduces the rows below it to their least remainders until
+    the column is clear under it: the row half of the SNF pivoting rule,
+    so entries stay as small as the SNF keeps them.  Only the row
+    operations are logged; the square row transform U is never built.  R,
+    the first rank rows of U, comes from replaying the log backwards on
+    vectors of length rank; C is solved back against the echelon block.
+    """
+    s = [list(row) for row in rows]
+    m = len(s)
+    log: list[tuple[int, int, Optional[int]]] = []  # row dst += c * row src; c None: swap
+    t = 0
+    for j in range(n):
+        while t < m:
+            best = piv = None
+            for i in range(t, m):
+                x = s[i][j]
+                if x and (best is None or abs(x) < best):
+                    best, piv = abs(x), i
+                    if best == 1:
+                        break
+            if piv is None:
+                break
+            if piv != t:
+                s[t], s[piv] = s[piv], s[t]
+                log.append((t, piv, None))
+            top = s[t]
+            p = top[j]
+            clear = True
+            for i in range(t + 1, m):
+                x = s[i][j]
+                if x:
+                    q, rem = divmod(x, p)
+                    if 2 * abs(rem) > best:
+                        q, rem = q + 1, rem - p
+                    row = s[i]
+                    row[j:] = [a - q * b for a, b in zip(row[j:], top[j:])]
+                    log.append((i, t, -q))
+                    clear = clear and not rem
+            if clear:
+                t += 1
+                break
+    h = s[:t]
+    r_cols = [[1 if k == i else 0 for k in range(t)] for i in range(m)]
+    for dst, src, c in reversed(log):
+        if c is None:
+            r_cols[dst], r_cols[src] = r_cols[src], r_cols[dst]
+        elif any(r_cols[dst]):
+            r_cols[src] = [a + c * b for a, b in zip(r_cols[src], r_cols[dst])]
+    pivots = [next(j for j, v in enumerate(row) if v) for row in h]
+    c_rows = []
+    for row in rows:
+        rest = list(row)
+        c = []
+        for j, top in zip(pivots, h):
+            q = rest[j] // top[j]
+            if q:
+                rest[j:] = [a - q * b for a, b in zip(rest[j:], top[j:])]
+            c.append(q)
+        c_rows.append(c)
+    return (IntMatrix(h, ncols=n), IntMatrix(c_rows, ncols=t),
+            IntMatrix(zip(*r_cols), ncols=m))
+
+
+def _smith(rows: Sequence[Vector], m: int, n: int):
+    """(U, S, V) for the m x n matrix with these rows, by min-abs pivoting.
+
+    V is kept by columns, so column operations are list operations too.
+    Rows above the current pivot are finished (zero off the diagonal), so
+    column swaps and additions touch only the rows that can change.
+    """
+    s = [list(row) for row in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in s:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in s:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     t = 0
     while t < min(m, n):
-        # Re-pick the minimal-absolute-value pivot every round; remainders
-        # from the quotient steps keep shrinking it, which both guarantees
-        # termination and keeps coefficient growth tame.
+        # Re-pick the pivot every round: the first entry of least absolute
+        # value in row-major order (a unit cannot be beaten, so the scan
+        # stops there).  Remainders from the quotient steps keep shrinking
+        # it, which both guarantees termination and keeps coefficient
+        # growth tame.
         pivot = None
         best = None
         for i in range(t, m):
-            row = s[i]
-            for j in range(t, n):
-                x = row[j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best, pivot = abs(x), (i, j)
+            low = min(filter(None, map(abs, s[i][t:])), default=0)
+            if low and (best is None or low < best):
+                best, pivot = low, i
+                if low == 1:
+                    break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        j = t + list(map(abs, s[pivot][t:])).index(best)
+        if pivot != t:
+            s[t], s[pivot] = s[pivot], s[t]
+            u[t], u[pivot] = u[pivot], u[t]
+        if j != t:
+            for row in s[t:]:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
 
-        p = s[t][t]
+        top, u_top = s[t], u[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, m):
-            if s[i][t] != 0:
-                add_row(i, t, -(s[i][t] // p))
+            x = s[i][t]
+            if x:
+                c = -(x // p)
+                s[i] = [a + c * b for a, b in zip(s[i], top)]
+                u[i] = [a + c * b for a, b in zip(u[i], u_top)]
                 dirty = dirty or s[i][t] != 0
+        live = [row for row in s[t:] if row[t]]  # rows a column step changes
+        v_top = vt[t]
         for j in range(t + 1, n):
-            if s[t][j] != 0:
-                add_col(j, t, -(s[t][j] // p))
-                dirty = dirty or s[t][j] != 0
-        if dirty or any(s[i][t] for i in range(t + 1, m)) \
-                or any(s[t][j] for j in range(t + 1, n)):
+            x = top[j]
+            if x:
+                c = -(x // p)
+                for row in live:
+                    row[j] += c * row[t]
+                vt[j] = [a + c * b for a, b in zip(vt[j], v_top)]
+                dirty = dirty or top[j] != 0
+        if dirty:
             continue  # smaller remainders exist; re-pick the pivot
 
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+        if p < 0:
+            s[t] = [-x for x in top]
+            u[t] = [-x for x in u_top]
         t += 1
 
     # Divisibility chain: fold pairs (d_i, d_j) into (gcd, lcm) with local
     # unimodular transforms; cheaper than re-running the elimination.
-    from math import gcd as _gcd
-
     def chain_fix(i, j):
         a, b = s[i][i], s[j][j]
         if a == 0 or b % a == 0:
             return
-        g = _gcd(a, b)
+        g = gcd(a, b)
         lo, hi = a // g, b // g
         sigma, tau = _bezout(a, b)
         # U2 = [[sigma, tau], [-hi, lo]], V2 = [[1, -tau*hi], [1, sigma*lo]]
         ui, uj = u[i], u[j]
         u[i] = [sigma * x + tau * y for x, y in zip(ui, uj)]
         u[j] = [-hi * x + lo * y for x, y in zip(ui, uj)]
-        for row in v:
-            x, y = row[i], row[j]
-            row[i] = x + y
-            row[j] = -tau * hi * x + sigma * lo * y
+        vi, vj = vt[i], vt[j]
+        vt[i] = [x + y for x, y in zip(vi, vj)]
+        vt[j] = [-tau * hi * x + sigma * lo * y for x, y in zip(vi, vj)]
         s[i][i], s[j][j] = g, a * b // g
 
     rank_now = sum(1 for k in range(min(m, n)) if s[k][k] != 0)
     for i in range(rank_now):
+        if s[i][i] == 1:
+            continue  # a unit divides everything and stays a unit
         for j in range(i + 1, rank_now):
             chain_fix(i, j)
 
-    dec = SmithDecomposition(
-        IntMatrix(u, ncols=m),
-        IntMatrix(s, ncols=n),
-        IntMatrix(v, ncols=n),
-    )
-    check = matmul(matmul(dec.u, IntMatrix(a.entries, ncols=n)), dec.v)
-    if check != dec.s:
-        raise AssertionError("Smith decomposition failed to multiply back")
-    return dec
+    return (IntMatrix(u, ncols=m), IntMatrix(s, ncols=n),
+            IntMatrix(zip(*vt), ncols=n))
 
 
 @dataclass(frozen=True)
@@ -391,36 +547,29 @@ def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
 
 def cokernel_structure(a: IntMatrix) -> AbelianGroup:
     """Structure of Z^rows / (column span of A)."""
-    dec = smith_normal_form(a)
+    dec = smith_normal_form(a, transforms="")
     return AbelianGroup(a.rows - dec.rank,
                         tuple(d for d in dec.diagonal if d > 1))
 
 
 def kernel_basis(a: IntMatrix) -> list[Vector]:
     """Integer lattice basis of {x : A x = 0}."""
-    dec = smith_normal_form(a)
+    dec = smith_normal_form(a, transforms="v")
     return [dec.v.column(j) for j in range(a.cols) if j >= dec.rank]
-
-
-def _val(n: int, p: int) -> int:
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a
 
 
 def kernel_mod(a: IntMatrix, p: int, s: int,
                check_cardinality: bool = True) -> list[Vector]:
     """Generators of {x : A x = 0 mod p**s} as a Z/p**s module.
 
-    With U A V = S the kernel is spanned by the columns of V scaled by
+    With U B V = S (B is A or its row Hermite block, which has the same
+    kernel mod p**s) the kernel is spanned by the columns of V scaled by
     p**max(0, s - val_p(d_j)).  The generated set is checked against the
     cardinality predicted by the diagonal.
     """
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
-    dec = smith_normal_form(a)
+    dec = smith_normal_form(a, transforms="v")
     diag = dec.diagonal
     ps = p ** s
     gens: list[Vector] = []
@@ -430,7 +579,7 @@ def kernel_mod(a: IntMatrix, p: int, s: int,
         if d == 0:
             mult, contrib = 1, s
         else:
-            vd = min(_val(d, p), s)
+            vd = min(p_valuation(d, p), s)
             mult, contrib = p ** (s - vd), vd
         expected_exp += contrib
         if mult < ps:
@@ -450,9 +599,9 @@ def span_exponent_mod(vectors: Sequence[Sequence[int]], n: int,
     ps = p ** s
     cols = [tuple(v) for v in vectors]
     cols += [tuple(ps if i == j else 0 for i in range(n)) for j in range(n)]
-    dec = smith_normal_form(matrix_from_columns(cols, n))
+    dec = smith_normal_form(matrix_from_columns(cols, n), transforms="")
     index = prod(dec.diagonal)  # |Z^n / span|; a power of p by construction
-    return n * s - _val(index, p)
+    return n * s - p_valuation(index, p)
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], p: int, s: int) -> Optional[Vector]:
@@ -472,10 +621,10 @@ def solve_mod(a: IntMatrix, b: Sequence[int], p: int, s: int) -> Optional[Vector
         ci = c[i]
         if ci == 0:
             continue
-        vd = _val(d, p)
+        vd = p_valuation(d, p)
         if vd >= s:
             return None
-        if _val(ci, p) < vd:
+        if p_valuation(ci, p) < vd:
             return None
         unit = d // p ** vd
         y[i] = (ci // p ** vd) * pow(unit, -1, ps) % ps

@@ -104,7 +104,7 @@ def test_criterion_2_structure_theorem_oracle(p):
     if mismatches:
         g, got, want = mismatches[0]
         detail += (f"; {len(mismatches)} mismatches, first: {g} forest={got} "
-                   f"divisors={want} (theorem false at p=2; see notes)")
+                   f"divisors={want} (forest disagrees with the SNF oracle)")
     _criterion(2, not mismatches and elapsed < 60, detail)
 
 

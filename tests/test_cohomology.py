@@ -1,7 +1,11 @@
+import json
 import random
 from itertools import product
 
-from gcoh.graphs import WeightedGraph, full_subgraph, p_valuation
+import gcoh.intlinalg
+from gcoh.cli import main
+from gcoh.forest import build_forest
+from gcoh.graphs import WeightedGraph, full_subgraph, graph_to_json, p_valuation
 from gcoh.intlinalg import AbelianGroup, mat_vec
 from gcoh.cohomology import (
     cohomology_groups,
@@ -236,3 +240,39 @@ def test_generation_check_randomized():
         g = WeightedGraph(weights, edges)
         s = rng.randint(1, 3)
         assert generation_check(g, p, s) is True
+
+
+def test_one_snf_per_cohomology_query(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = gcoh.intlinalg.smith_normal_form
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args[0], out))
+        return out
+
+    monkeypatch.setattr(gcoh.intlinalg, "smith_normal_form", counted)
+    rng = random.Random(41)
+    names = [f"v{i:02d}" for i in range(30)]
+    big = WeightedGraph(  # d0 is tall enough for the Hermite-compressed path
+        {v: 3 ** rng.randint(0, 3) * rng.choice([1, 2]) for v in names},
+        {tuple(sorted(rng.sample(names, 2))) for _ in range(70)})
+    graphs = [k3(), triangle(1, 1, 1), triangle(4, 6, 9), big,
+              WeightedGraph({"a": 5, "b": 7}, [])]
+    for g in graphs:
+        calls.clear()
+        h0, h1 = cohomology_groups(full_subgraph(g))
+        assert len(calls) == 1
+        a, dec = calls[0]
+        assert (dec.hermite is not None) == (g is big)
+        assert h0 == AbelianGroup(a.cols - real(a).rank)
+        for p in (2, 3):
+            calls.clear()
+            build_forest(g, p)
+            assert calls == []
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph_to_json(g)))
+        calls.clear()
+        assert main(["torsion", str(path), "--prime", "3"]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()

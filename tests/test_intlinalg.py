@@ -1,12 +1,17 @@
+from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gcoh import intlinalg
+from gcoh.cohomology import d0_matrix
+from gcoh.graphs import WeightedGraph, full_subgraph
 from gcoh.intlinalg import (
     AbelianGroup,
     IntMatrix,
+    check_smith,
     cokernel_structure,
     determinant,
     direct_sum,
@@ -240,3 +245,131 @@ def test_kernel_basis():
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(a, v) == (0,)
+
+
+# --- the multiply-back product and the Hermite-compressed path ---------------
+
+# Half the entries zero, as in edge-vertex matrices and near-identity transforms.
+entries = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30))
+
+
+def shaped(rows, cols):
+    """Matrices whose row and column counts are drawn from the two strategies."""
+    return st.tuples(rows, cols).flatmap(lambda rc: st.lists(
+        st.lists(entries, min_size=rc[1], max_size=rc[1]),
+        min_size=rc[0], max_size=rc[0]).map(lambda r: matrix(r, ncols=rc[1])))
+
+
+@st.composite
+def small_graph_d0(draw):
+    n = draw(st.integers(2, 6))
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
+    weights = {v: draw(st.integers(1, 40)) for v in names}
+    return d0_matrix(full_subgraph(WeightedGraph(weights, edges)))
+
+
+tall_matrices = shaped(st.integers(5, 12), st.integers(1, 4))
+wide_matrices = shaped(st.integers(1, 4), st.integers(5, 12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matmul_matches_triple_sum(m, k, n, data):
+    a = data.draw(shaped(st.just(m), st.just(k)))
+    b = data.draw(shaped(st.just(k), st.just(n)))
+    a = matrix(a.entries, ncols=k, row_labels=[f"r{i}" for i in range(m)])
+    b = matrix(b.entries, ncols=n, col_labels=[f"c{j}" for j in range(n)])
+    naive = [[sum(a[i, l] * b[l, j] for l in range(k)) for j in range(n)]
+             for i in range(m)]
+    out = matmul(a, b)
+    assert (out.rows, out.cols) == (m, n)
+    assert out == matrix(naive, ncols=n)
+    assert out.row_labels == a.row_labels and out.col_labels == b.col_labels
+
+
+def compressed_smith(a: IntMatrix):
+    """The decomposition on the Hermite-compressed path whatever the size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
+        return smith_normal_form(a, transforms="")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(tall_matrices, wide_matrices, small_graph_d0()))
+def test_snf_diagonal_on_full_and_compressed_paths(a):
+    want = divisors_by_minors(a)
+    full = smith_normal_form(a)
+    assert full.hermite is None
+    assert list(full.diagonal) == want
+    dec = compressed_smith(a)
+    assert (dec.hermite is None) == (a.rows == a.cols)
+    assert list(dec.diagonal) == want
+    if dec.hermite is not None:
+        side = dec.hermite.side
+        assert side == ("rows" if a.rows > a.cols else "cols")
+        h = dec.hermite.h
+        assert max(dec.u.rows, dec.v.rows) <= min(a.rows, a.cols)
+        assert min(h.rows, h.cols) == len(want)  # the block has full rank
+    check_smith(a, dec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(tall_matrices, small_graph_d0()))
+def test_compressed_v_spans_the_kernel(a):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
+        dec = smith_normal_form(a, transforms="v")
+        basis = kernel_basis(a)
+        gens = kernel_mod(a, 3, 2)
+    assert (dec.hermite is not None) == (a.rows > a.cols)
+    assert dec.v.rows == a.cols
+    assert len(basis) == a.cols - len(divisors_by_minors(a))
+    assert all(not any(mat_vec(a, x)) for x in basis)
+    assert all(all(y % 9 == 0 for y in mat_vec(a, x)) for x in gens)
+    assert (span_exponent_mod(gens, a.cols, 3, 2)
+            == span_exponent_mod(kernel_mod(a, 3, 2), a.cols, 3, 2))
+
+
+def test_shape_rule_picks_the_path():
+    gap = intlinalg.COMPRESS_MIN_GAP
+    tall = matrix([[i + 1, 2 * i] for i in range(gap + 2)])
+    assert smith_normal_form(tall).hermite is None
+    assert smith_normal_form(tall, transforms="v").hermite.side == "rows"
+    assert smith_normal_form(tall, transforms="").hermite.side == "rows"
+    wide = tall.transpose()
+    assert smith_normal_form(wide, transforms="v").hermite is None
+    assert smith_normal_form(wide, transforms="").hermite.side == "cols"
+    near_square = matrix([[i + 1, 2 * i] for i in range(gap + 1)])
+    assert smith_normal_form(near_square, transforms="").hermite is None
+    with pytest.raises(ValueError):
+        smith_normal_form(tall, transforms="u")
+
+
+def bumped(m: IntMatrix) -> IntMatrix:
+    rows = [list(r) for r in m.entries]
+    rows[0][0] += 1
+    return matrix(rows, ncols=m.cols)
+
+
+@pytest.mark.parametrize("side", ["rows", "cols"])
+def test_check_smith_fires_on_tampering(side):
+    tall = matrix([[3 * i + 1, 2 * i - 5, i * i]
+                   for i in range(intlinalg.COMPRESS_MIN_GAP + 3)])
+    a = tall if side == "rows" else tall.transpose()
+    dec = smith_normal_form(a, transforms="")
+    block = dec.hermite
+    assert block is not None and block.side == side
+    check_smith(a, dec)
+    for field in ("u", "s", "v"):
+        with pytest.raises(AssertionError, match="Smith decomposition"):
+            check_smith(a, replace(dec, **{field: bumped(getattr(dec, field))}))
+    for field in ("h", "c", "r"):
+        tampered = block._replace(**{field: bumped(getattr(block, field))})
+        with pytest.raises(AssertionError, match="Hermite block"):
+            check_smith(a, replace(dec, hermite=tampered))
+    full = smith_normal_form(a)
+    check_smith(a, full)
+    with pytest.raises(AssertionError, match="Smith decomposition"):
+        check_smith(a, replace(full, s=bumped(full.s)))
