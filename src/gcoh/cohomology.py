@@ -17,9 +17,8 @@ from .graphs import (
     Subgraph,
     WeightedGraph,
     boundary_valuation,
-    components,
+    filtration,
     full_subgraph,
-    reduce_graph,
     require_prime,
 )
 from .intlinalg import (
@@ -159,26 +158,6 @@ def critical_cohomology_dim(g: Subgraph, p: int, s: int) -> int:
     return total - image
 
 
-def reduction_subgraphs(g: WeightedGraph, p: int) -> list[Subgraph]:
-    """All distinct subgraphs occurring as components of some reduction.
-
-    Levels 1 .. (max edge valuation + 1) exhaust the distinct reductions;
-    isolated-vertex components of the graph itself can first appear above
-    that, so those levels are extended as needed.
-    """
-    top = 1
-    if g.edges:
-        top = max(g.edge_valuation(e, p) for e in g.edges) + 1
-    for comp in components(full_subgraph(g)):
-        if not comp.edge_set:
-            top = max(top, comp.min_valuation(p) + 1)
-    seen = {}
-    for r in range(1, top + 1):
-        for comp in components(reduce_graph(g, p, r)):
-            seen.setdefault(comp.key(), comp)
-    return [seen[k] for k in sorted(seen, key=lambda k: (sorted(k[0]), sorted(k[1])))]
-
-
 def generation_check(g: WeightedGraph, p: int, s: int,
                      s_cap: int = GENERATION_S_CAP) -> bool:
     """Do scaled divided fundamental classes of reduction components span
@@ -201,9 +180,10 @@ def generation_check(g: WeightedGraph, p: int, s: int,
     verts = full.vertices
     ps = p ** s
     candidates: list[tuple[int, ...]] = []
-    for delta in reduction_subgraphs(g, p):
+    filt = filtration(full, p)
+    for delta in sorted(filt.span, key=lambda d: (d.vertices, d.edges)):
         r_delta = boundary_valuation(delta, p)  # None means empty boundary
-        m_delta = delta.min_valuation(p)
+        m_delta = filt.min_val[delta]
         for d in range(s):
             if r_delta is not None and r_delta - m_delta < s - d:
                 continue

@@ -13,6 +13,12 @@ p**(peak level - chain minimum valuation) per counted chain.
 Bipartite components contribute an infinite tail of nodes; the tail is
 stored symbolically (sup_level None) and only materialized up to the
 largest level that matters.
+
+Everything is read off one `graphs.filtration` sweep: the reduction
+components at every level with their level intervals, bipartiteness and
+minimal valuations.  Descent and covers look up a vertex's class one
+level down; a subgraph is maximal when the class above its top level is
+not a node.
 """
 
 from __future__ import annotations
@@ -22,15 +28,13 @@ from typing import Optional
 
 from .graphs import (
     Bipartition,
+    Filtration,
     Subgraph,
     WeightedGraph,
     bipartition,
     boundary_valuation,
-    components,
+    filtration,
     full_subgraph,
-    p_valuation,
-    reduce_graph,
-    reduction,
     require_prime,
 )
 from .orientation import two_adic_bipartition
@@ -72,12 +76,15 @@ class FundamentalForest:
       peak_nodes       images of peak_map
       witness          minimal subgraph -> a vertex realizing min_val
       orientation      subgraph -> sign map, induced from the chain tops
+      maximal          subgraphs whose top node has no node above it
+      filtration       the sweep all of the above is read from
     """
 
-    def __init__(self, graph: WeightedGraph, prime: int):
+    def __init__(self, graph: WeightedGraph, prime: int, filt: Filtration):
         self.graph = graph
         self.prime = prime
-        self.top_level = 1
+        self.filtration = filt
+        self.top_level = filt.top
         self.nodes: tuple[ForestNode, ...] = ()
         self.subgraphs: tuple[Subgraph, ...] = ()
         self.extras: tuple[Subgraph, ...] = ()
@@ -95,6 +102,7 @@ class FundamentalForest:
         self.witness: dict[Subgraph, str] = {}
         self.orientation: dict[Subgraph, Bipartition] = {}
         self.bipartite_components: tuple[Subgraph, ...] = ()
+        self.maximal: tuple[Subgraph, ...] = ()
         self._node_at: dict[tuple[Subgraph, int], ForestNode] = {}
 
     def node_at(self, graph: Subgraph, level: int) -> ForestNode:
@@ -104,7 +112,7 @@ class FundamentalForest:
         return len(self.nodes)
 
 
-def _membership(comp: Subgraph, p: int, level: int) -> bool:
+def _membership(filt: Filtration, comp: Subgraph, p: int, level: int) -> bool:
     """Is a reduction component a forest node at this level?
 
     It is when its minimal valuation m is below the level and it is
@@ -115,133 +123,115 @@ def _membership(comp: Subgraph, p: int, level: int) -> bool:
     or, at p = 2, the reduction of comp at level - 1 is bipartite (the
     divided weights have odd gcd).  No Smith normal form is needed.
     """
-    if comp.min_valuation(p) >= level:
+    if filt.min_val[comp] >= level:
         return False
-    if bipartition(comp) is not None:
+    if filt.bipartite[comp]:
         return True
-    return p == 2 and two_adic_bipartition(comp, level) is not None
+    return p == 2 and (level == 1 or all(
+        filt.bipartite[filt.class_of(v, level - 1)] for v in comp.vertex_set))
 
 
 def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     require_prime(p)
-    forest = FundamentalForest(g, p)
-    full = full_subgraph(g)
+    filt = filtration(full_subgraph(g), p)
+    forest = FundamentalForest(g, p, filt)
+    top = filt.top
 
-    top = 1
-    if g.edges:
-        top = max(g.edge_valuation(e, p) for e in g.edges) + 1
-    graph_components = components(full)
-    for comp in graph_components:
-        if not comp.edge_set:
-            top = max(top, comp.min_valuation(p) + 1)
-    forest.top_level = top
-
-    # nodes per level, with subgraphs deduplicated across levels
-    canon: dict[tuple, Subgraph] = {}
     levels: dict[Subgraph, list[int]] = {}
     for r in range(1, top + 1):
-        for comp in components(reduce_graph(g, p, r)):
-            if not _membership(comp, p, r):
-                continue
-            delta = canon.setdefault(comp.key(), comp)
-            levels.setdefault(delta, []).append(r)
+        for comp in filt.at(r):
+            if _membership(filt, comp, p, r):
+                levels.setdefault(comp, []).append(r)
 
-    bip_comps = tuple(c for c in graph_components if bipartition(c) is not None)
     forest.bipartite_components = tuple(
-        canon.get(c.key(), c) for c in bip_comps)
-    for delta, rs in levels.items():
-        lo, hi = min(rs), max(rs)
-        if rs != list(range(lo, hi + 1)):
-            raise AssertionError(f"levels of {delta} not contiguous: {rs}")
-        forest.min_val[delta] = delta.min_valuation(p)
-        if any(delta == c for c in forest.bipartite_components):
-            forest.sup_level[delta] = None  # infinite tail
-        else:
-            forest.sup_level[delta] = hi
-
+        c for c in filt.at(top) if filt.bipartite[c])
+    tails = set(forest.bipartite_components)
     nodes = []
     for delta, rs in levels.items():
+        if rs != list(range(rs[0], rs[-1] + 1)):
+            raise AssertionError(f"levels of {delta} not contiguous: {rs}")
+        m = forest.min_val[delta] = filt.min_val[delta]
+        sup = forest.sup_level[delta] = None if delta in tails else rs[-1]
         for r in rs:
-            node = ForestNode(delta, r, forest.min_val[delta],
-                              forest.sup_level[delta])
-            nodes.append(node)
-            forest._node_at[(delta, r)] = node
-    nodes.sort(key=ForestNode.sort_key)
-    forest.nodes = tuple(nodes)
+            nodes.append(ForestNode(delta, r, m, sup))
+            forest._node_at[(delta, r)] = nodes[-1]
+    forest.nodes = tuple(sorted(nodes, key=ForestNode.sort_key))
     forest.subgraphs = tuple(sorted(
         levels, key=lambda d: (d.vertices, d.edges)))
 
-    # descent: one level down through the smallest minimal-weight vertex
+    # descent: one level down through the smallest minimal-weight vertex;
+    # nodes come in level order, so the node below is already mapped
     for node in forest.nodes:
         if node.level == node.min_val + 1:
+            forest.to_minimal[node] = node
+            forest.witness[node.graph] = _anchor(filt, node)
             continue
-        anchor = min(
-            v for v in node.graph.vertex_set
-            if p_valuation(node.graph.parent.weight[v], p) == node.min_val)
-        below = reduction(node.graph, p, node.level - 1)
-        target_graph = next(c for c in components(below)
-                            if anchor in c.vertex_set)
-        target_graph = canon[target_graph.key()]
-        forest.descent[node] = forest.node_at(target_graph, node.level - 1)
-
-    for node in forest.nodes:
-        cur = node
-        while cur in forest.descent:
-            cur = forest.descent[cur]
-        forest.to_minimal[node] = cur
+        below = filt.class_of(_anchor(filt, node), node.level - 1)
+        forest.descent[node] = forest.node_at(below, node.level - 1)
+        forest.to_minimal[node] = forest.to_minimal[forest.descent[node]]
 
     forest.minimal_nodes = tuple(
         n for n in forest.nodes if n.level == n.min_val + 1)
 
-    excluded = set()
-    for comp in forest.bipartite_components:
-        bottom = min(r for (d, r) in forest._node_at if d == comp)
-        excluded.add(forest.to_minimal[forest.node_at(comp, bottom)])
+    excluded = {forest.to_minimal[forest.node_at(c, levels[c][0])]
+                for c in forest.bipartite_components}
     forest.counted_minimal = tuple(
         n for n in forest.minimal_nodes if n not in excluded)
     counted_min = set(forest.counted_minimal)
     forest.counted_nodes = tuple(
         n for n in forest.nodes if forest.to_minimal[n] in counted_min)
 
+    chains: dict[ForestNode, list[ForestNode]] = {}
+    for n in forest.nodes:
+        chains.setdefault(forest.to_minimal[n], []).append(n)
     for a in forest.counted_minimal:
-        chain = [n for n in forest.nodes if forest.to_minimal[n] == a]
-        forest.peak_map[a] = max(chain, key=lambda n: n.level)
+        forest.peak_map[a] = max(chains[a], key=lambda n: n.level)
     forest.peak_nodes = tuple(sorted(forest.peak_map.values(),
                                      key=ForestNode.sort_key))
 
-    for node in forest.minimal_nodes:
-        delta = node.graph
-        forest.witness[delta] = min(
-            v for v in delta.vertex_set
-            if p_valuation(delta.parent.weight[v], p) == node.min_val)
+    maximal = []
+    for delta in forest.subgraphs:
+        sup = forest.sup_level[delta]
+        if (sup is None or sup >= top
+                or (filt.class_of(delta.min_vertex(), sup + 1), sup + 1)
+                not in forest._node_at):
+            maximal.append(delta)
+    forest.maximal = tuple(maximal)
 
     _build_phi(forest)
     _assign_orientations(forest)
     return forest
 
 
+def _anchor(filt: Filtration, node: ForestNode) -> str:
+    """The smallest vertex of the node's subgraph realizing its min_val."""
+    return min(v for v in node.graph.vertex_set
+               if filt.valuation[v] == node.min_val)
+
+
 def _build_phi(forest: FundamentalForest) -> None:
     """Level-down cover of each non-minimal subgraph, extras included.
 
     The cover of D is the set of components of the reduction of D at its
-    largest internal edge valuation.  Components that fail the minimal
-    valuation condition are single vertices whose weight valuation equals
-    their boundary valuation; they are recorded as extras so the cover
-    always spans V(D).
+    largest internal edge valuation, one below the level where D first
+    appears.  Components that fail the minimal valuation condition are
+    single vertices whose weight valuation equals their boundary
+    valuation; they are recorded as extras so the cover always spans V(D).
     """
     p = forest.prime
+    filt = forest.filtration
     minimal_graphs = {n.graph for n in forest.minimal_nodes}
-    extras: dict[Subgraph, Subgraph] = {}
+    extras: set[Subgraph] = set()
     for delta in forest.subgraphs:
         if delta in minimal_graphs:
             continue
-        lower = delta.max_edge_valuation(p)
-        if lower is None or lower < 1:
+        lower = filt.span[delta][0] - 1
+        if lower < 1:
             raise AssertionError(
                 f"non-minimal subgraph with no positive-valuation edge: {delta}")
         forest.lower_level[delta] = lower
         children = []
-        for comp in components(reduction(delta, p, lower)):
+        for comp in dict.fromkeys(filt.class_of(v, lower) for v in delta.vertices):
             if (comp, lower) in forest._node_at:
                 children.append(comp)
                 continue
@@ -250,37 +240,18 @@ def _build_phi(forest: FundamentalForest) -> None:
                 raise AssertionError(
                     f"uncovered multi-vertex child {comp} of {delta}")
             v = comp.min_vertex()
-            mv = p_valuation(delta.parent.weight[v], p)
+            mv = filt.valuation[v]
             bv = boundary_valuation(comp, p)
             if mv != bv:
                 raise AssertionError(
                     f"cover vertex {v} has valuation {mv} but boundary {bv}")
-            comp = extras.setdefault(comp, comp)
+            extras.add(comp)
             forest.min_val.setdefault(comp, mv)
             forest.sup_level.setdefault(comp, mv)  # degenerate: r == m
             children.append(comp)
         forest.phi[delta] = tuple(
             sorted(children, key=lambda c: (c.vertices, c.edges)))
     forest.extras = tuple(sorted(extras, key=lambda c: (c.vertices, c.edges)))
-
-
-def _maximal_graphs(forest: FundamentalForest) -> list[Subgraph]:
-    """Subgraphs whose top node has no node above it in the forest order."""
-    p = forest.prime
-    out = []
-    for delta in forest.subgraphs:
-        sup = forest.sup_level[delta]
-        if sup is None:
-            out.append(delta)  # infinite tail: the component itself
-            continue
-        if sup + 1 > forest.top_level:
-            out.append(delta)
-            continue
-        above = next(c for c in components(reduce_graph(forest.graph, p, sup + 1))
-                     if delta.vertex_set <= c.vertex_set)
-        if (above, sup + 1) not in forest._node_at:
-            out.append(delta)
-    return out
 
 
 def _assign_orientations(forest: FundamentalForest) -> None:
@@ -292,7 +263,7 @@ def _assign_orientations(forest: FundamentalForest) -> None:
     """
     p = forest.prime
     queue = []
-    for top_graph in _maximal_graphs(forest):
+    for top_graph in forest.maximal:
         if top_graph in forest.orientation:
             continue
         alpha = bipartition(top_graph)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 Edge = tuple[str, str]
 
@@ -61,7 +61,7 @@ class WeightedGraph:
     Weights are arbitrary-precision.
     """
 
-    __slots__ = ("vertices", "weight", "edges", "_adj")
+    __slots__ = ("vertices", "weight", "edges", "edge_set")
 
     def __init__(self, weights: Mapping[str, int], edges: Iterable[tuple[str, str]]):
         self.weight = {str(v): int(k) for v, k in weights.items()}
@@ -69,23 +69,16 @@ class WeightedGraph:
             if k < 1:
                 raise ValueError(f"weight of {v!r} must be >= 1, got {k}")
         self.vertices: tuple[str, ...] = tuple(sorted(self.weight))
-        seen: list[Edge] = []
+        seen: set[Edge] = set()
         for u, v in edges:
             e = edge_key(str(u), str(v))
             if e[0] not in self.weight or e[1] not in self.weight:
                 raise ValueError(f"edge {e} has an undeclared endpoint")
             if e in seen:
                 raise ValueError(f"multiple edge {e}")
-            seen.append(e)
+            seen.add(e)
+        self.edge_set: frozenset[Edge] = frozenset(seen)
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        self._adj = {v: tuple(sorted(ws)) for v, ws in adj.items()}
-
-    def neighbours(self, v: str) -> tuple[str, ...]:
-        return self._adj[v]
 
     def edge_valuation(self, e: Edge, p: int) -> int:
         u, v = e
@@ -110,12 +103,11 @@ class Subgraph:
     edge_set: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
-        parent_edges = set(self.parent.edges)
         for v in self.vertex_set:
             if v not in self.parent.weight:
                 raise ValueError(f"vertex {v!r} not in parent graph")
         for e in self.edge_set:
-            if e not in parent_edges:
+            if e not in self.parent.edge_set:
                 raise ValueError(f"edge {e} not in parent graph")
             if e[0] not in self.vertex_set or e[1] not in self.vertex_set:
                 raise ValueError(f"edge {e} has an endpoint outside the subgraph")
@@ -135,15 +127,6 @@ class Subgraph:
 
     def key(self) -> tuple[frozenset[str], frozenset[Edge]]:
         return (self.vertex_set, self.edge_set)
-
-    def neighbours(self, v: str) -> list[str]:
-        out = []
-        for u, w in self.edge_set:
-            if u == v:
-                out.append(w)
-            elif w == v:
-                out.append(u)
-        return sorted(out)
 
     def min_vertex(self) -> str:
         return min(self.vertex_set)
@@ -176,7 +159,7 @@ class Subgraph:
 
 
 def full_subgraph(g: WeightedGraph) -> Subgraph:
-    return Subgraph(g, frozenset(g.vertices), frozenset(g.edges))
+    return Subgraph(g, frozenset(g.vertices), g.edge_set)
 
 
 def subgraph_of(parent: WeightedGraph, vertices: Iterable[str],
@@ -185,12 +168,17 @@ def subgraph_of(parent: WeightedGraph, vertices: Iterable[str],
                     frozenset(edge_key(u, v) for u, v in edges))
 
 
+def _adjacency(g: Subgraph) -> dict[str, list[str]]:
+    adj: dict[str, list[str]] = {v: [] for v in g.vertex_set}
+    for u, v in g.edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def components(g: Subgraph) -> list[Subgraph]:
     """Maximal connected subgraphs, sorted by smallest vertex identifier."""
-    adj: dict[str, set[str]] = {v: set() for v in g.vertex_set}
-    for u, v in g.edge_set:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(g)
     seen: set[str] = set()
     comps = []
     for start in sorted(g.vertex_set):
@@ -241,14 +229,16 @@ def bipartition(g: Subgraph) -> Optional[Bipartition]:
     Per component the colouring is unique up to sign; it is normalized so
     the smallest vertex identifier of each component gets +1.
     """
+    adj = _adjacency(g)
     sign: dict[str, int] = {}
-    for comp in components(g):
-        start = comp.min_vertex()
+    for start in sorted(g.vertex_set):
+        if start in sign:
+            continue
         sign[start] = 1
         queue = [start]
         while queue:
             v = queue.pop()
-            for w in comp.neighbours(v):
+            for w in sorted(adj[v]):
                 if w not in sign:
                     sign[w] = -sign[v]
                     queue.append(w)
@@ -259,16 +249,18 @@ def bipartition(g: Subgraph) -> Optional[Bipartition]:
 
 def find_odd_cycle(g: Subgraph) -> Optional[list[str]]:
     """An odd closed walk witnessing non-bipartiteness, or None."""
+    adj = _adjacency(g)
     colour: dict[str, int] = {}
     parent: dict[str, Optional[str]] = {}
-    for comp in components(g):
-        start = comp.min_vertex()
+    for start in sorted(g.vertex_set):
+        if start in colour:
+            continue
         colour[start] = 0
         parent[start] = None
         queue = [start]
         while queue:
             v = queue.pop(0)
-            for w in comp.neighbours(v):
+            for w in sorted(adj[v]):
                 if w not in colour:
                     colour[w] = colour[v] ^ 1
                     parent[w] = v
@@ -307,6 +299,100 @@ def reduce_graph(g: WeightedGraph, p: int, s: int) -> Subgraph:
     return reduction(full_subgraph(g), p, s)
 
 
+class Filtration(NamedTuple):
+    """The components ("classes") of `reduction(g, p, r)` for r in 1..top.
+
+    `owner[r - 1]` maps each vertex to its level-r class; a class that
+    does not change from one level to the next is the same object at
+    both.  Per class: `span` (first and last level), `bipartite`,
+    `min_val` (smallest vertex valuation).  `tree` holds the edges that
+    merged two classes, the unique minimum spanning forest under the
+    strict order (valuation, edge).
+    """
+
+    top: int
+    valuation: dict[str, int]
+    owner: tuple[dict[str, Subgraph], ...]
+    span: dict[Subgraph, tuple[int, int]]
+    bipartite: dict[Subgraph, bool]
+    min_val: dict[Subgraph, int]
+    tree: frozenset[Edge]
+
+    def at(self, r: int) -> tuple[Subgraph, ...]:
+        """The level-r classes in the order `components` gives them."""
+        return tuple(sorted(set(self.owner[r - 1].values()),
+                            key=Subgraph.min_vertex))
+
+    def class_of(self, v: str, r: int) -> Subgraph:
+        return self.owner[r - 1][v]
+
+
+def filtration(g: Subgraph, p: int) -> Filtration:
+    """One union-find sweep over the edges of g in (valuation, edge) order.
+
+    The levels run to the largest edge valuation + 1, further if an
+    isolated vertex of valuation a needs level a + 1.  Each entry carries
+    its colour relative to its leader: an edge between equal colours of
+    one class makes the class non-bipartite.
+    """
+    require_prime(p)
+    val = {v: p_valuation(g.parent.weight[v], p) for v in g.vertex_set}
+    entering: dict[int, list[Edge]] = {}
+    for a, e in sorted((val[u] + val[v], (u, v)) for u, v in g.edge_set):
+        entering.setdefault(a, []).append(e)
+    touched = {v for e in g.edge_set for v in e}
+    top = max([max(entering, default=0) + 1]
+              + [val[v] + 1 for v in g.vertex_set - touched])
+
+    leader = {v: v for v in g.vertex_set}
+    side = dict.fromkeys(g.vertex_set, 0)
+    members = {v: [v] for v in g.vertex_set}
+    edges: dict[str, list[Edge]] = {v: [] for v in g.vertex_set}
+    bip = dict.fromkeys(g.vertex_set, True)
+
+    def find(v: str) -> tuple[str, int]:
+        colour = 0
+        while leader[v] != v:
+            colour ^= side[v]
+            v = leader[v]
+        return v, colour
+
+    owner: dict[str, Subgraph] = {}
+    owners, tree = [], []
+    bipartite: dict[Subgraph, bool] = {}
+    min_val: dict[Subgraph, int] = {}
+    changed = dict.fromkeys(sorted(g.vertex_set))
+    for r in range(1, top + 1):
+        for e in entering.get(r - 1, ()):
+            (a, ca), (b, cb) = find(e[0]), find(e[1])
+            if a == b:
+                bip[a] = bip[a] and ca != cb
+            else:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                leader[b], side[b] = a, ca ^ cb ^ 1
+                members[a] += members.pop(b)
+                edges[a] += edges.pop(b)
+                bip[a] = bip[a] and bip.pop(b)
+                changed.pop(b, None)
+                tree.append(e)
+            edges[a].append(e)
+            changed[a] = None
+        for a in changed:
+            sub = Subgraph(g.parent, frozenset(members[a]), frozenset(edges[a]))
+            bipartite[sub] = bip[a]
+            min_val[sub] = min(val[v] for v in members[a])
+            owner.update(dict.fromkeys(members[a], sub))
+        changed = {}
+        owners.append(dict(owner))
+    span: dict[Subgraph, tuple[int, int]] = {}
+    for r, level in enumerate(owners, 1):
+        for sub in level.values():
+            span[sub] = (span.get(sub, (r,))[0], r)
+    return Filtration(top, val, tuple(owners), span,
+                      bipartite, min_val, frozenset(tree))
+
+
 def edge_boundary(d: Subgraph) -> frozenset[Edge]:
     """Parent edges touching V(d) that are missing from E(d).
 
@@ -337,9 +423,20 @@ def graph_to_json(g: WeightedGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> WeightedGraph:
+    """Parse a graph document, rejecting duplicate and non-string ids."""
     try:
-        weights = {item["id"]: int(item["weight"]) for item in doc["vertices"]}
+        weights: dict[str, int] = {}
+        for item in doc["vertices"]:
+            v = item["id"]
+            if not isinstance(v, str):
+                raise ValueError(f"vertex id {v!r} is not a string")
+            if v in weights:
+                raise ValueError(f"duplicate vertex id {v!r}")
+            weights[v] = int(item["weight"])
         edges = [(u, v) for u, v in doc["edges"]]
+        for e in edges:
+            if not all(isinstance(v, str) for v in e):
+                raise ValueError(f"edge endpoint in {list(e)!r} is not a string")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return WeightedGraph(weights, edges)

@@ -2,8 +2,9 @@
 
 Trees admit an exact product formula for the torsion order.  General
 graphs factor through two reductions: the oriented core (the union of
-the maximal fundamental-forest subgraphs) and, for oriented graphs at
-odd primes, a valuation-preserving spanning tree.  The edge-weighted
+the maximal fundamental-forest subgraphs, `FundamentalForest.maximal`)
+and, for oriented graphs at odd primes, a valuation-preserving spanning
+tree (the Kruskal tree of `graphs.filtration`).  The edge-weighted
 complex ties everything together through an exact Euler-style relation.
 """
 
@@ -20,6 +21,7 @@ from .graphs import (
     bipartition,
     boundary_valuation,
     components,
+    filtration,
     full_subgraph,
     is_connected,
     p_valuation,
@@ -27,7 +29,7 @@ from .graphs import (
     require_prime,
 )
 from .cohomology import d0_edge_matrix, torsion_order_p
-from .forest import FundamentalForest, _maximal_graphs, build_forest
+from .forest import FundamentalForest, build_forest
 from .intlinalg import cokernel_structure
 from .orientation import is_orientable
 
@@ -71,11 +73,9 @@ def hbe_count(g: WeightedGraph, p: int) -> int:
     Equals val_p(C2) at odd primes.  Refused when the graph has a
     bipartite component, where the count would be infinite.
     """
-    require_prime(p)
-    for comp in components(full_subgraph(g)):
-        if bipartition(comp) is not None:
-            raise ValueError("hbe_count is infinite on bipartite components")
     forest = build_forest(g, p)
+    if forest.bipartite_components:
+        raise ValueError("hbe_count is infinite on bipartite components")
     return len(forest.nodes) + sum(p_valuation(k, p)
                                    for k in g.weight.values())
 
@@ -112,10 +112,10 @@ def oriented_core(g: WeightedGraph, p: int,
         forest = build_forest(g, p)
     parts: list[CoreComponent] = []
     covered: set[str] = set()
-    for delta in _maximal_graphs(forest):
-        bip = bipartition(delta) is not None
+    for delta in forest.maximal:
         parts.append(CoreComponent(delta, forest.sup_level[delta],
-                                   forest.min_val[delta], bip, True))
+                                   forest.min_val[delta],
+                                   forest.filtration.bipartite[delta], True))
         covered |= delta.vertex_set
     for v in g.vertices:
         if v in covered:
@@ -187,11 +187,11 @@ def weighted_spanning_tree(g: Subgraph, p: int) -> Subgraph:
     """Spanning tree preserving, for every vertex pair, the largest level
     at which the pair is disconnected in the reductions.
 
-    Built by repeatedly deleting a maximal-valuation cycle edge (the
-    lexicographically largest among ties, matching the worked examples).
-    Requires a connected subgraph that is reduced and orientable at
-    r = max edge valuation + 1; odd primes only, the p = 2 analogue of
-    this reduction is out of scope.
+    The Kruskal tree of `filtration`, unique under the order (valuation,
+    edge): lexicographically largest edges go first among ties, matching
+    the worked examples.  Requires a connected subgraph that is reduced
+    and orientable at r = max edge valuation + 1; odd primes only, the
+    p = 2 analogue of this reduction is out of scope.
     """
     require_prime(p)
     if p == 2:
@@ -202,62 +202,12 @@ def weighted_spanning_tree(g: Subgraph, p: int) -> Subgraph:
     if not is_orientable(g, p, top).orientable:
         raise ValueError(f"subgraph is not orientable mod p^{top}")
 
-    current = g
-    while len(current.edge_set) > len(current.vertex_set) - 1:
-        cycle_edges = _cycle_edges(current)
-        target = max(cycle_edges,
-                     key=lambda e: (g.parent.edge_valuation(e, p), e))
-        current = Subgraph(g.parent, current.vertex_set,
-                           current.edge_set - {target})
+    tree = Subgraph(g.parent, g.vertex_set, filtration(g, p).tree)
     levels = range(1, top + 1)
-    if _partitions_at(current, p, levels) != _partitions_at(g, p, levels):
+    if _partitions_at(tree, p, levels) != _partitions_at(g, p, levels):
         raise AssertionError("spanning tree does not preserve the reduction "
                              "partitions")
-    return current
-
-
-def _cycle_edges(g: Subgraph) -> list[Edge]:
-    """Edges lying on some cycle (i.e. not bridges), via bridge detection."""
-    adj: dict[str, list[tuple[str, Edge]]] = {v: [] for v in g.vertex_set}
-    for e in g.edge_set:
-        u, v = e
-        adj[u].append((v, e))
-        adj[v].append((u, e))
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    bridges: set[Edge] = set()
-    counter = [0]
-
-    def visit(root: str) -> None:
-        stack = [(root, None, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        while stack:
-            v, via, it = stack[-1]
-            advanced = False
-            for w, e in it:
-                if e == via:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append((w, e, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > index[parent]:
-                        bridges.add(via)  # type: ignore[arg-type]
-        return
-
-    for v in sorted(g.vertex_set):
-        if v not in index:
-            visit(v)
-    return sorted(e for e in g.edge_set if e not in bridges)
+    return tree
 
 
 def oriented_torsion_exponent(g: Subgraph, p: int) -> int:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gcoh
 from gcoh.cli import main
 from gcoh.verify import VerificationConfig, run_property
 
@@ -75,6 +80,36 @@ def test_malformed_input_exit_2(tmp_path, capsys):
         "vertices": [{"id": "a", "weight": "2"}], "edges": [["a", "a"]]}))
     code, _, err = run_cli(capsys, "cohomology", str(loopy))
     assert code == 2
+
+
+def test_duplicate_vertex_id_exit_2(tmp_path, capsys):
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({
+        "vertices": [{"id": "a", "weight": "2"}, {"id": "b", "weight": "3"},
+                     {"id": "a", "weight": "5"}],
+        "edges": [["a", "b"]]}))
+    code, _, err = run_cli(capsys, "cohomology", str(dup))
+    assert code == 2
+    assert "duplicate vertex id 'a'" in err
+
+
+def test_non_string_vertex_id_exit_2(tmp_path, capsys):
+    # 1 and "1" must not merge into one vertex
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({
+        "vertices": [{"id": 1, "weight": "2"}, {"id": "1", "weight": "3"}],
+        "edges": []}))
+    code, _, err = run_cli(capsys, "cohomology", str(mixed))
+    assert code == 2
+    assert "vertex id 1 is not a string" in err
+
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({
+        "vertices": [{"id": "1", "weight": "2"}, {"id": "2", "weight": "3"}],
+        "edges": [[1, "2"]]}))
+    code, _, err = run_cli(capsys, "cohomology", str(edge))
+    assert code == 2
+    assert "is not a string" in err
 
 
 def test_forest_report_and_dot(k3_file, tmp_path, capsys):
@@ -212,3 +247,42 @@ def test_verify_detects_injected_mutation():
 
     healthy = run_property("tree_formula", cfg)
     assert healthy.passed
+
+
+# p = 2: a graph whose forest has a node oriented over Z/2^(r - m) with
+# m > 0; p = 3: two levels of merges, a bipartite tail and an isolated
+# heavy vertex.
+HASH_SEED_GRAPHS = (
+    (2, {"v0": 4, "v1": 2, "v2": 8, "v3": 2, "v4": 8, "v5": 8},
+     [["v0", "v1"], ["v0", "v3"], ["v0", "v4"], ["v0", "v5"], ["v1", "v2"],
+      ["v1", "v3"], ["v2", "v3"], ["v2", "v4"], ["v3", "v4"], ["v3", "v5"]]),
+    (3, {"a": 1, "b": 3, "c": 9, "d": 2, "e": 27, "f": 1, "g": 3, "h": 81},
+     [["a", "b"], ["b", "c"], ["a", "c"], ["c", "d"], ["d", "e"], ["f", "g"],
+      ["b", "e"]]),
+)
+
+
+def test_reports_identical_across_hash_seeds(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(gcoh.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for p, weights, edges in HASH_SEED_GRAPHS:
+        path = tmp_path / f"g{p}.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": v, "weight": str(k)} for v, k in weights.items()],
+            "edges": edges}))
+        outputs = []
+        for seed in ("1", "2"):
+            dot = tmp_path / f"forest{p}-{seed}.dot"
+            run = []
+            for argv in (["forest", str(path), "--prime", str(p), "--dot", str(dot)],
+                         ["core", str(path), "--prime", str(p)]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gcoh.cli", *argv],
+                    env={**env, "PYTHONHASHSEED": seed},
+                    capture_output=True, timeout=120, check=True)
+                run.append(proc.stdout)
+            run.append(dot.read_bytes())
+            outputs.append(run)
+        assert outputs[0] == outputs[1], p

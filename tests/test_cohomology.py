@@ -5,7 +5,13 @@ from itertools import product
 import gcoh.intlinalg
 from gcoh.cli import main
 from gcoh.forest import build_forest
-from gcoh.graphs import WeightedGraph, full_subgraph, graph_to_json, p_valuation
+from gcoh.graphs import (
+    WeightedGraph,
+    filtration,
+    full_subgraph,
+    graph_to_json,
+    p_valuation,
+)
 from gcoh.intlinalg import AbelianGroup, mat_vec
 from gcoh.cohomology import (
     cohomology_groups,
@@ -13,7 +19,6 @@ from gcoh.cohomology import (
     d0_edge_matrix,
     d0_matrix,
     generation_check,
-    reduction_subgraphs,
     torsion_order_p,
 )
 
@@ -210,11 +215,12 @@ def test_disjoint_union_additivity():
     assert h1u == direct_sum(a1, b1)
 
 
-def test_reduction_subgraphs_covers_isolated_heavy_vertex():
+def test_filtration_covers_isolated_heavy_vertex():
     g = WeightedGraph({"a": 1, "b": 3, "z": 81}, [("a", "b")])
-    subs = reduction_subgraphs(g, 3)
-    keys = {(tuple(sorted(s.vertex_set)), tuple(sorted(s.edge_set))) for s in subs}
+    filt = filtration(full_subgraph(g), 3)
+    keys = {(s.vertices, s.edges) for s in filt.span}
     assert (("z",), ()) in keys
+    assert filt.top == 5
 
 
 def test_generation_check_examples():

@@ -1,11 +1,15 @@
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcoh.graphs import (
+    Subgraph,
     WeightedGraph,
     bipartition,
     components,
     edge_boundary,
+    filtration,
     find_odd_cycle,
     full_subgraph,
     graph_from_json,
@@ -179,3 +183,104 @@ def test_reduction_monotone_property(g, p, s):
     b = reduction(full_subgraph(g), p, s + 1)
     assert a.edge_set <= b.edge_set
     assert all(g.edge_valuation(e, p) < s for e in a.edge_set)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), st.integers(1, 10**30),
+                       max_size=6), st.data())
+def test_json_round_trip_fuzz(weights, data):
+    names = sorted(weights)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = WeightedGraph(weights, edges)
+    h = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+    assert (h.vertices, h.weight, h.edges) == (g.vertices, g.weight, g.edges)
+
+
+@st.composite
+def valued_graphs(draw):
+    """Graphs with p-power weights times units: several reduction levels,
+    isolated vertices, edgeless and empty graphs."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(min_value=0, max_value=7))
+    names = [f"v{i}" for i in range(n)]
+    units = [u for u in range(1, 8) if u % p]
+    weights = {v: p ** draw(st.integers(0, 4)) * draw(st.sampled_from(units))
+               for v in names}
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return WeightedGraph(weights, edges), p
+
+
+EDGELESS = (WeightedGraph({"a": 9, "b": 1}, []), 3)
+ISOLATED_HEAVY = (WeightedGraph({"a": 1, "b": 3, "z": 81}, [("a", "b")]), 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(valued_graphs())
+@example(EDGELESS)
+@example(ISOLATED_HEAVY)
+def test_filtration_matches_reduction_components(gp):
+    g, p = gp
+    filt = filtration(full_subgraph(g), p)
+    top = max((g.edge_valuation(e, p) + 1 for e in g.edges), default=1)
+    for comp in components(full_subgraph(g)):
+        if not comp.edge_set:
+            top = max(top, comp.min_valuation(p) + 1)
+    assert filt.top == top
+    occurs: dict = {}
+    for r in range(1, top + 1):
+        want = components(reduce_graph(g, p, r))
+        assert [c.key() for c in filt.at(r)] == [c.key() for c in want]
+        for c in filt.at(r):
+            assert filt.bipartite[c] == (bipartition(c) is not None)
+            assert filt.min_val[c] == c.min_valuation(p)
+            assert all(filt.class_of(v, r) is c for v in c.vertex_set)
+            occurs.setdefault(id(c), []).append(r)
+    # one object per class, and its span is the levels it occurs at
+    assert len(occurs) == len(filt.span)
+    for c, (first, last) in filt.span.items():
+        assert occurs[id(c)] == list(range(first, last + 1))
+    assert all(filt.valuation[v] == p_valuation(g.weight[v], p)
+               for v in g.vertices)
+
+
+def _tree_path(tree, u, v):
+    """Edges of the path from u to v in a forest given by its edges."""
+    adj: dict = {}
+    for a, b in tree:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    back = {u: None}
+    queue = [u]
+    while queue:
+        x = queue.pop()
+        for y in adj.get(x, ()):
+            if y not in back:
+                back[y] = x
+                queue.append(y)
+    path = []
+    while v != u:
+        path.append(tuple(sorted((v, back[v]))))
+        v = back[v]
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(valued_graphs())
+def test_filtration_tree_has_the_cycle_property(gp):
+    # The unique minimum spanning forest under (valuation, edge): every
+    # non-tree edge is the largest edge on the tree path between its ends.
+    g, p = gp
+    full = full_subgraph(g)
+    tree = filtration(full, p).tree
+    forest = Subgraph(g, full.vertex_set, tree)
+    assert ([c.vertex_set for c in components(forest)]
+            == [c.vertex_set for c in components(full)])
+    assert len(tree) == len(g.vertices) - len(components(full))
+
+    def key(e):
+        return g.edge_valuation(e, p), e
+
+    for e in full.edge_set - tree:
+        assert all(key(f) < key(e) for f in _tree_path(tree, *e))
