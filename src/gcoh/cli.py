@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .graphs import WeightedGraph, full_subgraph, load_graph, require_prime
 from .cohomology import cohomology_groups
@@ -201,7 +202,10 @@ def _primes_list(text: str) -> list[int]:
     return out
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="gcoh",
         description="exact cohomology of vertex-weighted graphs")
@@ -252,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "prime", None) is not None:
             require_prime(args.prime)

@@ -16,7 +16,6 @@ from .graphs import (
     Edge,
     Subgraph,
     WeightedGraph,
-    boundary_valuation,
     filtration,
     full_subgraph,
     require_prime,
@@ -27,7 +26,7 @@ from .intlinalg import (
     cokernel_structure,
     kernel_mod,
     matrix_from_columns,
-    solve_mod,
+    smith_normal_form,
     span_exponent_mod,
 )
 
@@ -66,11 +65,6 @@ class Chain:
         return Chain(self.degree,
                      {l: c % ps for l, c in self.coefficients.items() if c % ps},
                      (p, s))
-
-
-def chain_from_vector(degree: int, labels, vec,
-                      modulus: Optional[tuple[int, int]] = None) -> Chain:
-    return Chain(degree, {l: c for l, c in zip(labels, vec) if c}, modulus)
 
 
 def d0_matrix(g: Subgraph) -> IntMatrix:
@@ -182,7 +176,7 @@ def generation_check(g: WeightedGraph, p: int, s: int,
     candidates: list[tuple[int, ...]] = []
     filt = filtration(full, p)
     for delta in sorted(filt.span, key=lambda d: (d.vertices, d.edges)):
-        r_delta = boundary_valuation(delta, p)  # None means empty boundary
+        r_delta = filt.boundary_valuation(delta)  # None means empty boundary
         m_delta = filt.min_val[delta]
         for d in range(s):
             if r_delta is not None and r_delta - m_delta < s - d:
@@ -194,8 +188,6 @@ def generation_check(g: WeightedGraph, p: int, s: int,
             scaled = tuple(x * p ** d % ps for x in vec)
             if any(scaled):
                 candidates.append(scaled)
-    cand = matrix_from_columns(candidates, len(verts))
-    for gen in kernel_mod(a, p, s):
-        if solve_mod(cand, gen, p, s) is None:
-            return False
-    return True
+    dec = smith_normal_form(matrix_from_columns(candidates, len(verts)))
+    return all(dec.solve(gen, (p, s)) is not None
+               for gen in kernel_mod(a, p, s))

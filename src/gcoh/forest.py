@@ -18,7 +18,8 @@ Everything is read off one `graphs.filtration` sweep: the reduction
 components at every level with their level intervals, bipartiteness and
 minimal valuations.  Descent and covers look up a vertex's class one
 level down; a subgraph is maximal when the class above its top level is
-not a node.
+not a node; a class's boundary valuation is its last level, and at
+p = 2 a non-bipartite top is signed by the classes one level down.
 """
 
 from __future__ import annotations
@@ -32,12 +33,10 @@ from .graphs import (
     Subgraph,
     WeightedGraph,
     bipartition,
-    boundary_valuation,
     filtration,
     full_subgraph,
     require_prime,
 )
-from .orientation import two_adic_bipartition
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,6 @@ def _build_phi(forest: FundamentalForest) -> None:
     single vertices whose weight valuation equals their boundary
     valuation; they are recorded as extras so the cover always spans V(D).
     """
-    p = forest.prime
     filt = forest.filtration
     minimal_graphs = {n.graph for n in forest.minimal_nodes}
     extras: set[Subgraph] = set()
@@ -241,7 +239,7 @@ def _build_phi(forest: FundamentalForest) -> None:
                     f"uncovered multi-vertex child {comp} of {delta}")
             v = comp.min_vertex()
             mv = filt.valuation[v]
-            bv = boundary_valuation(comp, p)
+            bv = filt.boundary_valuation(comp)
             if mv != bv:
                 raise AssertionError(
                     f"cover vertex {v} has valuation {mv} but boundary {bv}")
@@ -259,9 +257,11 @@ def _assign_orientations(forest: FundamentalForest) -> None:
     then restrict downwards through the covers.
 
     A bipartite top takes its own normalized bipartitioning; at p = 2 a
-    non-bipartite top takes the bipartitioning of its next reduction.
+    non-bipartite top at level sup takes those of the level-(sup - 1)
+    classes inside it, +1 everywhere when sup == 1 (every edge is gone).
     """
     p = forest.prime
+    filt = forest.filtration
     queue = []
     for top_graph in forest.maximal:
         if top_graph in forest.orientation:
@@ -272,10 +272,14 @@ def _assign_orientations(forest: FundamentalForest) -> None:
                 raise AssertionError("non-bipartite top at an odd prime")
             sup = forest.sup_level[top_graph]
             assert sup is not None
-            alpha = two_adic_bipartition(top_graph, sup)
-            if alpha is None:
-                raise AssertionError("unorientable top subgraph")
-            alpha = alpha.restricted(top_graph.vertex_set)
+            sign = dict.fromkeys(top_graph.vertex_set, 1)
+            if sup > 1:  # class_of(v, 0) would read the top level
+                for cls in {filt.class_of(v, sup - 1) for v in sign}:
+                    part = bipartition(cls)
+                    if part is None:
+                        raise AssertionError("unorientable top subgraph")
+                    sign.update(part.sign)
+            alpha = Bipartition(sign)
         forest.orientation[top_graph] = alpha
         queue.append(top_graph)
     while queue:

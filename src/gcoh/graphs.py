@@ -326,6 +326,18 @@ class Filtration(NamedTuple):
     def class_of(self, v: str, r: int) -> Subgraph:
         return self.owner[r - 1][v]
 
+    def boundary_valuation(self, d: Subgraph) -> Optional[int]:
+        """`boundary_valuation(d, p)` for a class d when the filtered
+        graph is a whole graph.
+
+        Every edge of valuation below d's last level that touches d is in
+        d, and d changes one level up, through an edge of valuation equal
+        to its last level: that level is the smallest boundary valuation,
+        unless d lasts to `top` and is a whole component.
+        """
+        last = self.span[d][1]
+        return None if last == self.top else last
+
 
 def filtration(g: Subgraph, p: int) -> Filtration:
     """One union-find sweep over the edges of g in (valuation, edge) order.
@@ -449,9 +461,3 @@ def load_graph(path: str) -> WeightedGraph:
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
     return graph_from_json(doc)
-
-
-def dump_graph(g: WeightedGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

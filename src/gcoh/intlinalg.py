@@ -4,16 +4,16 @@ This is the oracle everything else is checked against, so every Smith
 decomposition is checked exactly before it is returned (`check_smith`).
 Matrices are dense, entries are Python ints (arbitrary precision).
 
-The oracle does only the work its caller asks for.  Callers that read
-the divisors, the rank or V (cohomology, cokernels, kernels) let a tall
-matrix, and a wide one when V is not read either, be compressed first:
-its rows (or columns) are reduced to an echelon Hermite block H on the
-short side, certified by A == C @ H and H == R @ A, and the SNF then
-runs on H with transforms no larger than short x short.  Solving needs
-U and keeps the full path, and so do matrices whose sides differ by
-less than the shape rule's gap (COMPRESS_MIN_GAP).  Pivots are entries
-of minimal absolute value, to keep coefficient growth down, and the
-multiply-back products skip zero entries.
+One shape rule decides the path.  A matrix with at least
+COMPRESS_MIN_GAP more rows than columns is first row-reduced to an
+echelon Hermite block H, certified by A == C @ H and H == R @ A, and
+the SNF runs on H with transforms no larger than cols x cols; any other
+matrix goes through the SNF as it is.  Callers that read only the
+divisors and the rank hand over the tall orientation (they do not
+change under transposition), kernels read V (row compression keeps the
+kernel), and solving goes through the block (`SmithDecomposition.solve`).
+Pivots are entries of minimal absolute value, to keep coefficient
+growth down, and the multiply-back products skip zero entries.
 """
 
 from __future__ import annotations
@@ -189,16 +189,13 @@ def determinant(a: IntMatrix) -> int:
 
 
 class HermiteBlock(NamedTuple):
-    """An echelon block H with the same lattice as A, and its certificate.
+    """An echelon block H of full row rank with A == C @ H and H == R @ A.
 
-    side "rows": H holds at most A.cols rows, A == C @ H and H == R @ A.
-    side "cols": the transpose of that, A == H @ C and H == A @ R.
-    The two identities make each lattice contain the other, so A and H
-    have the same elementary divisors; on the row side they also have
-    the same integer kernel and the same kernel mod p**s.
+    The two identities make each row lattice contain the other, so A and
+    H have the same elementary divisors, the same integer kernel and the
+    same kernel mod p**s; since H has full row rank, R @ C is the identity.
     """
 
-    side: str
     h: IntMatrix
     c: IntMatrix
     r: IntMatrix
@@ -229,67 +226,88 @@ class SmithDecomposition:
     def rank(self) -> int:
         return len(self.diagonal)
 
+    def solve(self, b: Sequence[int],
+              modulus: Optional[tuple[int, int]] = None) -> Optional[Vector]:
+        """Some x with A x = b, or with A x = b mod p**s when modulus is
+        (p, s); None if there is none.
 
-# Shape rule for the compressed path: it is taken when the long side of A
-# exceeds the short side by at least this many.  It saves the transform
-# rows beyond the short side and pays for the Hermite certificate; on
-# edge-vertex matrices the two break even near this gap.
+        With U @ B @ V == S, B x = c exactly when S y = U c and x = V y.
+        On the full path B is A and c is b.  On the compressed path B is
+        H and c is R @ b: A x = b (mod p**s) exactly when C @ c = b and
+        H x = c (mod p**s), because A == C @ H and H == R @ A.
+        """
+        block = self.hermite
+        rows = self.u.rows if block is None else block.c.rows
+        if len(b) != rows:
+            raise ValueError("right-hand side length does not match row count")
+        p, s = modulus if modulus is not None else (None, 0)
+        if s < 0:
+            raise ValueError("negative modulus exponent")
+        ps = None if p is None else p ** s
+
+        def red(x: int) -> int:
+            return x if ps is None else x % ps
+
+        if block is not None:
+            y = mat_vec(block.r, b)
+            if any(red(x - z) for x, z in zip(mat_vec(block.c, y), b)):
+                return None
+            b = y
+        c = [red(x) for x in mat_vec(self.u, b)]
+        diag = self.diagonal
+        if any(c[len(diag):]):
+            return None
+        y = [0] * self.v.rows
+        for i, d in enumerate(diag):
+            ci = c[i]
+            if p is None:
+                y[i], r = divmod(ci, d)
+                if r:
+                    return None
+            elif ci:
+                vd = p_valuation(d, p)
+                if vd >= s or p_valuation(ci, p) < vd:
+                    return None
+                y[i] = (ci // p ** vd) * pow(d // p ** vd, -1, ps) % ps
+        return tuple(red(x) for x in mat_vec(self.v, y))
+
+
+# Shape rule for the compressed path: it is taken when A has at least this
+# many more rows than columns.  It saves the transform rows beyond the
+# column count and pays for the Hermite certificate; on edge-vertex
+# matrices the two break even near this gap.
 COMPRESS_MIN_GAP = 20
 
 
-def smith_normal_form(a: IntMatrix, transforms: str = "uv") -> SmithDecomposition:
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Compute U, S, V with U*B*V = S diagonal, d1 | d2 | ... | dr > 0.
 
-    `transforms` names what the caller reads besides the diagonal:
-      "uv"  U and V for A itself (B = A; U is rows x rows);
-      "v"   V for A: a tall A is first compressed to its row Hermite
-            block H, and U acts on H;
-      ""    neither: a tall or a wide A is compressed on its long side.
-    Compression follows the shape rule at COMPRESS_MIN_GAP.  Row
-    operations accumulate in U, column operations in V, and the result
-    passes `check_smith` before it is returned.
+    B is A, or its row Hermite block H when A has at least
+    COMPRESS_MIN_GAP more rows than columns.  Row operations accumulate
+    in U, column operations in V, and the result passes `check_smith`
+    before it is returned.
     """
-    if transforms not in ("uv", "v", ""):
-        raise ValueError(f"unknown transforms {transforms!r}")
-    side = None
-    if transforms != "uv" and abs(a.rows - a.cols) >= COMPRESS_MIN_GAP:
-        if a.rows > a.cols:
-            side = "rows"
-        elif not transforms:
-            side = "cols"
-    if side is None:
-        u, s, v = _smith(a.entries, a.rows, a.cols)
-        dec = SmithDecomposition(u, s, v)
-    else:
-        block = _hermite_block(a, side)
+    if a.rows - a.cols >= COMPRESS_MIN_GAP:
+        block = HermiteBlock(*_hermite_rows(a.entries, a.cols))
         h = block.h
         dec = SmithDecomposition(*_smith(h.entries, h.rows, h.cols), block)
+    else:
+        dec = SmithDecomposition(*_smith(a.entries, a.rows, a.cols))
     check_smith(a, dec)
     return dec
 
 
 def check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
     """Raise AssertionError unless `dec` multiplies back exactly: U*A*V == S,
-    or the two Hermite identities and U*H*V == S."""
+    or A == C*H, H == R*A and U*H*V == S."""
     b = a
     block = dec.hermite
     if block is not None:
-        if block.side == "rows":
-            ok = matmul(block.c, block.h) == a and matmul(block.r, a) == block.h
-        else:
-            ok = matmul(block.h, block.c) == a and matmul(a, block.r) == block.h
-        if not ok:
+        if matmul(block.c, block.h) != a or matmul(block.r, a) != block.h:
             raise AssertionError("Hermite block certificate failed to multiply back")
         b = block.h
     if matmul(matmul(dec.u, b), dec.v) != dec.s:
         raise AssertionError("Smith decomposition failed to multiply back")
-
-
-def _hermite_block(a: IntMatrix, side: str) -> HermiteBlock:
-    if side == "rows":
-        return HermiteBlock(side, *_hermite_rows(a.entries, a.cols))
-    h, c, r = _hermite_rows(a.transpose().entries, a.rows)
-    return HermiteBlock(side, h.transpose(), c.transpose(), r.transpose())
 
 
 def _hermite_rows(rows: Sequence[Vector], n: int):
@@ -499,9 +517,6 @@ class AbelianGroup:
                 out.append(e)
         return tuple(sorted(out))
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.divisors
-
     def __str__(self) -> str:
         parts = [f"Z^{self.rank}"] if self.rank else []
         parts += [f"Z/{d}" for d in self.divisors]
@@ -547,14 +562,14 @@ def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
 
 def cokernel_structure(a: IntMatrix) -> AbelianGroup:
     """Structure of Z^rows / (column span of A)."""
-    dec = smith_normal_form(a, transforms="")
+    dec = smith_normal_form(a if a.rows >= a.cols else a.transpose())
     return AbelianGroup(a.rows - dec.rank,
                         tuple(d for d in dec.diagonal if d > 1))
 
 
 def kernel_basis(a: IntMatrix) -> list[Vector]:
     """Integer lattice basis of {x : A x = 0}."""
-    dec = smith_normal_form(a, transforms="v")
+    dec = smith_normal_form(a)
     return [dec.v.column(j) for j in range(a.cols) if j >= dec.rank]
 
 
@@ -569,7 +584,7 @@ def kernel_mod(a: IntMatrix, p: int, s: int,
     """
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
-    dec = smith_normal_form(a, transforms="v")
+    dec = smith_normal_form(a)
     diag = dec.diagonal
     ps = p ** s
     gens: list[Vector] = []
@@ -597,59 +612,21 @@ def span_exponent_mod(vectors: Sequence[Sequence[int]], n: int,
                       p: int, s: int) -> int:
     """e such that the Z/p**s span of the vectors in (Z/p**s)^n has order p**e."""
     ps = p ** s
-    cols = [tuple(v) for v in vectors]
-    cols += [tuple(ps if i == j else 0 for i in range(n)) for j in range(n)]
-    dec = smith_normal_form(matrix_from_columns(cols, n), transforms="")
+    rows = [tuple(v) for v in vectors]
+    rows += [tuple(ps if i == j else 0 for i in range(n)) for j in range(n)]
+    dec = smith_normal_form(IntMatrix(rows, ncols=n))
     index = prod(dec.diagonal)  # |Z^n / span|; a power of p by construction
     return n * s - p_valuation(index, p)
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], p: int, s: int) -> Optional[Vector]:
     """Some x with A x = b mod p**s, or None if there is none."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    if s < 0:
-        raise ValueError("negative modulus exponent")
-    ps = p ** s
-    if ps == 1:
-        return (0,) * a.cols
-    dec = smith_normal_form(a)
-    diag = dec.diagonal
-    c = [x % ps for x in mat_vec(dec.u, b)]
-    y = [0] * a.cols
-    for i, d in enumerate(diag):
-        ci = c[i]
-        if ci == 0:
-            continue
-        vd = p_valuation(d, p)
-        if vd >= s:
-            return None
-        if p_valuation(ci, p) < vd:
-            return None
-        unit = d // p ** vd
-        y[i] = (ci // p ** vd) * pow(unit, -1, ps) % ps
-    if any(c[i] != 0 for i in range(len(diag), a.rows)):
-        return None
-    x = mat_vec(dec.v, y)
-    return tuple(xi % ps for xi in x)
+    return smith_normal_form(a).solve(b, (p, s))
 
 
 def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
     """Some integer x with A x = b, or None."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    dec = smith_normal_form(a)
-    diag = dec.diagonal
-    c = mat_vec(dec.u, b)
-    y = [0] * a.cols
-    for i, d in enumerate(diag):
-        q, r = divmod(c[i], d)
-        if r != 0:
-            return None
-        y[i] = q
-    if any(c[i] != 0 for i in range(len(diag), a.rows)):
-        return None
-    return mat_vec(dec.v, y)
+    return smith_normal_form(a).solve(b)
 
 
 def quotient_structure(kernel: Sequence[Vector],
@@ -663,10 +640,10 @@ def quotient_structure(kernel: Sequence[Vector],
         if any(any(x != 0 for x in v) for v in image):
             raise ValueError("image vectors outside the zero lattice")
         return AbelianGroup(0)
-    k = matrix_from_columns(kernel, len(kernel[0]))
+    dec = smith_normal_form(matrix_from_columns(kernel, len(kernel[0])))
     coords = []
     for w in image:
-        y = solve_integer(k, w)
+        y = dec.solve(w)
         if y is None:
             raise ValueError("image vector outside the kernel lattice")
         coords.append(y)

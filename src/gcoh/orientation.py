@@ -34,7 +34,7 @@ from .cohomology import (
     critical_cohomology_dim,
     d0_matrix,
 )
-from .intlinalg import kernel_mod, matrix_from_columns, solve_mod
+from .intlinalg import kernel_mod, matrix_from_columns, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ def _orientation_class_from_kernel(comp: Subgraph, p: int, s: int) -> Chain:
     else:
         image = [tuple((p * x) % p ** s for x in g)
                  for g in kernel_mod(a, p, s - 1)]
-    img = matrix_from_columns(image, len(verts))
+    img = smith_normal_form(matrix_from_columns(image, len(verts)))
     for gen in gens:
-        if solve_mod(img, gen, p, s) is None:
+        if img.solve(gen, (p, s)) is None:
             return Chain(0, {v: c for v, c in zip(verts, gen) if c}, (p, s))
     raise AssertionError("critical dimension 1 but no generator found")
 

@@ -95,9 +95,6 @@ class CoreDecomposition:
     special_edges: frozenset[Edge]
     per_component: tuple[CoreComponent, ...]
 
-    def covers_all_vertices_by_forest(self) -> bool:
-        return all(c.from_forest for c in self.per_component)
-
 
 def oriented_core(g: WeightedGraph, p: int,
                   forest: Optional[FundamentalForest] = None) -> CoreDecomposition:

@@ -229,6 +229,14 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def test_verify_parallel_run_matches_serial(capsys):
+    args = ("verify", "--seed", "3", "--instances", "60")
+    serial = run_cli(capsys, *args)
+    parallel = run_cli(capsys, *args, "--parallelism", "2")
+    assert serial[0] == 0
+    assert parallel == serial
+
+
 def test_verify_detects_injected_mutation():
     # harness self-test: a wrong tree formula must be caught with a
     # serialized counterexample

@@ -2,6 +2,7 @@ import json
 import random
 from itertools import product
 
+import gcoh.cohomology
 import gcoh.intlinalg
 from gcoh.cli import main
 from gcoh.forest import build_forest
@@ -271,7 +272,7 @@ def test_one_snf_per_cohomology_query(monkeypatch, tmp_path, capsys):
         assert len(calls) == 1
         a, dec = calls[0]
         assert (dec.hermite is not None) == (g is big)
-        assert h0 == AbelianGroup(a.cols - real(a).rank)
+        assert h0 == AbelianGroup(len(g.vertices) - real(a).rank)  # a may be d0 transposed
         for p in (2, 3):
             calls.clear()
             build_forest(g, p)
@@ -282,3 +283,34 @@ def test_one_snf_per_cohomology_query(monkeypatch, tmp_path, capsys):
         assert main(["torsion", str(path), "--prime", "3"]) == 0
         assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_generation_check_decomposes_the_candidates_once(monkeypatch):
+    # Unit weights at p = 3: every class is reduced, so orientability
+    # needs no Smith form and the only solves are against the candidates.
+    monkeypatch.setattr(gcoh.intlinalg, "COMPRESS_MIN_GAP", 1)
+    real = gcoh.intlinalg.smith_normal_form
+    real_solve = gcoh.intlinalg.SmithDecomposition.solve
+    calls, solved = [], []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    def counted_solve(dec, b, modulus=None):
+        solved.append(dec)
+        return real_solve(dec, b, modulus)
+
+    for module in (gcoh.intlinalg, gcoh.cohomology):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    monkeypatch.setattr(gcoh.intlinalg.SmithDecomposition, "solve",
+                        counted_solve)
+    g = WeightedGraph({"a": 1, "b": 2, "c": 1, "d": 4, "e": 5},
+                      [("a", "b"), ("c", "d")])
+    gens = len(gcoh.intlinalg.kernel_mod(
+        gcoh.cohomology.d0_matrix(full_subgraph(g)), 3, 2))
+    calls.clear()
+    assert generation_check(g, 3, 2) is True
+    assert gens >= 3 and len(solved) == gens
+    assert len({id(dec) for dec in solved}) == 1
+    assert len(calls) == 3  # kernel_mod's SNF and its span check, then one

@@ -3,7 +3,7 @@ import random
 from gcoh.graphs import WeightedGraph, components, full_subgraph, reduce_graph
 from gcoh.cohomology import cohomology_groups
 from gcoh.forest import build_forest, forest_to_dot, torsion_structure
-from gcoh.orientation import is_orientable
+from gcoh.orientation import is_orientable, two_adic_bipartition
 
 
 def k3():
@@ -209,6 +209,28 @@ def test_membership_matches_critical_dimension():
                 assert ((comp.key(), r) in nodes) == want, (g, p, comp, r)
                 checked += 1
     assert checked > 200
+
+
+def test_two_adic_top_orientation_matches_the_reduction():
+    # A non-bipartite top at p = 2 is oriented by the bipartitions of the
+    # level-(sup - 1) classes inside it, read off the filtration; the
+    # reference rebuilds the reduction of the top at sup - 1.
+    rng = random.Random(26)
+    checked = set()
+    for _ in range(80):
+        base = random_connected(rng, 7, 2, 3)
+        g = WeightedGraph({v: base.weight[v] * rng.choice([1, 3, 5])
+                           for v in base.vertices}, base.edges)
+        f = build_forest(g, 2)
+        for top in f.maximal:
+            if f.filtration.bipartite[top]:
+                continue
+            sup = f.sup_level[top]
+            want = two_adic_bipartition(top, sup)
+            assert want is not None
+            assert f.orientation[top].sign == dict(want.sign), (g, top)
+            checked.add(sup)
+    assert 1 in checked and len(checked) >= 3  # sup == 1 and deeper tops
 
 
 def test_dot_export_shape():

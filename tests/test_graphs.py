@@ -7,6 +7,7 @@ from gcoh.graphs import (
     Subgraph,
     WeightedGraph,
     bipartition,
+    boundary_valuation,
     components,
     edge_boundary,
     filtration,
@@ -243,6 +244,17 @@ def test_filtration_matches_reduction_components(gp):
         assert occurs[id(c)] == list(range(first, last + 1))
     assert all(filt.valuation[v] == p_valuation(g.weight[v], p)
                for v in g.vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(valued_graphs())
+@example(EDGELESS)
+@example(ISOLATED_HEAVY)
+def test_filtration_boundary_valuation_matches_the_edge_scan(gp):
+    g, p = gp
+    filt = filtration(full_subgraph(g), p)
+    for c in filt.span:
+        assert filt.boundary_valuation(c) == boundary_valuation(c, p), c
 
 
 def _tree_path(tree, u, v):

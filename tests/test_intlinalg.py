@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gcoh import intlinalg
 from gcoh.cohomology import d0_matrix
-from gcoh.graphs import WeightedGraph, full_subgraph
+from gcoh.graphs import WeightedGraph, full_subgraph, p_valuation
 from gcoh.intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -23,6 +23,8 @@ from gcoh.intlinalg import (
     matmul,
     mat_vec,
     matrix,
+    matrix_from_columns,
+    quotient_structure,
     smith_normal_form,
     solve_integer,
     solve_mod,
@@ -290,10 +292,11 @@ def test_matmul_matches_triple_sum(m, k, n, data):
 
 
 def compressed_smith(a: IntMatrix):
-    """The decomposition on the Hermite-compressed path whatever the size."""
+    """The decomposition under the shape rule at gap 1: a matrix with more
+    rows than columns takes the Hermite-compressed path."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
-        return smith_normal_form(a, transforms="")
+        return smith_normal_form(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,14 +307,11 @@ def test_snf_diagonal_on_full_and_compressed_paths(a):
     assert full.hermite is None
     assert list(full.diagonal) == want
     dec = compressed_smith(a)
-    assert (dec.hermite is None) == (a.rows == a.cols)
+    assert (dec.hermite is None) == (a.rows <= a.cols)
     assert list(dec.diagonal) == want
     if dec.hermite is not None:
-        side = dec.hermite.side
-        assert side == ("rows" if a.rows > a.cols else "cols")
-        h = dec.hermite.h
-        assert max(dec.u.rows, dec.v.rows) <= min(a.rows, a.cols)
-        assert min(h.rows, h.cols) == len(want)  # the block has full rank
+        assert max(dec.u.rows, dec.v.rows) <= a.cols
+        assert dec.hermite.h.rows == len(want)  # the block has full row rank
     check_smith(a, dec)
 
 
@@ -320,7 +320,7 @@ def test_snf_diagonal_on_full_and_compressed_paths(a):
 def test_compressed_v_spans_the_kernel(a):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
-        dec = smith_normal_form(a, transforms="v")
+        dec = smith_normal_form(a)
         basis = kernel_basis(a)
         gens = kernel_mod(a, 3, 2)
     assert (dec.hermite is not None) == (a.rows > a.cols)
@@ -332,19 +332,90 @@ def test_compressed_v_spans_the_kernel(a):
             == span_exponent_mod(kernel_mod(a, 3, 2), a.cols, 3, 2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(tall_matrices, small_graph_d0()),
+       st.sampled_from([None, (2, 1), (2, 3), (3, 2), (5, 1)]), st.data())
+def test_solve_through_the_block_matches_the_full_path(a, modulus, data):
+    # b = A x0 + delta: solvable when delta is zero, often not otherwise
+    x0 = data.draw(st.lists(st.integers(-9, 9), min_size=a.cols,
+                            max_size=a.cols))
+    delta = data.draw(st.lists(entries.map(lambda x: x % 4), min_size=a.rows,
+                               max_size=a.rows))
+    b = [x + d for x, d in zip(mat_vec(a, x0), delta)]
+    full = smith_normal_form(a)
+    dec = compressed_smith(a)
+    assert (dec.hermite is not None) == (a.rows > a.cols)
+    want, got = full.solve(b, modulus), dec.solve(b, modulus)
+    assert (want is None) == (got is None)
+    if not any(delta):
+        assert got is not None
+    m = 0 if modulus is None else modulus[0] ** modulus[1]
+    for x in (want, got):
+        if x is not None:
+            assert all((y - z) % m == 0 if m else y == z
+                       for y, z in zip(mat_vec(a, x), b))
+    if modulus is None:
+        assert (solve_integer(a, b) is None) == (want is None)
+    else:
+        assert (solve_mod(a, b, *modulus) is None) == (want is None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_matrices, st.sampled_from([(2, 2), (3, 1), (5, 2)]))
+def test_divisor_callers_hand_over_the_tall_side(a, modulus):
+    want = divisors_by_minors(a)
+    p, s = modulus
+    ps = p ** s
+    lattice = divisors_by_minors(matrix([list(row) + [ps if i == j else 0
+                                                      for j in range(a.rows)]
+                                         for i, row in enumerate(a.entries)]))
+    decs = []
+
+    def recorded(m):
+        decs.append(smith_normal_form(m))
+        return decs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
+        mp.setattr(intlinalg, "smith_normal_form", recorded)
+        group = cokernel_structure(a)
+        exponent = span_exponent_mod(a.columns(), a.rows, p, s)
+    assert group == AbelianGroup(a.rows - len(want),
+                                 tuple(d for d in want if d > 1))
+    assert exponent == a.rows * s - sum(p_valuation(d, p) for d in lattice)
+    assert len(decs) == 2 and all(d.hermite is not None for d in decs)
+
+
+def test_quotient_structure_decomposes_the_lattice_once(monkeypatch):
+    monkeypatch.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    kernel = [(1, 0, 2, 0), (0, 3, 1, 1)]
+    image = [(2, 0, 4, 0), (0, 6, 2, 2), (1, 3, 3, 1)]  # coordinates 2e1, 2e2, e1 + e2
+    group = quotient_structure(kernel, image)
+    assert group == AbelianGroup(0, (2,))
+    basis = matrix_from_columns(kernel, 4)
+    assert sum(m == basis for m in calls) == 1
+    assert len(calls) == 2  # the lattice basis and the coordinate matrix
+    with pytest.raises(ValueError, match="outside the kernel lattice"):
+        quotient_structure(kernel, [(1, 0, 0, 0)])
+
+
 def test_shape_rule_picks_the_path():
     gap = intlinalg.COMPRESS_MIN_GAP
     tall = matrix([[i + 1, 2 * i] for i in range(gap + 2)])
-    assert smith_normal_form(tall).hermite is None
-    assert smith_normal_form(tall, transforms="v").hermite.side == "rows"
-    assert smith_normal_form(tall, transforms="").hermite.side == "rows"
-    wide = tall.transpose()
-    assert smith_normal_form(wide, transforms="v").hermite is None
-    assert smith_normal_form(wide, transforms="").hermite.side == "cols"
+    assert smith_normal_form(tall).hermite is not None
+    assert smith_normal_form(tall.transpose()).hermite is None
     near_square = matrix([[i + 1, 2 * i] for i in range(gap + 1)])
-    assert smith_normal_form(near_square, transforms="").hermite is None
-    with pytest.raises(ValueError):
-        smith_normal_form(tall, transforms="u")
+    assert smith_normal_form(near_square).hermite is None
+    with pytest.raises(TypeError):
+        smith_normal_form(tall, transforms="v")
 
 
 def bumped(m: IntMatrix) -> IntMatrix:
@@ -353,14 +424,12 @@ def bumped(m: IntMatrix) -> IntMatrix:
     return matrix(rows, ncols=m.cols)
 
 
-@pytest.mark.parametrize("side", ["rows", "cols"])
-def test_check_smith_fires_on_tampering(side):
-    tall = matrix([[3 * i + 1, 2 * i - 5, i * i]
-                   for i in range(intlinalg.COMPRESS_MIN_GAP + 3)])
-    a = tall if side == "rows" else tall.transpose()
-    dec = smith_normal_form(a, transforms="")
+def test_check_smith_fires_on_tampering():
+    a = matrix([[3 * i + 1, 2 * i - 5, i * i]
+                for i in range(intlinalg.COMPRESS_MIN_GAP + 3)])
+    dec = smith_normal_form(a)
     block = dec.hermite
-    assert block is not None and block.side == side
+    assert block is not None
     check_smith(a, dec)
     for field in ("u", "s", "v"):
         with pytest.raises(AssertionError, match="Smith decomposition"):
@@ -369,7 +438,9 @@ def test_check_smith_fires_on_tampering(side):
         tampered = block._replace(**{field: bumped(getattr(block, field))})
         with pytest.raises(AssertionError, match="Hermite block"):
             check_smith(a, replace(dec, hermite=tampered))
-    full = smith_normal_form(a)
-    check_smith(a, full)
+    small = matrix(a.entries[:3])
+    full = smith_normal_form(small)
+    assert full.hermite is None
+    check_smith(small, full)
     with pytest.raises(AssertionError, match="Smith decomposition"):
-        check_smith(a, replace(full, s=bumped(full.s)))
+        check_smith(small, replace(full, s=bumped(full.s)))
