@@ -18,16 +18,17 @@ from .graphs import (
     WeightedGraph,
     filtration,
     full_subgraph,
+    p_valuation,
     require_prime,
 )
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
+    SmithDecomposition,
     cokernel_structure,
     kernel_mod,
     matrix_from_columns,
     smith_normal_form,
-    span_exponent_mod,
 )
 
 GENERATION_S_CAP = 4
@@ -130,26 +131,29 @@ def torsion_order_p(g: Subgraph, p: int) -> int:
     return h1.p_exponent(p)
 
 
+def critical_columns(dec: SmithDecomposition, p: int, s: int) -> list[int]:
+    """The columns j of V with j >= rank (d_j = 0) or v_p(d_j) >= s; mod
+    p**s they span the cokernel of `critical_cohomology_dim`."""
+    diag = dec.diagonal
+    return [j for j in range(dec.v.cols)
+            if j >= len(diag) or p_valuation(diag[j], p) >= s]
+
+
 def critical_cohomology_dim(g: Subgraph, p: int, s: int) -> int:
     """Dimension over Z/p of coker(H0(Z/p**(s-1)) -> H0(Z/p**s)).
 
     The map includes coefficients by multiplication with p.  For s = 1
-    the source is trivial and this is just dim H0(Z/p).
+    the source is trivial and this is just dim H0(Z/p).  With
+    U @ d0 @ V == S, summand j of H0(Z/p**s) is Z/p**min(v_p(d_j), s),
+    spanned by column j of V (v_p(0) is infinite), and multiplication by
+    p from level s - 1 is onto it unless v_p(d_j) >= s, where it leaves
+    one Z/p.  So one decomposition gives the dimension: the number of
+    `critical_columns`.
     """
     require_prime(p)
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
-    a = d0_matrix(g)
-    n = a.cols
-    gens_s = kernel_mod(a, p, s)
-    total = span_exponent_mod(gens_s, n, p, s)
-    if s == 1:
-        image = 0
-    else:
-        gens_prev = kernel_mod(a, p, s - 1)
-        lifted = [tuple((p * x) % p ** s for x in gen) for gen in gens_prev]
-        image = span_exponent_mod(lifted, n, p, s)
-    return total - image
+    return len(critical_columns(smith_normal_form(d0_matrix(g)), p, s))
 
 
 def generation_check(g: WeightedGraph, p: int, s: int,

@@ -573,8 +573,7 @@ def kernel_basis(a: IntMatrix) -> list[Vector]:
     return [dec.v.column(j) for j in range(a.cols) if j >= dec.rank]
 
 
-def kernel_mod(a: IntMatrix, p: int, s: int,
-               check_cardinality: bool = True) -> list[Vector]:
+def kernel_mod(a: IntMatrix, p: int, s: int) -> list[Vector]:
     """Generators of {x : A x = 0 mod p**s} as a Z/p**s module.
 
     With U B V = S (B is A or its row Hermite block, which has the same
@@ -600,11 +599,10 @@ def kernel_mod(a: IntMatrix, p: int, s: int,
         if mult < ps:
             col = dec.v.column(j)
             gens.append(tuple((x * mult) % ps for x in col))
-    if check_cardinality:
-        got = span_exponent_mod(gens, a.cols, p, s)
-        if got != expected_exp:
-            raise AssertionError(
-                f"kernel generators span p^{got}, expected p^{expected_exp}")
+    got = span_exponent_mod(gens, a.cols, p, s)
+    if got != expected_exp:
+        raise AssertionError(
+            f"kernel generators span p^{got}, expected p^{expected_exp}")
     return gens
 
 

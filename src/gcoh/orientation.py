@@ -8,9 +8,13 @@ reduced schemes this has a purely combinatorial characterization:
   * p = 2: oriented iff bipartite, or the next reduction step is
     bipartite and the weight gcd is odd.
 
-Non-reduced inputs fall back to the critical-dimension computation.
-The orientation class, when one exists, is the divided fundamental
-chain of a suitable bipartitioning.
+A reduced scheme's orientation class is the divided fundamental chain
+of a suitable bipartitioning.  Non-reduced inputs follow the column
+rule: with U @ d0 @ V == S, summand j of H0(Z/p**s) is
+Z/p**min(v_p(d_j), s), and multiplication by p from level s - 1 is onto
+it unless v_p(d_j) >= s (d_j = 0 past the rank).  So the scheme is
+oriented exactly when one column j is critical in that sense, and then
+column j of V mod p**s is the orientation class.
 """
 
 from __future__ import annotations
@@ -28,13 +32,8 @@ from .graphs import (
     reduction,
     require_prime,
 )
-from .cohomology import (
-    Chain,
-    apply_d0,
-    critical_cohomology_dim,
-    d0_matrix,
-)
-from .intlinalg import kernel_mod, matrix_from_columns, smith_normal_form
+from .cohomology import Chain, apply_d0, critical_columns, d0_matrix
+from .intlinalg import kernel_mod, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -95,28 +94,13 @@ def _decide_component(comp: Subgraph, p: int, s: int) -> tuple[bool, Optional[Ch
             cls = divided_fundamental_class(comp, alpha2, require_bipartition=False)
             return True, cls, "two-adic"
         return False, None, "two-adic"
-    # not reduced: decide by the critical cohomology dimension
-    dim = critical_cohomology_dim(comp, p, s)
-    if dim != 1:
+    # not reduced: read the critical columns of one decomposition of d0
+    dec = smith_normal_form(d0_matrix(comp))
+    critical = critical_columns(dec, p, s)
+    if len(critical) != 1:
         return False, None, "critical-dimension"
-    return True, _orientation_class_from_kernel(comp, p, s), "critical-dimension"
-
-
-def _orientation_class_from_kernel(comp: Subgraph, p: int, s: int) -> Chain:
-    """A cocycle mod p**s not in the image of the coefficient inclusion."""
-    a = d0_matrix(comp)
-    verts = comp.vertices
-    gens = kernel_mod(a, p, s)
-    if s == 1:
-        image: list[tuple[int, ...]] = []
-    else:
-        image = [tuple((p * x) % p ** s for x in g)
-                 for g in kernel_mod(a, p, s - 1)]
-    img = smith_normal_form(matrix_from_columns(image, len(verts)))
-    for gen in gens:
-        if img.solve(gen, (p, s)) is None:
-            return Chain(0, {v: c for v, c in zip(verts, gen) if c}, (p, s))
-    raise AssertionError("critical dimension 1 but no generator found")
+    cls = Chain(0, dict(zip(comp.vertices, dec.v.column(critical[0]))))
+    return True, cls.reduced(p, s), "critical-dimension"
 
 
 def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:

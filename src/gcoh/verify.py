@@ -24,12 +24,18 @@ from typing import Callable, Optional
 from .graphs import (
     WeightedGraph,
     bipartition,
+    components,
     full_subgraph,
     graph_to_json,
     p_valuation,
     subgraph_of,
 )
-from .cohomology import cohomology_groups, generation_check, torsion_order_p
+from .cohomology import (
+    cohomology_groups,
+    critical_cohomology_dim,
+    generation_check,
+    torsion_order_p,
+)
 from .forest import build_forest, torsion_structure
 from .fcomplex import (
     ChainMapError,
@@ -48,8 +54,6 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .orientation import is_orientable
-from .cohomology import critical_cohomology_dim
-from .graphs import components
 from .tropical import eval_expr, tval, z_complete, z_gamma
 from .weights import (
     core_torsion_relation,

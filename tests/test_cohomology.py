@@ -138,6 +138,18 @@ def test_critical_dim_matches_brute_force_on_random_graphs():
         g = full_subgraph(WeightedGraph(weights, edges))
         s = rng.randint(1, 2)
         assert critical_cohomology_dim(g, p, s) == brute_critical_dim(g, p, s)
+    # p = 5 and s = 3 too, on graphs small enough to enumerate (p**s)**n
+    for p, s in product((2, 3, 5), (1, 2, 3)):
+        for _ in range(3):
+            n = rng.randint(1, 3 if p ** s <= 27 else 2)
+            names = [f"v{i}" for i in range(n)]
+            weights = {v: p ** rng.randint(0, 3) * rng.choice((1, 2, 4, 7))
+                       for v in names}
+            edges = [(names[i], names[j]) for i in range(n)
+                     for j in range(i + 1, n) if rng.random() < 0.7]
+            g = full_subgraph(WeightedGraph(weights, edges))
+            assert (critical_cohomology_dim(g, p, s)
+                    == brute_critical_dim(g, p, s))
 
 
 def test_rank_formula_connected():

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import gcoh.cohomology
+import gcoh.intlinalg
+import gcoh.orientation
 from gcoh.graphs import (
     Bipartition,
     WeightedGraph,
@@ -12,8 +15,19 @@ from gcoh.graphs import (
     p_valuation,
     subgraph_of,
 )
-from gcoh.cohomology import Chain, apply_d0, critical_cohomology_dim, d0_matrix
-from gcoh.intlinalg import kernel_mod
+from gcoh.cohomology import (
+    Chain,
+    apply_d0,
+    critical_cohomology_dim,
+    critical_columns,
+    d0_matrix,
+)
+from gcoh.intlinalg import (
+    kernel_mod,
+    matrix_from_columns,
+    smith_normal_form,
+    span_exponent_mod,
+)
 from gcoh.orientation import (
     divided_fundamental_class,
     fundamental_chain,
@@ -194,3 +208,95 @@ def test_combinatorial_and_critical_dimension_agree():
         if rep.orientable and len(components(sub)) == 1:
             assert is_orientation_class(rep.orientation_class, sub, p, s)
         done += 1
+
+
+# The kernel-and-span route the column rule replaced, kept as a reference:
+# generators of H0(Z/p**s) from `kernel_mod`, against the image of
+# H0(Z/p**(s-1)) multiplied by p.
+
+def _lifted_image(a, p, s):
+    if s == 1:
+        return []
+    return [tuple(p * x % p ** s for x in gen) for gen in kernel_mod(a, p, s - 1)]
+
+
+def reference_critical_dim(g, p, s):
+    a = d0_matrix(g)
+    return (span_exponent_mod(kernel_mod(a, p, s), a.cols, p, s)
+            - span_exponent_mod(_lifted_image(a, p, s), a.cols, p, s))
+
+
+def reference_orientation_class(g, p, s):
+    """The first `kernel_mod` generator outside the lifted image."""
+    a = d0_matrix(g)
+    image = smith_normal_form(matrix_from_columns(_lifted_image(a, p, s), a.cols))
+    for gen in kernel_mod(a, p, s):
+        if image.solve(gen, (p, s)) is None:
+            return Chain(0, {v: c for v, c in zip(g.vertices, gen) if c}, (p, s))
+    return None
+
+
+def column_class(g, p, s):
+    dec = smith_normal_form(d0_matrix(g))
+    (j,) = critical_columns(dec, p, s)
+    return Chain(0, dict(zip(g.vertices, dec.v.column(j)))).reduced(p, s)
+
+
+def test_column_rule_matches_kernel_and_span_reference():
+    rng = random.Random(61)
+    seen = {"reduced": 0, "non-reduced": 0, "oriented non-reduced": 0,
+            "not oriented": 0}
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        s = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        names = [f"v{i}" for i in range(n)]
+        units = [u for u in range(1, 8) if u % p]
+        weights = {v: p ** rng.randint(0, 3) * rng.choice(units) for v in names}
+        edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+        edges += [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < 0.3 and (names[i], names[j]) not in edges]
+        g = WeightedGraph(weights, edges)
+        sub = full_subgraph(g)
+        reduced = all(g.edge_valuation(e, p) < s for e in g.edges)
+        seen["reduced" if reduced else "non-reduced"] += 1
+        dim = critical_cohomology_dim(sub, p, s)
+        assert dim == reference_critical_dim(sub, p, s)
+        rep = is_orientable(sub, p, s)
+        assert rep.orientable == (dim == 1)
+        if dim != 1:
+            seen["not oriented"] += 1
+            continue
+        assert is_orientation_class(rep.orientation_class, sub, p, s)
+        cls = column_class(sub, p, s)
+        assert cls == reference_orientation_class(sub, p, s)
+        assert is_orientation_class(cls, sub, p, s)
+        if not reduced:
+            seen["oriented non-reduced"] += 1
+            assert rep.method == "critical-dimension"
+            assert rep.orientation_class.coefficients == cls.coefficients
+    assert min(seen.values()) >= 30, seen
+
+
+def test_one_snf_per_orientation_question(monkeypatch):
+    real = gcoh.intlinalg.smith_normal_form
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (gcoh.intlinalg, gcoh.cohomology, gcoh.orientation):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    cycle = full_subgraph(WeightedGraph(
+        {"a": 9, "b": 3, "c": 1, "d": 3},
+        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]))
+    for s, dim in [(1, 2), (2, 1), (3, 1)]:
+        calls.clear()
+        assert critical_cohomology_dim(cycle, 3, s) == dim
+        assert len(calls) == 1
+    calls.clear()
+    rep = is_orientable(cycle, 3, 2)  # edge a-b has valuation 3: not reduced
+    assert len(calls) == 1
+    assert rep.orientable and rep.method == "critical-dimension"
+    assert rep.orientation_class.coefficients == {"b": 6, "c": 1, "d": 6}
