@@ -104,12 +104,22 @@ def cmd_torsion(args) -> int:
 
 
 def _load_valuations(path: str, g: WeightedGraph) -> dict[str, int]:
+    """Vertex id -> valuation; every vertex needs one, and valuations are
+    non-negative JSON integers (weights are positive integers)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        vals = {str(v): int(a) for v, a in doc.items()}
-    except (OSError, ValueError, AttributeError) as exc:
+            vals = json.load(fh)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read valuation file {path}: {exc}") from exc
+    if not isinstance(vals, dict):
+        raise InputError(f"valuation file {path} must hold a JSON object")
+    unknown = sorted(v for v in vals if v not in g.weight)
+    if unknown:
+        raise InputError(f"valuation file names non-vertices: {unknown}")
+    bad = sorted(v for v, a in vals.items() if type(a) is not int or a < 0)
+    if bad:
+        raise InputError("valuations must be non-negative integers: "
+                         + ", ".join(f"{v}={json.dumps(vals[v])}" for v in bad))
     missing = [v for v in g.vertices if v not in vals]
     if missing:
         raise InputError(f"valuation file misses vertices: {missing}")

@@ -156,6 +156,33 @@ def critical_cohomology_dim(g: Subgraph, p: int, s: int) -> int:
     return len(critical_columns(smith_normal_form(d0_matrix(g)), p, s))
 
 
+def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ...]]:
+    """p**d * (orientation class of D over Z/p**(s-d)) as vectors on the
+    vertices, nonzero mod p**s, per class D of the filtration with
+    boundary valuation minus minimal weight valuation >= s - d.  Each
+    class's levels share one decomposition of its d0."""
+    from .orientation import orientation_classes
+
+    verts = full.vertices
+    ps = p ** s
+    candidates: list[tuple[int, ...]] = []
+    filt = filtration(full, p)
+    for delta in sorted(filt.span, key=lambda d: (d.vertices, d.edges)):
+        r_delta = filt.boundary_valuation(delta)  # None means empty boundary
+        m_delta = filt.min_val[delta]
+        levels = [s - d for d in range(s)
+                  if r_delta is None or r_delta - m_delta >= s - d]
+        classes = orientation_classes(delta, p, levels)
+        for t in levels:
+            if classes[t] is None:
+                continue
+            scaled = tuple(x * p ** (s - t) % ps
+                           for x in classes[t].vector(verts))
+            if any(scaled):
+                candidates.append(scaled)
+    return candidates
+
+
 def generation_check(g: WeightedGraph, p: int, s: int,
                      s_cap: int = GENERATION_S_CAP) -> bool:
     """Do scaled divided fundamental classes of reduction components span
@@ -166,8 +193,6 @@ def generation_check(g: WeightedGraph, p: int, s: int,
     with boundary valuation minus minimal weight valuation >= s - d.
     Returning False signals a bug: the underlying theorem asserts truth.
     """
-    from .orientation import is_orientable
-
     require_prime(p)
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
@@ -175,23 +200,7 @@ def generation_check(g: WeightedGraph, p: int, s: int,
         raise ValueError(f"generation_check capped at s <= {s_cap}")
     full = full_subgraph(g)
     a = d0_matrix(full)
-    verts = full.vertices
-    ps = p ** s
-    candidates: list[tuple[int, ...]] = []
-    filt = filtration(full, p)
-    for delta in sorted(filt.span, key=lambda d: (d.vertices, d.edges)):
-        r_delta = filt.boundary_valuation(delta)  # None means empty boundary
-        m_delta = filt.min_val[delta]
-        for d in range(s):
-            if r_delta is not None and r_delta - m_delta < s - d:
-                continue
-            report = is_orientable(delta, p, s - d)
-            if not report.orientable or report.orientation_class is None:
-                continue
-            vec = report.orientation_class.vector(verts)
-            scaled = tuple(x * p ** d % ps for x in vec)
-            if any(scaled):
-                candidates.append(scaled)
-    dec = smith_normal_form(matrix_from_columns(candidates, len(verts)))
+    candidates = _generation_candidates(full, p, s)
+    dec = smith_normal_form(matrix_from_columns(candidates, len(full.vertices)))
     return all(dec.solve(gen, (p, s)) is not None
                for gen in kernel_mod(a, p, s))

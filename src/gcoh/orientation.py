@@ -20,7 +20,7 @@ column j of V mod p**s is the orientation class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import (
     Bipartition,
@@ -33,7 +33,7 @@ from .graphs import (
     require_prime,
 )
 from .cohomology import Chain, apply_d0, critical_columns, d0_matrix
-from .intlinalg import kernel_mod, smith_normal_form
+from .intlinalg import SmithDecomposition, kernel_mod, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,54 @@ def two_adic_bipartition(d: Subgraph, s: int) -> Optional[Bipartition]:
     return bipartition(reduced)
 
 
-def _decide_component(comp: Subgraph, p: int, s: int) -> tuple[bool, Optional[Chain], str]:
-    reduced_ok = all(comp.parent.edge_valuation(e, p) < s for e in comp.edge_set)
-    if reduced_ok:
-        alpha = bipartition(comp)
-        if alpha is not None:
-            return True, divided_fundamental_class(comp, alpha), "bipartite"
-        if p != 2:
-            return False, None, "odd-prime"
-        alpha2 = two_adic_bipartition(comp, s)
-        if alpha2 is not None and p_valuation(comp.weight_gcd(), 2) == 0:
-            cls = divided_fundamental_class(comp, alpha2, require_bipartition=False)
-            return True, cls, "two-adic"
-        return False, None, "two-adic"
-    # not reduced: read the critical columns of one decomposition of d0
-    dec = smith_normal_form(d0_matrix(comp))
+def _decide_reduced(comp: Subgraph, p: int, s: int) -> tuple[bool, Optional[Chain], str]:
+    alpha = bipartition(comp)
+    if alpha is not None:
+        return True, divided_fundamental_class(comp, alpha), "bipartite"
+    if p != 2:
+        return False, None, "odd-prime"
+    alpha2 = two_adic_bipartition(comp, s)
+    if alpha2 is not None and p_valuation(comp.weight_gcd(), 2) == 0:
+        cls = divided_fundamental_class(comp, alpha2, require_bipartition=False)
+        return True, cls, "two-adic"
+    return False, None, "two-adic"
+
+
+def _decide_from_columns(comp: Subgraph, dec: SmithDecomposition, p: int,
+                         s: int) -> tuple[bool, Optional[Chain], str]:
+    """The column rule on a decomposition of d0(comp)."""
     critical = critical_columns(dec, p, s)
     if len(critical) != 1:
         return False, None, "critical-dimension"
     cls = Chain(0, dict(zip(comp.vertices, dec.v.column(critical[0]))))
     return True, cls.reduced(p, s), "critical-dimension"
+
+
+def _is_reduced(comp: Subgraph, p: int, s: int) -> bool:
+    return all(comp.parent.edge_valuation(e, p) < s for e in comp.edge_set)
+
+
+def _decide_component(comp: Subgraph, p: int, s: int) -> tuple[bool, Optional[Chain], str]:
+    if _is_reduced(comp, p, s):
+        return _decide_reduced(comp, p, s)
+    return _decide_from_columns(comp, smith_normal_form(d0_matrix(comp)), p, s)
+
+
+def orientation_classes(comp: Subgraph, p: int,
+                        levels: Iterable[int]) -> dict[int, Optional[Chain]]:
+    """The orientation class of a connected subgraph over Z/p**s for each
+    s in `levels`, None where it is not oriented.  d0(comp) is decomposed
+    at most once, for every level at which comp is not reduced."""
+    dec = None
+    out: dict[int, Optional[Chain]] = {}
+    for s in levels:
+        if _is_reduced(comp, p, s):
+            _, out[s], _ = _decide_reduced(comp, p, s)
+        else:
+            if dec is None:
+                dec = smith_normal_form(d0_matrix(comp))
+            _, out[s], _ = _decide_from_columns(comp, dec, p, s)
+    return out
 
 
 def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:

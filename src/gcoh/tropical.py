@@ -4,9 +4,20 @@ The semiring is the integers with minimum as addition and integer sum as
 multiplication; infinity is the additive zero.  To a graph we attach a
 tropical rational function in its vertex variables whose value at the
 weight valuations equals the p-torsion exponent of the first cohomology,
-for every odd prime p.  The function is a tropical product of one factor
-per connected bipartite proper subgraph: the clamped gap between the
-subgraph's boundary valuation and its internal level.
+for every odd prime p.  The function is a tropical product of clamped
+factors, one per connected bipartite proper subgraph: the gap between
+the subgraph's boundary valuation and its internal level.
+
+Only live factors are built.  Write a(uv) = a_u + a_v.  A factor is
+positive at some valuation a exactly when every boundary edge b can sit
+strictly above every chosen edge e, a(b) > a(e): adding a constant to
+every a_v widens the gap to the vertex minimum and leaves these
+differences alone, and edges leaving the vertex set can be raised
+freely.  By Gordan's alternative that strict system fails exactly when
+some nonzero nonnegative combination of the left-out induced edges has
+the vertex degrees of one of the chosen edges, that is when the chosen
+and the left-out edges form an alternating closed walk.  A dead factor
+is zero at every valuation, so leaving it out changes no value.
 """
 
 from __future__ import annotations
@@ -137,52 +148,75 @@ def tropical_max(children: Sequence[TropicalExpr]) -> TropicalExpr:
         raise ValueError("maximum of nothing")
     if len(children) == 1:
         return children[0]
-    total = times(children)
-    drop_one = plus(times(c for j, c in enumerate(children) if j != i)
-                    for i in range(len(children)))
+    kids = tuple(children)
+    total = times(kids)
+    drop_one = plus(times(kids[:i] + kids[i + 1:]) for i in range(len(kids)))
     return Quotient(total, drop_one)
+
+
+def _int_value(x: Union[int, TropicalValue, None]) -> Optional[int]:
+    """An assigned value as a Python int, None for infinity."""
+    if isinstance(x, TropicalValue):
+        return x.value if x.finite else None
+    return None if x is None else int(x)
+
+
+_MISS = object()
 
 
 def eval_expr(e: TropicalExpr,
               assignment: Mapping[str, Union[int, TropicalValue]]) -> TropicalValue:
     """Evaluate with the min-plus semantics.
 
-    Expressions built here share subtrees aggressively (every edge
-    monomial of a graph is one object), so results are memoized per node
-    identity for the duration of the call.
+    Values are Python ints with None for infinity; only the result is a
+    `TropicalValue`.  Expressions built here share subtrees aggressively
+    (every edge monomial of a graph is one object), so results are
+    memoized per node identity for the duration of the call.
     """
-    cache: dict[int, TropicalValue] = {}
+    cache: dict[int, Optional[int]] = {}
+    cached = cache.get
 
-    def go(node: TropicalExpr) -> TropicalValue:
-        key = id(node)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, Var):
+    def go(node: TropicalExpr) -> Optional[int]:
+        kind = type(node)
+        if kind is Times:
+            out = 0
+            for c in node.children:
+                x = cached(id(c), _MISS)
+                if x is _MISS:
+                    x = go(c)
+                out = None if out is None or x is None else out + x
+        elif kind is Plus:
+            out = None
+            for c in node.children:
+                x = cached(id(c), _MISS)
+                if x is _MISS:
+                    x = go(c)
+                if out is None or (x is not None and x < out):
+                    out = x
+        elif kind is Var:
             if node.name not in assignment:
                 raise KeyError(f"unbound variable {node.name!r}")
-            out = tval(assignment[node.name])
-        elif isinstance(node, Const):
-            out = node.value
-        elif isinstance(node, Plus):
-            out = INF
-            for c in node.children:
-                out = t_plus(out, go(c))
-        elif isinstance(node, Times):
-            out = tval(0)
-            for c in node.children:
-                out = t_times(out, go(c))
-        elif isinstance(node, Quotient):
-            out = t_quotient(go(node.numerator), go(node.denominator))
-        elif isinstance(node, ClampAtZero):
-            v = go(node.child)
-            out = v if not v.finite else tval(max(v.value, 0))
+            out = _int_value(assignment[node.name])
+        elif kind is Quotient:
+            num, den = value(node.numerator), value(node.denominator)
+            if den is None:
+                raise ZeroDivisionError("tropical division by infinity")
+            out = None if num is None else num - den
+        elif kind is ClampAtZero:
+            x = value(node.child)
+            out = None if x is None else max(x, 0)
+        elif kind is Const:
+            out = node.value.value if node.value.finite else None
         else:
             raise TypeError(f"not a tropical expression: {node!r}")
-        cache[key] = out
+        cache[id(node)] = out
         return out
 
-    return go(e)
+    def value(node: TropicalExpr) -> Optional[int]:
+        out = cached(id(node), _MISS)
+        return go(node) if out is _MISS else out
+
+    return tval(value(e))
 
 
 def eval_gcd_product(e: TropicalExpr, assignment: Mapping[str, int]) -> int:
@@ -265,31 +299,95 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def _connected_two_colorable(vs: tuple, es: tuple) -> bool:
-    adj: dict[str, list[str]] = {v: [] for v in vs}
-    for u, w in es:
-        adj[u].append(w)
-        adj[w].append(u)
-    colour = {vs[0]: 0}
-    queue = [vs[0]]
-    while queue:
-        v = queue.pop()
-        for w in adj[v]:
-            if w not in colour:
-                colour[w] = colour[v] ^ 1
-                queue.append(w)
-            elif colour[w] == colour[v]:
-                return False
-    return len(colour) == len(vs)
+def _spans(adj: list[int]) -> bool:
+    """Do the edges behind the adjacency bitmasks connect every vertex?"""
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= reached
+    return seen == (1 << len(adj)) - 1
+
+
+def _close_edge(reach: list[int], x: int, y: int) -> Optional[list[int]]:
+    """A copy of the transitive closure `reach` (node -> bitmask of the
+    nodes reachable from it) with an edge's arcs x -> y and its mirror
+    y ^ 1 -> x ^ 1 added; None if they close a cycle."""
+    reach = reach[:]
+    for tail, head in ((x, y), (y ^ 1, x ^ 1)):
+        if reach[head] >> tail & 1:
+            return None
+        gained = reach[head] | 1 << head
+        for z, r in enumerate(reach):
+            if z == tail or r >> tail & 1:
+                reach[z] = r | gained
+    return reach
+
+
+def _live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Index tuples into `edges` (pairs of vertex numbers below k) of
+    the live edge sets: connected, spanning the k vertices, bipartite,
+    and with no alternating closed walk against the edges left out.
+
+    The search decides each edge in or out and cuts a branch once the
+    chosen edges hold an odd cycle, the chosen and remaining edges no
+    longer connect the vertices, or the decided edges hold an
+    alternating closed walk.  The walks are the cycles of a digraph on
+    (vertex, parity), node 2v + parity: a chosen edge uv goes from parity
+    0 to 1 (both ways round), a left-out edge from 1 to 0.
+    """
+    adj = [0] * k
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def search(i: int, comp: list[int], side: list[int], reach: list[int],
+               adj: list[int]) -> None:
+        if i == len(edges):
+            out.append(tuple(chosen))
+            return
+        u, v = edges[i]
+        if comp[u] != comp[v] or side[u] != side[v]:
+            closure = _close_edge(reach, 2 * u, 2 * v + 1)
+            if closure is not None:
+                joined, sides = comp, side
+                if comp[u] != comp[v]:  # merge v's class into u's
+                    old, flip = comp[v], side[u] == side[v]
+                    sides = [s ^ flip if c == old else s
+                             for c, s in zip(comp, side)]
+                    joined = [comp[u] if c == old else c for c in comp]
+                chosen.append(i)
+                search(i + 1, joined, sides, closure, adj)
+                chosen.pop()
+        dropped = adj[:]
+        dropped[u] &= ~(1 << v)
+        dropped[v] &= ~(1 << u)
+        if _spans(dropped):
+            closure = _close_edge(reach, 2 * u + 1, 2 * v)
+            if closure is not None:
+                search(i + 1, comp, side, closure, dropped)
+
+    if _spans(adj):
+        search(0, list(range(k)), [0] * k, [0] * (2 * k), adj)
+    return out
 
 
 def _candidate_subgraphs(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]]:
-    """(vertices, edges, boundary) of every connected bipartite subgraph
-    with an arbitrary subset of the induced edges, except the full graph.
+    """(vertices, edges, boundary) of every live factor of a connected
+    graph: a connected bipartite subgraph, with some of the induced
+    edges, other than the full graph, and no alternating closed walk
+    between its edges and the induced edges it leaves out (see the
+    module docstring).  Singletons are always live.
 
-    Factors whose edge set is not realized as a reduction level for a
-    given valuation evaluate to zero there, so the over-enumeration is
-    harmless for evaluation and faithful to the defining product.
+    The order is that of (vertex count, vertices, edge count, edges), so
+    the product is the product over every connected bipartite proper
+    subgraph with the factors that are zero everywhere left out.
     """
     verts = g.vertices
     all_edges = g.edges
@@ -297,25 +395,27 @@ def _candidate_subgraphs(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]
     for k in range(1, len(verts) + 1):
         for vs in combinations(verts, k):
             vset = set(vs)
-            induced = tuple(e for e in all_edges
-                            if e[0] in vset and e[1] in vset)
             touching = [e for e in all_edges
                         if e[0] in vset or e[1] in vset]
-            for r in range(len(induced) + 1):
-                for es in combinations(induced, r):
-                    if (vs, es) == full_key:
-                        continue
-                    if not _connected_two_colorable(vs, es):
-                        continue
-                    chosen = set(es)
-                    boundary = [e for e in touching if e not in chosen]
-                    yield vs, es, boundary
+            induced = [e for e in touching
+                       if e[0] in vset and e[1] in vset]
+            number = {v: i for i, v in enumerate(vs)}
+            local = [(number[u], number[w]) for u, w in induced]
+            for picked in sorted(_live_edge_sets(k, local),
+                                 key=lambda t: (len(t), t)):
+                es = tuple(induced[i] for i in picked)
+                if (vs, es) == full_key:
+                    continue
+                chosen = set(es)
+                boundary = [e for e in touching if e not in chosen]
+                yield vs, es, boundary
 
 
 def z_gamma(g: WeightedGraph, cap: Optional[int] = None) -> TropicalExpr:
     """Tropical product of the factors over all connected bipartite
     proper subgraphs; its value at the weight valuations is the p-torsion
-    exponent for every odd prime p.
+    exponent for every odd prime p.  Only the live factors are built (see
+    `_candidate_subgraphs`): the others are zero at every valuation.
 
     A bipartite connected graph needs a correction: the factors count
     every admissible (subgraph, level) pair, but the pairs on the
@@ -379,21 +479,75 @@ TIMES_SIGN = "⊙"  # (.)
 DIV_SIGN = "⊘"    # (/)
 
 
+def _nameable(name: str) -> bool:
+    """Does `name` tokenize back to itself as a variable?"""
+    return (name != "" and all(ch.isalnum() or ch in "_-" for ch in name)
+            and name != "inf" and not name.lstrip("-").isdigit())
+
+
 def render(e: TropicalExpr) -> str:
-    """Fully parenthesized min-plus notation; `parse` reverses it."""
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return "inf" if not e.value.finite else str(e.value.value)
-    if isinstance(e, Plus):
-        return "(" + f" {PLUS_SIGN} ".join(render(c) for c in e.children) + ")"
-    if isinstance(e, Times):
-        return "(" + f" {TIMES_SIGN} ".join(render(c) for c in e.children) + ")"
-    if isinstance(e, Quotient):
-        return f"({render(e.numerator)} {DIV_SIGN} {render(e.denominator)})"
-    if isinstance(e, ClampAtZero):
-        return f"max({render(e.child)}, 0)"
-    raise TypeError(f"not a tropical expression: {e!r}")
+    """Fully parenthesized min-plus notation; `parse` reverses it.
+
+    One pass appends fragments to a list that is joined once.  Leaves
+    and nodes whose children all have text already (edge monomials,
+    say) are written once per object and reused wherever they are
+    shared.  Raises ValueError on a variable name that would not parse
+    back as itself.
+    """
+    memo: dict[int, str] = {}
+    written = memo.get
+
+    def leaf(node: TropicalExpr) -> Optional[str]:
+        kind = type(node)
+        if kind is Var:
+            if not _nameable(node.name):
+                raise ValueError(
+                    f"variable name {node.name!r} cannot be written: names "
+                    "need letters, digits, '_' or '-', and must not read as "
+                    "a number or 'inf'")
+            text = node.name
+        elif kind is Const:
+            text = "inf" if not node.value.finite else str(node.value.value)
+        else:
+            return None
+        memo[id(node)] = text
+        return text
+
+    out: list[str] = []
+    stack: list[Union[str, TropicalExpr]] = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+            continue
+        text = written(id(node)) or leaf(node)
+        if text is not None:
+            out.append(text)
+            continue
+        kind = type(node)
+        if kind is Plus or kind is Times:
+            sep = f" {PLUS_SIGN} " if kind is Plus else f" {TIMES_SIGN} "
+            kids = node.children
+            texts = [written(id(c)) or leaf(c) for c in kids]
+            if None not in texts:
+                text = memo[id(node)] = "(" + sep.join(texts) + ")"
+                out.append(text)
+                continue
+            stack.append(")")
+            for j in range(len(kids) - 1, 0, -1):
+                stack.append(kids[j])
+                stack.append(sep)
+            stack.append(kids[0])
+            out.append("(")
+        elif kind is Quotient:
+            stack += [")", node.denominator, f" {DIV_SIGN} ", node.numerator]
+            out.append("(")
+        elif kind is ClampAtZero:
+            stack += [", 0)", node.child]
+            out.append("max(")
+        else:
+            raise TypeError(f"not a tropical expression: {node!r}")
+    return "".join(out)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -469,6 +623,8 @@ class _Parser:
             return Const(INF)
         if tok.lstrip("-").isdigit():
             return Const(tval(int(tok)))
+        if not _nameable(tok):
+            raise ValueError(f"unexpected token {tok!r}")
         return Var(tok)
 
     def expression(self) -> TropicalExpr:

@@ -10,7 +10,8 @@ p = 2 included: a forest node at level r is a reduction component
 oriented over Z/p**(r - min valuation), which makes the structure
 theorem hold at p = 2 as well.  Restriction functoriality runs at odd
 primes only (see `fcomplex.restrict`), and the weight, core and tropical
-properties keep to odd primes as before.
+properties keep to odd primes as before.  The tropical properties draw
+valuations from 0..max_valuation + 1.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def check_tropical(cfg, count, overrides=None) -> PropertyResult:
                   for j in range(i + 1, n)
                   if (names[i], names[j]) not in edges and rng.random() < 0.35]
         z = z_gamma(WeightedGraph({v: 1 for v in names}, edges))
-        vals = {v: rng.randint(0, 4) for v in names}
+        vals = {v: rng.randint(0, cfg.max_valuation + 1) for v in names}
         for p in cfg.odd_primes():
             g = WeightedGraph({v: p ** vals[v] for v in names}, edges)
             want = torsion_order_p(full_subgraph(g), p)
@@ -398,7 +399,7 @@ def check_complete_graph(cfg, count, overrides=None) -> PropertyResult:
         zg = z_gamma(kn)
         zc = z_complete(n, names)
         for k in range(per_n):
-            vals = {v: rng.randint(0, 4) for v in names}
+            vals = {v: rng.randint(0, cfg.max_valuation + 1) for v in names}
             ge = eval_expr(zg, vals)
             ce = eval_expr(zc, vals)
             p = rng.choice(cfg.odd_primes())

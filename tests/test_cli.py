@@ -157,6 +157,49 @@ def test_tropical_missing_valuation(k3_file, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("vals", [
+    {"R": 3.7, "G": 0, "B": 1},     # not an integer
+    {"R": 3.0, "G": 0, "B": 1},     # a float, even when whole
+    {"R": True, "G": 0, "B": 1},    # a boolean
+    {"R": "3", "G": 0, "B": 1},     # a string
+    {"R": -2, "G": 0, "B": 1},      # negative
+    {"R": 3, "G": 0, "B": 1, "zz": 5},  # not a vertex
+    [3, 0, 1],                      # not an object
+], ids=["fraction", "float", "bool", "string", "negative", "non-vertex",
+        "list"])
+def test_tropical_rejects_bad_valuations(k3_file, tmp_path, capsys, vals):
+    path = tmp_path / "vals.json"
+    path.write_text(json.dumps(vals))
+    code, out, err = run_cli(capsys, "tropical", k3_file, "--eval", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_tropical_rejects_negative_valuation_on_an_edge(tmp_path, capsys):
+    graph = tmp_path / "edge.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": "u", "weight": "1"}, {"id": "v", "weight": "1"}],
+        "edges": [["u", "v"]]}))
+    vals = tmp_path / "vals.json"
+    vals.write_text(json.dumps({"u": -2, "v": 2}))
+    code, out, err = run_cli(capsys, "tropical", str(graph), "--eval", str(vals))
+    assert (code, out) == (2, "")
+    assert "u=-2" in err
+
+
+@pytest.mark.parametrize("ids", [["1", "2"], ["inf", "x"], ["a b", "c"]])
+def test_tropical_refuses_vertex_ids_the_grammar_cannot_name(tmp_path, capsys,
+                                                              ids):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v, "weight": "1"} for v in ids],
+        "edges": [ids]}))
+    code, out, err = run_cli(capsys, "tropical", str(path))
+    assert (code, out) == (2, "")
+    assert "cannot be written" in err
+
+
 def test_tropical_complete_formula(tmp_path, capsys):
     names = ["a", "b", "c", "d"]
     doc = {
@@ -294,3 +337,23 @@ def test_reports_identical_across_hash_seeds(tmp_path):
             run.append(dot.read_bytes())
             outputs.append(run)
         assert outputs[0] == outputs[1], p
+
+
+def test_tropical_properties_draw_valuations_to_max_valuation_plus_one(
+        monkeypatch):
+    import gcoh.verify
+
+    real = gcoh.verify.eval_expr
+    seen = []
+
+    def spy(expr, vals):
+        seen.extend(vals.values())
+        return real(expr, vals)
+
+    monkeypatch.setattr(gcoh.verify, "eval_expr", spy)
+    cfg = VerificationConfig(instance_count=400, max_valuation=8, seed=3,
+                             primes=(3,))
+    for name in ("tropical_interpretation", "complete_graph"):
+        seen.clear()
+        assert run_property(name, cfg).passed
+        assert (min(seen), max(seen)) == (0, 9)

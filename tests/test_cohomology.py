@@ -4,6 +4,7 @@ from itertools import product
 
 import gcoh.cohomology
 import gcoh.intlinalg
+import gcoh.orientation
 from gcoh.cli import main
 from gcoh.forest import build_forest
 from gcoh.graphs import (
@@ -326,3 +327,68 @@ def test_generation_check_decomposes_the_candidates_once(monkeypatch):
     assert gens >= 3 and len(solved) == gens
     assert len({id(dec) for dec in solved}) == 1
     assert len(calls) == 3  # kernel_mod's SNF and its span check, then one
+
+
+def reference_generation_candidates(full, p, s):
+    """The per-level route: one `is_orientable(delta, p, s - d)` per d."""
+    from gcoh.orientation import is_orientable
+
+    verts, ps, out = full.vertices, p ** s, []
+    filt = filtration(full, p)
+    for delta in sorted(filt.span, key=lambda d: (d.vertices, d.edges)):
+        r_delta, m_delta = filt.boundary_valuation(delta), filt.min_val[delta]
+        for d in range(s):
+            if r_delta is not None and r_delta - m_delta < s - d:
+                continue
+            report = is_orientable(delta, p, s - d)
+            if not report.orientable or report.orientation_class is None:
+                continue
+            scaled = tuple(x * p ** d % ps
+                           for x in report.orientation_class.vector(verts))
+            if any(scaled):
+                out.append(scaled)
+    return out
+
+
+def test_generation_candidates_take_one_snf_per_class(monkeypatch):
+    """Each filtration class is decomposed at most once, and exactly when
+    it is not reduced at one of its levels; the candidates equal the
+    per-level route's."""
+    real = gcoh.orientation.smith_normal_form
+    calls = []
+
+    def counted(a):
+        calls.append(a.entries)
+        return real(a)
+
+    rng = random.Random(43)
+    decomposed = 0
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        p = rng.choice([2, 3])
+        names = [f"v{i}" for i in range(n)]
+        edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+        edges |= {(names[i], names[j]) for i in range(n)
+                  for j in range(i + 1, n) if rng.random() < 0.3}
+        g = WeightedGraph({v: p ** rng.randint(0, 3) * rng.choice([1, 5, 7])
+                           for v in names}, sorted(edges))
+        s = rng.randint(1, 4)
+        full = full_subgraph(g)
+        want = reference_generation_candidates(full, p, s)
+        filt = filtration(full, p)
+        expected = 0
+        for delta in filt.span:
+            r_delta, m_delta = filt.boundary_valuation(delta), filt.min_val[delta]
+            top = max((g.edge_valuation(e, p) for e in delta.edge_set),
+                      default=-1)
+            expected += any(top >= s - d for d in range(s)
+                            if r_delta is None or r_delta - m_delta >= s - d)
+        calls.clear()
+        monkeypatch.setattr(gcoh.orientation, "smith_normal_form", counted)
+        got = gcoh.cohomology._generation_candidates(full, p, s)
+        monkeypatch.setattr(gcoh.orientation, "smith_normal_form", real)
+        assert got == want, (g, p, s)
+        assert len(calls) == expected, (g, p, s)
+        assert len(set(calls)) == len(calls)
+        decomposed += expected
+    assert decomposed > 10

@@ -1,12 +1,21 @@
 import random
+import sys
+from functools import cache
+from itertools import combinations, permutations, product
+from math import gcd
+from operator import add, sub
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcoh.graphs import (
     WeightedGraph,
     bipartition,
     components,
     full_subgraph,
+    graph_from_json,
+    is_connected,
     p_valuation,
     reduce_graph,
     subgraph_of,
@@ -14,21 +23,27 @@ from gcoh.graphs import (
 from gcoh.cohomology import torsion_order_p
 from gcoh.tropical import (
     INF,
+    ClampAtZero,
     Const,
     EnumerationCapExceeded,
     Plus,
     Quotient,
     Times,
     Var,
+    _candidate_subgraphs,
+    _factor,
     elementary_symmetric,
     eval_expr,
     eval_gcd_product,
     g_delta,
     parse,
+    plus,
     render,
     t_plus,
     t_quotient,
     t_times,
+    times,
+    tropical_max,
     tval,
     variables,
     z_complete,
@@ -223,3 +238,451 @@ def test_render_parse_round_trip():
         assert parse(text) == e
     rendered = render(z_complete(4))
     assert "⊙" in rendered and "⊕" in rendered
+
+
+# --- references: the full product, the recursive renderer, the tree walk ----
+
+def _connected_two_colorable(vs, es):
+    adj = {v: [] for v in vs}
+    for u, w in es:
+        adj[u].append(w)
+        adj[w].append(u)
+    colour = {vs[0]: 0}
+    queue = [vs[0]]
+    while queue:
+        v = queue.pop()
+        for w in adj[v]:
+            if w not in colour:
+                colour[w] = colour[v] ^ 1
+                queue.append(w)
+            elif colour[w] == colour[v]:
+                return False
+    return len(colour) == len(vs)
+
+
+def reference_candidates(g):
+    """(vertices, edges, boundary) of every connected bipartite proper
+    subgraph of a connected graph, in (|V|, V, |E|, E) order: the factors
+    of the full product, dead ones included, by filtering every subset of
+    the induced edges."""
+    return _reference_candidates(g.vertices, g.edges)
+
+
+@cache
+def _reference_candidates(verts, all_edges):
+    out = []
+    for k in range(1, len(verts) + 1):
+        for vs in combinations(verts, k):
+            vset = set(vs)
+            induced = [e for e in all_edges if e[0] in vset and e[1] in vset]
+            touching = [e for e in all_edges if e[0] in vset or e[1] in vset]
+            for r in range(len(induced) + 1):
+                for es in combinations(induced, r):
+                    if (vs, es) != (verts, all_edges) \
+                            and _connected_two_colorable(vs, es):
+                        out.append((vs, es,
+                                    [e for e in touching if e not in es]))
+    return out
+
+
+def reference_product(g, keep):
+    """The product over the reference candidates that `keep(vs, es,
+    boundary)` accepts, built as `z_gamma` builds its product."""
+    comps = components(full_subgraph(g))
+    if len(comps) > 1:
+        return times(reference_product(c.as_graph(), keep) for c in comps)
+    mono = {e: Times((Var(e[0]), Var(e[1]))) for e in g.edges}
+    varcache = {v: Var(v) for v in g.vertices}
+    product = times(_factor(vs, es, boundary, mono, varcache)
+                    for vs, es, boundary in reference_candidates(g)
+                    if keep(vs, es, boundary))
+    if g.edges and bipartition(full_subgraph(g)) is not None:
+        chain_gap = Quotient(tropical_max([mono[e] for e in g.edges]),
+                             plus(varcache[v] for v in g.vertices))
+        return Quotient(product, chain_gap)
+    return product
+
+
+def full_value(h, candidates, a):
+    """The full product's value at the valuation a on a connected graph,
+    from the factor formula max(0, min boundary - max(internal edges,
+    vertex minimum)) and the chain gap."""
+    sums = {e: a[e[0]] + a[e[1]] for e in h.edges}
+    total = 0
+    for vs, es, boundary in candidates:
+        lower = max([sums[e] for e in es] + [min(a[v] for v in vs)])
+        total += max(0, min(sums[b] for b in boundary) - lower)
+    if h.edges and bipartition(full_subgraph(h)) is not None:
+        total -= max(sums.values()) - min(a[v] for v in h.vertices)
+    return total
+
+
+def reference_render(e):
+    """The recursive renderer."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Const):
+        return "inf" if not e.value.finite else str(e.value.value)
+    if isinstance(e, Plus):
+        return "(" + " ⊕ ".join(reference_render(c) for c in e.children) + ")"
+    if isinstance(e, Times):
+        return "(" + " ⊙ ".join(reference_render(c) for c in e.children) + ")"
+    if isinstance(e, Quotient):
+        return (f"({reference_render(e.numerator)} ⊘ "
+                f"{reference_render(e.denominator)})")
+    if isinstance(e, ClampAtZero):
+        return f"max({reference_render(e.child)}, 0)"
+    raise TypeError(e)
+
+
+def reference_eval(e, assignment):
+    """The `TropicalValue` tree walk."""
+    if isinstance(e, Var):
+        if e.name not in assignment:
+            raise KeyError(e.name)
+        return tval(assignment[e.name])
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Plus):
+        out = INF
+        for c in e.children:
+            out = t_plus(out, reference_eval(c, assignment))
+        return out
+    if isinstance(e, Times):
+        out = tval(0)
+        for c in e.children:
+            out = t_times(out, reference_eval(c, assignment))
+        return out
+    if isinstance(e, Quotient):
+        return t_quotient(reference_eval(e.numerator, assignment),
+                          reference_eval(e.denominator, assignment))
+    if isinstance(e, ClampAtZero):
+        v = reference_eval(e.child, assignment)
+        return v if not v.finite else tval(max(v.value, 0))
+    raise TypeError(e)
+
+
+# --- references: liveness as a linear program, dead factors as walks --------
+
+def _normal(row):
+    coeffs, strict = row
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+    return (tuple(c // g for c in coeffs) if g > 1 else coeffs), strict
+
+
+def fm_feasible(rows, n):
+    """Fourier-Motzkin: has the homogeneous system of rows (c, strict),
+    meaning c . a > 0 or c . a >= 0, a rational solution?"""
+    rows = {_normal(r) for r in rows}
+    left = set(range(n))
+    while left:
+        def pairs(x):
+            p = sum(c[x] > 0 for c, _ in rows)
+            q = sum(c[x] < 0 for c, _ in rows)
+            return p * q - p - q
+        x = min(left, key=pairs)
+        left.discard(x)
+        new = {r for r in rows if r[0][x] == 0}
+        for p, sp in (r for r in rows if r[0][x] > 0):
+            for q, sq in (r for r in rows if r[0][x] < 0):
+                combined = tuple(-q[x] * pi + p[x] * qi for pi, qi in zip(p, q))
+                new.add(_normal((combined, sp or sq)))
+        rows = new
+    return not any(strict for _, strict in rows)
+
+
+def lp_live(g, vs, es, boundary):
+    """Is the factor positive at some valuation a >= 0?  It is exactly
+    when, for some v in vs, every boundary edge sum exceeds every chosen
+    edge sum and a_v; the system is homogeneous, so a rational solution
+    scales to an integer one."""
+    col = {v: i for i, v in enumerate(g.vertices)}
+    n = len(col)
+
+    def chi(e):
+        out = [0] * n
+        out[col[e[0]]] += 1
+        out[col[e[1]]] += 1
+        return out
+
+    edges = [(tuple(x - y for x, y in zip(chi(b), chi(e))), True)
+             for b in boundary for e in es]
+    nonneg = [(tuple(int(i == j) for j in range(n)), False) for i in range(n)]
+    if not fm_feasible(edges + nonneg, n):
+        return False
+    return any(fm_feasible(
+        edges + nonneg + [(tuple(x - (j == col[v]) for j, x in enumerate(chi(b))),
+                           True) for b in boundary], n) for v in vs)
+
+
+def alternating_walk(es, left_out):
+    """A closed walk v0, v1, ..., v0 whose steps alternate between edges
+    of es and edges of left_out, or None: depth-first search for a cycle
+    over (vertex, next edge kind)."""
+    step = {0: {}, 1: {}}
+    for kind, edges in ((0, es), (1, left_out)):
+        for u, w in edges:
+            step[kind].setdefault(u, []).append(w)
+            step[kind].setdefault(w, []).append(u)
+    state, path = {}, []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        v, kind = node
+        for w in step[kind].get(v, ()):
+            nxt = (w, 1 - kind)
+            if state.get(nxt) == 1:
+                cycle = path[path.index(nxt):] + [nxt]
+                return [u for u, _ in cycle]
+            if nxt not in state:
+                found = visit(nxt)
+                if found:
+                    return found
+        state[node] = 2
+        path.pop()
+        return None
+
+    for v in {u for e in es for u in e}:
+        if (v, 0) not in state:
+            found = visit((v, 0))
+            if found:
+                return found
+    return None
+
+
+def is_alternating_closed_walk(walk, es, left_out):
+    steps = [tuple(sorted(s)) for s in zip(walk, walk[1:])]
+    kinds = [set(map(tuple, map(sorted, es))), set(map(tuple, map(sorted, left_out)))]
+    if len(steps) < 2 or len(steps) % 2 or walk[0] != walk[-1]:
+        return False
+    first = 0 if steps[0] in kinds[0] else 1
+    return all(s in kinds[(first + i) % 2] for i, s in enumerate(steps))
+
+
+@cache
+def connected_graphs(max_n):
+    """One connected graph per isomorphism class, on 1..max_n vertices."""
+    out = []
+    for n in range(1, max_n + 1):
+        names = [f"v{i}" for i in range(n)]
+        pairs = list(combinations(range(n), 2))
+        seen = set()
+        for mask in range(1 << len(pairs)):
+            chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            key = min(tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in chosen))
+                      for p in permutations(range(n)))
+            if key in seen:
+                continue
+            seen.add(key)
+            g = WeightedGraph({v: 1 for v in names},
+                              [(names[a], names[b]) for a, b in chosen])
+            if is_connected(full_subgraph(g)):
+                out.append(g)
+    return tuple(out)
+
+
+@cache
+def bench_bases():
+    """The seven base graphs of the benchmark's tropical workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    return tuple((graph_from_json(doc), val) for doc, val in
+                 (inputs.tropical_input(0, i)
+                  for i in range(len(inputs.TROPICAL_BASES))))
+
+
+def random_graph6(rng):
+    names = [f"v{i}" for i in range(6)]
+    edges = {(names[rng.randrange(i)], names[i]) for i in range(1, 6)}
+    edges |= {(names[i], names[j]) for i in range(6) for j in range(i + 1, 6)
+              if rng.random() < 0.4}
+    return WeightedGraph({v: 1 for v in names}, sorted(edges))
+
+
+# --- live factors ------------------------------------------------------------
+
+def test_liveness_matches_the_lp_reference():
+    """On every connected graph with at most 5 vertices the factors kept
+    are, in order, the candidates the linear program finds positive
+    somewhere; every dropped one closes an alternating walk."""
+    kept = dropped = 0
+    for g in connected_graphs(5):
+        every = reference_candidates(g)
+        live = [c for c in every if lp_live(g, *c)]
+        assert list(_candidate_subgraphs(g)) == live, g
+        for vs, es, boundary in every:
+            left_out = [e for e in boundary if e[0] in vs and e[1] in vs]
+            walk = alternating_walk(es, left_out)
+            if (vs, es, boundary) in live:
+                assert walk is None, (g, vs, es, walk)
+                kept += 1
+            else:
+                assert walk is not None, (g, vs, es)
+                assert is_alternating_closed_walk(walk, es, left_out), walk
+                dropped += 1
+    assert kept and dropped
+
+
+def test_live_factors_on_the_first_bench_base():
+    g, _ = bench_bases()[0]
+    assert len(reference_candidates(g)) == 1354
+    assert sum(1 for _ in _candidate_subgraphs(g)) == 903
+
+
+INFINITE = float("inf")
+
+
+def factor_peaks(candidates, points):
+    """Per candidate, the largest of min boundary - max(internal edges,
+    vertex minimum) over the valuations in `points`: the factor is
+    positive at one of them exactly when this is, computed a column at
+    a time."""
+    col = {v: [a[v] for a in points] for v in points[0]}
+    top = [INFINITE] * len(points)
+    sums = {}
+
+    def edge(e):
+        if e not in sums:
+            sums[e] = list(map(add, col[e[0]], col[e[1]]))
+        return sums[e]
+
+    out = []
+    for vs, es, boundary in candidates:
+        upper = map(min, *map(edge, boundary), top)
+        lower = map(max, *map(edge, es), map(min, *(col[v] for v in vs), top))
+        out.append(max(map(sub, upper, lower)))
+    return out
+
+
+def check_full_product(g, points, sampled):
+    """The dropped factors vanish at every valuation of `points`, so
+    there the product of the live factors equals the full product; and
+    `eval_expr(z_gamma(g))` equals the full product's value at the first
+    `sampled` of them."""
+    live = {(vs, es) for vs, es, _ in _candidate_subgraphs(g)}
+    every = reference_candidates(g)
+    dead = [c for c in every if c[:2] not in live]
+    for c, peak in zip(dead, factor_peaks(dead, points)):
+        assert peak <= 0, (g, c)
+    z = z_gamma(g)
+    for a in points[:sampled]:
+        assert eval_expr(z, a) == tval(full_value(g, every, a)), (g, a)
+
+
+def test_z_gamma_equals_the_full_product_on_the_grid():
+    """At every valuation in {0..3}^V of every connected graph with at
+    most 5 vertices: through eval_expr on every point up to 4 vertices,
+    through the dropped factors and 48 sampled points on 5."""
+    rng = random.Random(60)
+    for g in connected_graphs(5):
+        points = [dict(zip(g.vertices, values))
+                  for values in product(range(4), repeat=len(g.vertices))]
+        if len(points) > 256:
+            rng.shuffle(points)
+            check_full_product(g, points, 48)
+        else:
+            check_full_product(g, points, len(points))
+
+
+def test_z_gamma_equals_the_full_product_at_wide_valuations():
+    """Seeded valuations in {0..8}^V on 6-vertex graphs and the bench
+    bases."""
+    rng = random.Random(61)
+    graphs = [random_graph6(rng) for _ in range(8)]
+    graphs += [g for g, _ in bench_bases()]
+    for g in graphs:
+        points = [{v: rng.randint(0, 8) for v in g.vertices}
+                  for _ in range(100)]
+        check_full_product(g, points, 3)
+
+
+def test_render_is_the_recursive_render_without_dead_factors():
+    rng = random.Random(62)
+    graphs = list(connected_graphs(4)) + [random_graph6(rng) for _ in range(4)]
+    graphs += [bench_bases()[0][0],
+               WeightedGraph({"a": 1, "b": 1, "x": 1, "y": 1},
+                             [("a", "b"), ("x", "y")])]
+
+    def live(vs, es, boundary):
+        return alternating_walk(
+            es, [e for e in boundary if e[0] in vs and e[1] in vs]) is None
+
+    for g in graphs:
+        assert render(z_gamma(g)) == reference_render(reference_product(g, live))
+
+
+def test_eval_matches_the_tree_walk_on_the_full_product():
+    for g, val in bench_bases()[:1]:
+        full = reference_product(g, lambda *_: True)
+        assert eval_expr(z_gamma(g), val) == reference_eval(full, val)
+
+
+# --- rendering and evaluation of arbitrary expressions ------------------------
+
+NAME = st.text(alphabet="abxyz019_-", min_size=1, max_size=4).filter(
+    lambda s: s != "inf" and not s.lstrip("-").isdigit())
+LEAF = st.one_of(
+    NAME.map(Var),
+    st.integers(-5, 9).map(lambda x: Const(tval(x))),
+    st.just(Const(INF)))
+
+
+def _expressions(children):
+    many = st.lists(children, min_size=2, max_size=4).map(tuple)
+    return st.one_of(
+        many.map(Plus), many.map(Times),
+        st.tuples(children, children).map(lambda t: Quotient(*t)),
+        children.map(ClampAtZero))
+
+
+EXPR = st.recursive(LEAF, _expressions, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPR)
+def test_render_round_trips_and_matches_the_recursive_render(e):
+    text = render(e)
+    assert text == reference_render(e)
+    assert parse(text) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPR, st.dictionaries(NAME, st.one_of(st.integers(-3, 9), st.none())))
+def test_eval_matches_the_tree_walk(e, assignment):
+    try:
+        want = reference_eval(e, assignment)
+    except (KeyError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            eval_expr(e, assignment)
+    else:
+        assert eval_expr(e, assignment) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=5))
+def test_render_refuses_exactly_the_names_that_do_not_parse_back(name):
+    try:
+        text = render(Var(name))
+    except ValueError:
+        try:
+            assert parse(name) != Var(name)
+        except ValueError:
+            pass
+    else:
+        assert parse(text) == Var(name)
+
+
+def test_render_refuses_unwritable_vertex_ids():
+    for name in ("1", "2", "-3", "inf", "a b", ""):
+        with pytest.raises(ValueError):
+            render(Var(name))
+    g = WeightedGraph({"1": 1, "2": 1}, [("1", "2")])
+    with pytest.raises(ValueError):
+        render(z_gamma(g))
+    assert render(Times((Var("max"), Var("a-1")))) == "(max ⊙ a-1)"
