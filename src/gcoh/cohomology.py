@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .graphs import (
-    Edge,
     Subgraph,
     WeightedGraph,
     filtration,
@@ -100,22 +99,6 @@ def d0_edge_matrix(g: Subgraph) -> IntMatrix:
     return IntMatrix(rows, ncols=len(verts), row_labels=edges, col_labels=verts)
 
 
-def apply_d0(g: Subgraph, z: Chain) -> Chain:
-    """Differential of a degree-0 chain, as a chain on the edges of g."""
-    if z.degree != 0:
-        raise ValueError("apply_d0 expects a degree-0 chain")
-    out: dict[Edge, int] = {}
-    w = g.parent.weight
-    for u, v in g.edge_set:
-        c = w[v] * z.coefficient(u) + w[u] * z.coefficient(v)
-        if z.modulus is not None:
-            p, s = z.modulus
-            c %= p ** s
-        if c:
-            out[(u, v)] = c
-    return Chain(1, out, z.modulus)
-
-
 def cohomology_groups(g: Subgraph) -> tuple[AbelianGroup, AbelianGroup]:
     """(H0, H1): the kernel is free, the cokernel carries the torsion."""
     a = d0_matrix(g)
@@ -183,8 +166,7 @@ def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ..
     return candidates
 
 
-def generation_check(g: WeightedGraph, p: int, s: int,
-                     s_cap: int = GENERATION_S_CAP) -> bool:
+def generation_check(g: WeightedGraph, p: int, s: int) -> bool:
     """Do scaled divided fundamental classes of reduction components span
     the mod-p**s cocycles?
 
@@ -196,8 +178,8 @@ def generation_check(g: WeightedGraph, p: int, s: int,
     require_prime(p)
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
-    if s > s_cap:
-        raise ValueError(f"generation_check capped at s <= {s_cap}")
+    if s > GENERATION_S_CAP:
+        raise ValueError(f"generation_check capped at s <= {GENERATION_S_CAP}")
     full = full_subgraph(g)
     a = d0_matrix(full)
     candidates = _generation_candidates(full, p, s)

@@ -19,17 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Subgraph, WeightedGraph, full_subgraph, p_valuation
-from .cohomology import Chain, apply_d0, d0_matrix
+from .graphs import Subgraph, WeightedGraph, components, full_subgraph, p_valuation
+from .cohomology import d0_matrix
 from .forest import FundamentalForest, build_forest
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     cokernel_structure,
-    kernel_basis,
+    mat_vec,
     matmul,
     matrix_from_columns,
-    quotient_structure,
 )
 
 REL_NEG = "rel-1"
@@ -107,12 +106,18 @@ def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
 
 
 def complex_cohomology(fc: FundamentalComplex) -> tuple[AbelianGroup, AbelianGroup]:
-    """(H0, H1) of the three-term complex, via the exact engine."""
+    """(H0, H1) of the three-term complex, from two cokernels.
+
+    H1 is coker(d_zero).  ker(d_zero) is saturated (it holds x whenever
+    it holds a nonzero multiple of x), so it is a direct summand of the
+    degree-0 lattice with a free complement of rank rank(d_zero), and it
+    contains im(d_neg).  Hence coker(d_neg) = H0 + Z^rank(d_zero): H0 has
+    the divisors of coker(d_neg) and rank(d_zero) less free rank.
+    """
     h1 = cokernel_structure(fc.d_zero)
-    kernel = kernel_basis(fc.d_zero)
-    image = fc.d_neg.columns()
-    h0 = quotient_structure(kernel, image)
-    return h0, h1
+    coker = cokernel_structure(fc.d_neg)
+    rank_zero = fc.d_zero.rows - h1.rank
+    return AbelianGroup(coker.rank - rank_zero, coker.divisors), h1
 
 
 def p_part_graph(g: WeightedGraph, p: int) -> WeightedGraph:
@@ -133,9 +138,11 @@ class ComparisonMap:
 
 
 def _fundamental_vector(forest: FundamentalForest, gp: WeightedGraph,
-                        d: Subgraph) -> dict[str, int]:
+                        d: Subgraph) -> list[int]:
+    """Fundamental chain of d on the vertices of gp, zero off V(d)."""
     alpha = forest.orientation[d]
-    return {v: alpha(v) * gp.weight[v] for v in d.vertex_set}
+    return [alpha(v) * gp.weight[v] if v in d.vertex_set else 0
+            for v in gp.vertices]
 
 
 def chi(fc: FundamentalComplex) -> ComparisonMap:
@@ -149,7 +156,7 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
     forest = fc.forest
     p = forest.prime
     gp = p_part_graph(forest.graph, p)
-    full_p = full_subgraph(gp)
+    ambient_d0 = d0_matrix(full_subgraph(gp))
     verts = gp.vertices
     edges = gp.edges
 
@@ -158,21 +165,18 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
         if kind == REL0:
             cols0.append([0] * len(verts))
             continue
-        fund = _fundamental_vector(forest, gp, d)
-        m = forest.min_val[d]
-        cols0.append([fund.get(v, 0) // p ** m for v in verts])
+        pm = p ** forest.min_val[d]
+        cols0.append([x // pm for x in _fundamental_vector(forest, gp, d)])
     degree0 = matrix_from_columns(cols0, len(verts))
 
     cols1 = []
     for d in fc.gens_one:
-        fund = Chain(0, _fundamental_vector(forest, gp, d))
-        boundary = apply_d0(full_p, fund)
+        boundary = mat_vec(ambient_d0, _fundamental_vector(forest, gp, d))
         sup = forest.sup_level[d]
         assert sup is not None
         ps = p ** sup
         col = []
-        for e in edges:
-            c = boundary.coefficient(e)
+        for e, c in zip(edges, boundary):
             if c % ps:
                 raise ChainMapError(
                     f"boundary of {d} not divisible by p^{sup} on edge {e}")
@@ -180,7 +184,6 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
         cols1.append(col)
     degree1 = matrix_from_columns(cols1, len(edges))
 
-    ambient_d0 = d0_matrix(full_p)
     if matmul(ambient_d0, degree0) != matmul(degree1, fc.d_zero):
         raise ChainMapError("comparison map fails the degree-0 square")
     if not matmul(degree0, fc.d_neg).is_zero():
@@ -225,7 +228,6 @@ class UnsupportedRestriction(ValueError):
 
 def _intersection_components(omega: Subgraph, d: Subgraph,
                              target_graph: WeightedGraph) -> list[Subgraph]:
-    from .graphs import components
     inter_v = omega.vertex_set & d.vertex_set
     inter_e = omega.edge_set & d.edge_set
     return components(Subgraph(target_graph, frozenset(inter_v),
@@ -233,23 +235,24 @@ def _intersection_components(omega: Subgraph, d: Subgraph,
 
 
 def restrict(forest: FundamentalForest, d: Subgraph,
-             target: Optional[FundamentalComplex] = None,
              source: Optional[FundamentalComplex] = None) -> Restriction:
     """Induced map from the complex of the ambient graph to the complex of
     the subgraph (with induced weights), verified to be a chain map.
 
-    Known limitation, recorded with the build: for subgraphs that cut an
-    infinite chain into pieces with different minimum valuations these
-    formulas do not define a chain map and this raises
-    ChainMapError; at p = 2 an intersection component can even fail to be
-    oriented, which raises UnsupportedRestriction.
+    The formulas are the same at every prime, p = 2 included.  Known
+    limitation, recorded with the build: for subgraphs that cut an
+    infinite chain into pieces with different minimum valuations they do
+    not define a chain map and this raises ChainMapError.  An
+    intersection component that is not a generator of the target complex
+    raises UnsupportedRestriction.  `gcoh verify` checks functoriality on
+    the full graph, its oriented core and a minimal-valuation vertex at
+    every configured prime and reports either error as a failure.
     """
     if d.parent is not forest.graph:
         raise ValueError("subgraph does not belong to the forest's graph")
     fc_big = source if source is not None else fundamental_complex(forest)
-    dg = target.forest.graph if target is not None else d.as_graph()
-    fc_small = target if target is not None else \
-        fundamental_complex(build_forest(dg, forest.prime))
+    dg = d.as_graph()
+    fc_small = fundamental_complex(build_forest(dg, forest.prime))
     small = fc_small.forest
     p = forest.prime
 

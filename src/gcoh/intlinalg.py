@@ -498,12 +498,7 @@ class AbelianGroup:
 
     def p_exponent(self, p: int) -> int:
         """val_p of the torsion order; the p-torsion has order p**this."""
-        total = 0
-        for d in self.divisors:
-            while d % p == 0:
-                d //= p
-                total += 1
-        return total
+        return sum(self.p_part_exponents(p))
 
     def p_part_exponents(self, p: int) -> tuple[int, ...]:
         """Exponents e with the p-primary part isomorphic to +Z/p**e."""
@@ -523,8 +518,12 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def factorize(n: int, bound: int = 10**7) -> dict[int, int]:
-    """Prime factorization by trial division; raises beyond `bound`."""
+# Trial division stops here; `factorize` raises on larger prime factors.
+FACTORIZE_BOUND = 10**7
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization by trial division; raises past FACTORIZE_BOUND."""
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
@@ -534,30 +533,20 @@ def factorize(n: int, bound: int = 10**7) -> dict[int, int]:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-        if d > bound:
+        if d > FACTORIZE_BOUND:
             raise ValueError("factorization bound exceeded")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
 
 
-def group_from_cyclic_orders(rank: int, orders: Iterable[int]) -> AbelianGroup:
-    """Canonical divisor chain of a direct sum of cyclic groups."""
-    primary: dict[int, list[int]] = {}
-    for c in orders:
-        for p, e in factorize(c).items():
-            primary.setdefault(p, []).append(e)
-    depth = max((len(es) for es in primary.values()), default=0)
-    chain = [1] * depth
-    for p, es in primary.items():
-        es.sort(reverse=True)
-        for slot, e in enumerate(es):
-            chain[depth - 1 - slot] *= p ** e
-    return AbelianGroup(rank, tuple(d for d in chain if d > 1))
-
-
 def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    return group_from_cyclic_orders(a.rank + b.rank, a.divisors + b.divisors)
+    """a + b, its divisor chain read off the Smith form of diag(divisors)."""
+    divisors = a.divisors + b.divisors
+    n = len(divisors)
+    diag = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(divisors)]
+    torsion = cokernel_structure(IntMatrix(diag, ncols=n))
+    return AbelianGroup(a.rank + b.rank, torsion.divisors)
 
 
 def cokernel_structure(a: IntMatrix) -> AbelianGroup:
@@ -565,12 +554,6 @@ def cokernel_structure(a: IntMatrix) -> AbelianGroup:
     dec = smith_normal_form(a if a.rows >= a.cols else a.transpose())
     return AbelianGroup(a.rows - dec.rank,
                         tuple(d for d in dec.diagonal if d > 1))
-
-
-def kernel_basis(a: IntMatrix) -> list[Vector]:
-    """Integer lattice basis of {x : A x = 0}."""
-    dec = smith_normal_form(a)
-    return [dec.v.column(j) for j in range(a.cols) if j >= dec.rank]
 
 
 def kernel_mod(a: IntMatrix, p: int, s: int) -> list[Vector]:
@@ -620,29 +603,3 @@ def span_exponent_mod(vectors: Sequence[Sequence[int]], n: int,
 def solve_mod(a: IntMatrix, b: Sequence[int], p: int, s: int) -> Optional[Vector]:
     """Some x with A x = b mod p**s, or None if there is none."""
     return smith_normal_form(a).solve(b, (p, s))
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> Optional[Vector]:
-    """Some integer x with A x = b, or None."""
-    return smith_normal_form(a).solve(b)
-
-
-def quotient_structure(kernel: Sequence[Vector],
-                       image: Sequence[Vector]) -> AbelianGroup:
-    """Structure of (lattice spanned by `kernel`) / (span of `image`).
-
-    `kernel` must be a lattice basis containing every `image` vector in
-    its span.
-    """
-    if not kernel:
-        if any(any(x != 0 for x in v) for v in image):
-            raise ValueError("image vectors outside the zero lattice")
-        return AbelianGroup(0)
-    dec = smith_normal_form(matrix_from_columns(kernel, len(kernel[0])))
-    coords = []
-    for w in image:
-        y = dec.solve(w)
-        if y is None:
-            raise ValueError("image vector outside the kernel lattice")
-        coords.append(y)
-    return cokernel_structure(matrix_from_columns(coords, len(kernel)))

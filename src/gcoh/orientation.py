@@ -32,8 +32,8 @@ from .graphs import (
     reduction,
     require_prime,
 )
-from .cohomology import Chain, apply_d0, critical_columns, d0_matrix
-from .intlinalg import SmithDecomposition, kernel_mod, smith_normal_form
+from .cohomology import Chain, critical_columns, d0_matrix
+from .intlinalg import SmithDecomposition, kernel_mod, mat_vec, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -176,14 +176,13 @@ def is_orientation_class(z: Chain, d: Subgraph, p: int, s: int) -> bool:
         raise ValueError("expected a degree-0 chain")
     ps = p ** s
     zred = z if z.modulus == (p, s) else z.reduced(p, s)
-    boundary = apply_d0(d, zred)
-    if any(c % ps for c in boundary.coefficients.values()):
+    zv = zred.vector(d.vertices)
+    d0 = d0_matrix(d)
+    if any(c % ps for c in mat_vec(d0, zv)):
         raise ValueError("chain is not a cocycle mod p**s")
-    verts = d.vertices
-    zv = zred.vector(verts)
     if all(x % p == 0 for x in zv):
         return False  # order below p**s
-    for gen in kernel_mod(d0_matrix(d), p, s):
+    for gen in kernel_mod(d0, p, s):
         # p**(s-1) * (gen - n*z) = 0 mod p**s iff gen = n*z mod p
         if not any(all((a - n * b) % p == 0 for a, b in zip(gen, zv))
                    for n in range(p)):

@@ -5,13 +5,14 @@ exact Smith-normal-form computation on randomized instances.  Each
 property draws its own deterministic stream from the configured seed, so
 a report is reproducible bit for bit.
 
-The forest oracle and the chi chain map run at every configured prime,
-p = 2 included: a forest node at level r is a reduction component
-oriented over Z/p**(r - min valuation), which makes the structure
-theorem hold at p = 2 as well.  Restriction functoriality runs at odd
-primes only (see `fcomplex.restrict`), and the weight, core and tropical
-properties keep to odd primes as before.  The tropical properties draw
-valuations from 0..max_valuation + 1.
+The forest oracle, the chi chain map and restriction functoriality run
+at every configured prime, p = 2 included: a forest node at level r is
+a reduction component oriented over Z/p**(r - min valuation), which
+makes the structure theorem hold at p = 2 as well.  A restriction that
+raises `ChainMapError` or `UnsupportedRestriction` is a failure with a
+counterexample.  The weight, core and tropical properties keep to odd
+primes.  The tropical properties draw valuations from
+0..max_valuation + 1.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .cohomology import (
 from .forest import build_forest, torsion_structure
 from .fcomplex import (
     ChainMapError,
+    UnsupportedRestriction,
     chi,
     chi_image_torsion_order,
     complex_cohomology,
@@ -149,7 +151,7 @@ def _graph_doc(g: WeightedGraph, **extra) -> dict:
 
 # --- properties ---------------------------------------------------------------
 
-def check_snf_invariants(cfg, count, overrides=None) -> PropertyResult:
+def check_snf_invariants(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "snf")
     for k in range(count):
         rows = rng.randint(1, 5)
@@ -168,7 +170,7 @@ def check_snf_invariants(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("snf_invariants", count, True)
 
 
-def check_rank_formula(cfg, count, overrides=None) -> PropertyResult:
+def check_rank_formula(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "rank")
     for k in range(count):
         g = random_connected(rng, cfg.max_vertices, 3, cfg.max_valuation)
@@ -181,7 +183,7 @@ def check_rank_formula(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("rank_formula", count, True)
 
 
-def check_rank_reweighting(cfg, count, overrides=None) -> PropertyResult:
+def check_rank_reweighting(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "reweight")
     rounds = max(1, count // 10)
     for k in range(rounds):
@@ -197,7 +199,7 @@ def check_rank_reweighting(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("rank_reweighting", rounds, True)
 
 
-def check_p_splitting(cfg, count, overrides=None) -> PropertyResult:
+def check_p_splitting(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "psplit")
     for k in range(count):
         g = random_graph(rng, cfg.max_vertices, 60)
@@ -214,7 +216,7 @@ def check_p_splitting(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("p_splitting", count, True)
 
 
-def check_disjoint_union(cfg, count, overrides=None) -> PropertyResult:
+def check_disjoint_union(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "disjoint")
     for k in range(count):
         g1 = random_graph(rng, 4, 30)
@@ -232,7 +234,7 @@ def check_disjoint_union(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("disjoint_union", count, True)
 
 
-def check_unit_rescaling(cfg, count, overrides=None) -> PropertyResult:
+def check_unit_rescaling(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "rescale")
     for k in range(count):
         p = rng.choice(cfg.primes)
@@ -247,14 +249,13 @@ def check_unit_rescaling(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("unit_rescaling", count, True)
 
 
-def check_forest_oracle(cfg, count, overrides=None) -> PropertyResult:
-    structure = (overrides or {}).get("torsion_structure", torsion_structure)
+def check_forest_oracle(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "forest")
     for k in range(count):
         p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         _, h1 = cohomology_groups(full_subgraph(g))
-        got = structure(build_forest(g, p))
+        got = torsion_structure(build_forest(g, p))
         want = list(h1.p_part_exponents(p))
         if got != want:
             return PropertyResult(
@@ -263,7 +264,7 @@ def check_forest_oracle(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("forest_oracle", count, True)
 
 
-def check_order_law(cfg, count, overrides=None) -> PropertyResult:
+def check_order_law(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "orderlaw")
     for k in range(count):
         p = rng.choice(cfg.primes)
@@ -276,34 +277,31 @@ def check_order_law(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("order_law", count, True)
 
 
-def check_generation(cfg, count, overrides=None) -> PropertyResult:
-    checker = (overrides or {}).get("generation_check", generation_check)
+def check_generation(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "generation")
     for k in range(count):
         p = rng.choice(cfg.primes)
         g = random_connected(rng, min(5, cfg.max_vertices), p,
                              cfg.max_valuation)
         s = rng.randint(1, 3)
-        if not checker(g, p, s):
+        if not generation_check(g, p, s):
             return PropertyResult("generation", k + 1, False,
                                   _graph_doc(g, prime=p, s=s))
     return PropertyResult("generation", count, True)
 
 
-def check_euler_relation(cfg, count, overrides=None) -> PropertyResult:
-    constants = (overrides or {}).get("edge_weighted_constants",
-                                      edge_weighted_constants)
+def check_euler_relation(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "euler")
     for k in range(count):
         g = random_graph(rng, cfg.max_vertices, 40)
-        c0, c1, c2 = constants(full_subgraph(g))
+        c0, c1, c2 = edge_weighted_constants(full_subgraph(g))
         _, h1 = cohomology_groups(full_subgraph(g))
         if c0 * c2 != c1 * h1.torsion_order:
             return PropertyResult("euler_relation", k + 1, False, _graph_doc(g))
     return PropertyResult("euler_relation", count, True)
 
 
-def check_hbe_count(cfg, count, overrides=None) -> PropertyResult:
+def check_hbe_count(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "hbe")
     done = 0
     tried = 0
@@ -322,8 +320,7 @@ def check_hbe_count(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("hbe_count", done, True)
 
 
-def check_tree_formula(cfg, count, overrides=None) -> PropertyResult:
-    formula = (overrides or {}).get("tree_torsion", tree_torsion)
+def check_tree_formula(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "tree")
     for k in range(count):
         n = rng.randint(1, 8)
@@ -332,12 +329,12 @@ def check_tree_formula(cfg, count, overrides=None) -> PropertyResult:
                           [(names[rng.randrange(i)], names[i])
                            for i in range(1, n)])
         _, h1 = cohomology_groups(full_subgraph(g))
-        if formula(full_subgraph(g)) != h1.torsion_order:
+        if tree_torsion(full_subgraph(g)) != h1.torsion_order:
             return PropertyResult("tree_formula", k + 1, False, _graph_doc(g))
     return PropertyResult("tree_formula", count, True)
 
 
-def check_spanning_tree(cfg, count, overrides=None) -> PropertyResult:
+def check_spanning_tree(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "spanning")
     for k in range(count):
         p = rng.choice(cfg.odd_primes())
@@ -349,7 +346,7 @@ def check_spanning_tree(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("spanning_tree", count, True)
 
 
-def check_core_relation(cfg, count, overrides=None) -> PropertyResult:
+def check_core_relation(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "core")
     done = 0
     tried = 0
@@ -368,7 +365,7 @@ def check_core_relation(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("core_relation", done, True)
 
 
-def check_tropical(cfg, count, overrides=None) -> PropertyResult:
+def check_tropical(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "tropical")
     for k in range(count):
         n = rng.randint(2, min(6, cfg.max_vertices))
@@ -388,7 +385,7 @@ def check_tropical(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("tropical_interpretation", count, True)
 
 
-def check_complete_graph(cfg, count, overrides=None) -> PropertyResult:
+def check_complete_graph(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "complete")
     per_n = max(1, count // 3)
     for n in (3, 4, 5):
@@ -412,7 +409,7 @@ def check_complete_graph(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("complete_graph", 3 * per_n, True)
 
 
-def check_chi(cfg, count, overrides=None) -> PropertyResult:
+def check_chi(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "chi")
     for k in range(count):
         p = rng.choice(cfg.primes)
@@ -429,10 +426,10 @@ def check_chi(cfg, count, overrides=None) -> PropertyResult:
     return PropertyResult("chi_chain_map", count, True)
 
 
-def check_restrict(cfg, count, overrides=None) -> PropertyResult:
+def check_restrict(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "restrict")
     for k in range(count):
-        p = rng.choice(cfg.odd_primes())
+        p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         forest = build_forest(g, p)
         fc = fundamental_complex(forest)
@@ -452,13 +449,13 @@ def check_restrict(cfg, count, overrides=None) -> PropertyResult:
                                   direct.map_one):
                 return PropertyResult("restrict_functoriality", k + 1, False,
                                       _graph_doc(g, prime=p))
-        except ChainMapError:
+        except (ChainMapError, UnsupportedRestriction):
             return PropertyResult("restrict_functoriality", k + 1, False,
                                   _graph_doc(g, prime=p))
     return PropertyResult("restrict_functoriality", count, True)
 
 
-def check_orientation_methods(cfg, count, overrides=None) -> PropertyResult:
+def check_orientation_methods(cfg, count) -> PropertyResult:
     rng = _rng_for(cfg, "orient")
     done = 0
     tried = 0
@@ -507,18 +504,17 @@ SLOW = {"generation": 4, "tropical_interpretation": 2, "chi_chain_map": 2,
         "restrict_functoriality": 4, "orientation_methods": 2}
 
 
-def run_property(name: str, cfg: VerificationConfig,
-                 overrides=None) -> PropertyResult:
+def run_property(name: str, cfg: VerificationConfig) -> PropertyResult:
     budget = max(3, cfg.instance_count // len(PROPERTIES))
     budget = max(3, budget // SLOW.get(name, 1))
-    return PROPERTIES[name](cfg, budget, overrides)
+    return PROPERTIES[name](cfg, budget)
 
 
-def run_all(cfg: VerificationConfig, overrides=None) -> list[PropertyResult]:
+def run_all(cfg: VerificationConfig) -> list[PropertyResult]:
     names = sorted(PROPERTIES)
-    if cfg.parallelism > 1 and not overrides:
+    if cfg.parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             futures = [(n, pool.submit(run_property, n, cfg)) for n in names]
             return [f.result() for _, f in futures]
-    return [run_property(n, cfg, overrides) for n in names]
+    return [run_property(n, cfg) for n in names]

@@ -280,9 +280,10 @@ def test_verify_parallel_run_matches_serial(capsys):
     assert parallel == serial
 
 
-def test_verify_detects_injected_mutation():
+def test_verify_detects_injected_mutation(monkeypatch):
     # harness self-test: a wrong tree formula must be caught with a
     # serialized counterexample
+    import gcoh.verify
     from gcoh.weights import tree_torsion
 
     cfg = VerificationConfig(instance_count=80, seed=3)
@@ -290,8 +291,9 @@ def test_verify_detects_injected_mutation():
     def broken(sub):
         return tree_torsion(sub) + 1
 
-    result = run_property("tree_formula", cfg,
-                          overrides={"tree_torsion": broken})
+    with monkeypatch.context() as mp:
+        mp.setattr(gcoh.verify, "tree_torsion", broken)
+        result = run_property("tree_formula", cfg)
     assert not result.passed
     assert result.counterexample is not None
     assert "graph" in result.counterexample
@@ -357,3 +359,33 @@ def test_tropical_properties_draw_valuations_to_max_valuation_plus_one(
         seen.clear()
         assert run_property(name, cfg).passed
         assert (min(seen), max(seen)) == (0, 9)
+
+
+def test_restrict_functoriality_runs_at_every_prime(monkeypatch):
+    import gcoh.verify
+
+    real = gcoh.verify.restrict
+    primes = set()
+
+    def spy(forest, d, source=None):
+        primes.add(forest.prime)
+        return real(forest, d, source=source)
+
+    monkeypatch.setattr(gcoh.verify, "restrict", spy)
+    cfg = VerificationConfig(instance_count=400, seed=5)
+    assert run_property("restrict_functoriality", cfg).passed
+    assert primes == {2, 3, 5}
+
+
+def test_unsupported_restriction_is_a_failure(monkeypatch):
+    import gcoh.verify
+    from gcoh.fcomplex import UnsupportedRestriction
+
+    def unsupported(forest, d, source=None):
+        raise UnsupportedRestriction("component is not a generator")
+
+    monkeypatch.setattr(gcoh.verify, "restrict", unsupported)
+    result = run_property("restrict_functoriality",
+                          VerificationConfig(instance_count=80, seed=3))
+    assert not result.passed
+    assert "graph" in result.counterexample and "prime" in result.counterexample

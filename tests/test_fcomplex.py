@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from gcoh.graphs import WeightedGraph, full_subgraph, subgraph_of
+from gcoh import intlinalg
+from gcoh.graphs import WeightedGraph, full_subgraph, p_valuation, subgraph_of
 from gcoh.cohomology import cohomology_groups
-from gcoh.intlinalg import AbelianGroup, matmul
+from gcoh.intlinalg import (
+    AbelianGroup,
+    cokernel_structure,
+    matmul,
+    matrix_from_columns,
+    smith_normal_form,
+)
 from gcoh.forest import build_forest
 from gcoh.fcomplex import (
     CLS0,
@@ -16,6 +23,7 @@ from gcoh.fcomplex import (
     fundamental_complex,
     restrict,
 )
+from gcoh.weights import oriented_core
 
 
 def k3():
@@ -102,6 +110,65 @@ def test_order_law_connected():
         _, h1 = complex_cohomology(fundamental_complex(f))
         assert h1.torsion_order == p ** len(f.counted_nodes)
         assert h1.rank == 0
+
+
+def random_graph(rng, max_n, p, max_a):
+    """p-power weights, each edge with probability 0.35: often disconnected."""
+    n = rng.randint(1, max_n)
+    names = [f"v{i}" for i in range(n)]
+    weights = {v: p ** rng.randint(0, max_a) for v in names}
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.35]
+    return WeightedGraph(weights, edges)
+
+
+def reference_cohomology(fc):
+    """(H0, H1) by the kernel-plus-quotient route: a lattice basis of
+    ker(d_zero), the coordinates of im(d_neg) in that basis, and the
+    cokernel of the coordinate matrix."""
+    h1 = cokernel_structure(fc.d_zero)
+    dec = smith_normal_form(fc.d_zero)
+    kernel = [dec.v.column(j) for j in range(dec.rank, fc.d_zero.cols)]
+    if not kernel:
+        assert fc.d_neg.is_zero()
+        return AbelianGroup(0), h1
+    basis = smith_normal_form(matrix_from_columns(kernel, fc.d_zero.cols))
+    coords = [basis.solve(w) for w in fc.d_neg.columns()]
+    assert None not in coords  # im(d_neg) lies in ker(d_zero)
+    return cokernel_structure(matrix_from_columns(coords, len(kernel))), h1
+
+
+def test_complex_cohomology_matches_the_kernel_quotient_route():
+    rng = random.Random(36)
+    nonzero_h0 = disconnected = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        g = random_graph(rng, 7, p, 3)
+        fc = fundamental_complex(build_forest(g, p))
+        h0, h1 = complex_cohomology(fc)
+        assert (h0, h1) == reference_cohomology(fc)
+        assert h0 == cohomology_groups(full_subgraph(g))[0]
+        nonzero_h0 += h0 != AbelianGroup(0)
+        disconnected += h0.rank > 1
+    assert nonzero_h0 and disconnected  # the draws reach both cases
+
+
+def test_complex_cohomology_takes_two_smith_forms(monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+    rng = random.Random(37)
+    for _ in range(20):
+        p = rng.choice([2, 3, 5])
+        fc = fundamental_complex(build_forest(random_graph(rng, 7, p, 3), p))
+        calls.clear()
+        complex_cohomology(fc)
+        assert len(calls) == 2
 
 
 def test_complex_h0_free_generator_bipartite():
@@ -211,6 +278,26 @@ def test_restrict_composition_on_chains():
     for got, want in zip(composed,
                          (direct.map_neg, direct.map_zero, direct.map_one)):
         assert got == want
+
+
+def test_restrict_functoriality_at_p2_randomized():
+    # the anchored composition of `gcoh verify`: full graph, oriented
+    # core, then one minimal-valuation vertex of the core
+    rng = random.Random(38)
+    for _ in range(40):
+        g = random_connected(rng, 6, 2, 3)
+        f = build_forest(g, 2)
+        fc = fundamental_complex(f)
+        restrict(f, full_subgraph(g), source=fc)
+        j1 = restrict(f, oriented_core(g, 2, f).core, source=fc)
+        inner = j1.target.forest.graph
+        v = min(inner.vertices,
+                key=lambda w: (p_valuation(inner.weight[w], 2), w))
+        j2 = restrict(j1.target.forest, subgraph_of(inner, [v], []),
+                      source=j1.target)
+        direct = restrict(f, subgraph_of(g, [v], []), source=fc)
+        assert j2.compose(j1) == (direct.map_neg, direct.map_zero,
+                                  direct.map_one)
 
 
 def test_restrict_raises_on_known_defective_case():

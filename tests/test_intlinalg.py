@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
@@ -15,18 +16,14 @@ from gcoh.intlinalg import (
     cokernel_structure,
     determinant,
     direct_sum,
+    FACTORIZE_BOUND,
     factorize,
-    group_from_cyclic_orders,
     identity_matrix,
-    kernel_basis,
     kernel_mod,
     matmul,
     mat_vec,
     matrix,
-    matrix_from_columns,
-    quotient_structure,
     smith_normal_form,
-    solve_integer,
     solve_mod,
     span_exponent_mod,
     zero_matrix,
@@ -135,11 +132,12 @@ def test_solve_mod_examples():
 
 
 def test_solve_integer():
-    a = matrix([[2, 0], [0, 3]])
-    assert solve_integer(a, [4, 9]) == (2, 3)
-    assert solve_integer(a, [1, 0]) is None
-    assert solve_integer(zero_matrix(2, 2), [0, 0]) == (0, 0)
-    assert solve_integer(zero_matrix(2, 2), [1, 0]) is None
+    a = smith_normal_form(matrix([[2, 0], [0, 3]]))
+    assert a.solve([4, 9]) == (2, 3)
+    assert a.solve([1, 0]) is None
+    zero = smith_normal_form(zero_matrix(2, 2))
+    assert zero.solve([0, 0]) == (0, 0)
+    assert zero.solve([1, 0]) is None
 
 
 def test_group_invariants():
@@ -158,7 +156,33 @@ def test_direct_sum_canonical():
     a = AbelianGroup(1, (6,))
     b = AbelianGroup(0, (4,))
     assert direct_sum(a, b) == AbelianGroup(1, (2, 12))
-    assert group_from_cyclic_orders(0, [2, 4]) == AbelianGroup(0, (2, 4))
+    assert direct_sum(b, a) == AbelianGroup(1, (2, 12))
+    assert direct_sum(AbelianGroup(0, (2,)), b) == AbelianGroup(0, (2, 4))
+    assert direct_sum(AbelianGroup(2), AbelianGroup(0)) == AbelianGroup(2)
+    # the p-primary parts of a sum are the unions of the summands' parts
+    rng = random.Random(8)
+    for _ in range(200):
+        groups = []
+        for _ in range(2):
+            chain = [1]
+            for _ in range(rng.randint(0, 3)):
+                chain.append(chain[-1] * rng.randint(1, 12))
+            groups.append(AbelianGroup(rng.randint(0, 2),
+                                       tuple(d for d in chain if d > 1)))
+        got = direct_sum(*groups)
+        assert got.rank == groups[0].rank + groups[1].rank
+        for p in (2, 3, 5, 7, 11):
+            assert got.p_part_exponents(p) == tuple(sorted(
+                groups[0].p_part_exponents(p) + groups[1].p_part_exponents(p)))
+
+
+def test_direct_sum_past_the_factorization_bound():
+    q = 2 ** 61 - 1  # a Mersenne prime; trial division up to its root fails
+    assert q > FACTORIZE_BOUND ** 2
+    assert direct_sum(AbelianGroup(0, (q,)), AbelianGroup(0, (2,))) \
+        == AbelianGroup(0, (2 * q,))
+    assert direct_sum(AbelianGroup(1, (2 * q,)), AbelianGroup(0, (6,))) \
+        == AbelianGroup(1, (2, 6 * q))
 
 
 def test_factorize():
@@ -193,7 +217,6 @@ def test_snf_invariants(rows):
 @settings(max_examples=40, deadline=None)
 @given(small_matrices)
 def test_cokernel_invariant_under_permutation(rows):
-    import random
     a = matrix(rows)
     rng = random.Random(7)
     perm_rows = list(range(a.rows))
@@ -242,8 +265,10 @@ def test_solve_mod_solves(rows, p, s, data):
 
 
 def test_kernel_basis():
+    # the columns of V past the rank are a lattice basis of the kernel
     a = matrix([[1, 1, 1]])
-    basis = kernel_basis(a)
+    dec = smith_normal_form(a)
+    basis = [dec.v.column(j) for j in range(dec.rank, a.cols)]
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(a, v) == (0,)
@@ -321,8 +346,8 @@ def test_compressed_v_spans_the_kernel(a):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
         dec = smith_normal_form(a)
-        basis = kernel_basis(a)
         gens = kernel_mod(a, 3, 2)
+    basis = [dec.v.column(j) for j in range(dec.rank, a.cols)]
     assert (dec.hermite is not None) == (a.rows > a.cols)
     assert dec.v.rows == a.cols
     assert len(basis) == a.cols - len(divisors_by_minors(a))
@@ -354,9 +379,7 @@ def test_solve_through_the_block_matches_the_full_path(a, modulus, data):
         if x is not None:
             assert all((y - z) % m == 0 if m else y == z
                        for y, z in zip(mat_vec(a, x), b))
-    if modulus is None:
-        assert (solve_integer(a, b) is None) == (want is None)
-    else:
+    if modulus is not None:
         assert (solve_mod(a, b, *modulus) is None) == (want is None)
 
 
@@ -384,27 +407,6 @@ def test_divisor_callers_hand_over_the_tall_side(a, modulus):
                                  tuple(d for d in want if d > 1))
     assert exponent == a.rows * s - sum(p_valuation(d, p) for d in lattice)
     assert len(decs) == 2 and all(d.hermite is not None for d in decs)
-
-
-def test_quotient_structure_decomposes_the_lattice_once(monkeypatch):
-    monkeypatch.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
-    calls = []
-    real = intlinalg.smith_normal_form
-
-    def counted(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
-    kernel = [(1, 0, 2, 0), (0, 3, 1, 1)]
-    image = [(2, 0, 4, 0), (0, 6, 2, 2), (1, 3, 3, 1)]  # coordinates 2e1, 2e2, e1 + e2
-    group = quotient_structure(kernel, image)
-    assert group == AbelianGroup(0, (2,))
-    basis = matrix_from_columns(kernel, 4)
-    assert sum(m == basis for m in calls) == 1
-    assert len(calls) == 2  # the lattice basis and the coordinate matrix
-    with pytest.raises(ValueError, match="outside the kernel lattice"):
-        quotient_structure(kernel, [(1, 0, 0, 0)])
 
 
 def test_shape_rule_picks_the_path():
