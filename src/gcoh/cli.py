@@ -28,7 +28,7 @@ from .tropical import (
     z_gamma,
 )
 from .verify import VerificationConfig, run_all
-from .weights import oriented_core, oriented_torsion_exponent, \
+from .weights import oriented_core, spanning_tree_exponent, \
     weighted_spanning_tree
 
 EXIT_OK = 0
@@ -174,13 +174,12 @@ def cmd_spanning_tree(args) -> int:
     sub = full_subgraph(g)
     try:
         tree = weighted_spanning_tree(sub, args.prime)
-        exponent = oriented_torsion_exponent(sub, args.prime)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     _emit({
         "prime": args.prime,
         "tree_edges": [[u, v] for u, v in tree.edges],
-        "torsion_exponent": exponent,
+        "torsion_exponent": spanning_tree_exponent(tree, args.prime),
     })
     return EXIT_OK
 

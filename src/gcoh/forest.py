@@ -107,9 +107,6 @@ class FundamentalForest:
     def node_at(self, graph: Subgraph, level: int) -> ForestNode:
         return self._node_at[(graph, level)]
 
-    def node_count(self) -> int:
-        return len(self.nodes)
-
 
 def _membership(filt: Filtration, comp: Subgraph, p: int, level: int) -> bool:
     """Is a reduction component a forest node at this level?

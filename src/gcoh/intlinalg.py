@@ -32,14 +32,14 @@ class IntMatrix:
 
     The shape is stored explicitly so zero-row and zero-column matrices
     (edgeless graphs, empty generator lists) behave like any other.
+    Entries must be ints already; the public builder `matrix` converts.
     """
 
     __slots__ = ("entries", "nrows", "ncols", "row_labels", "col_labels")
 
     def __init__(self, entries: Iterable[Iterable[int]], ncols: Optional[int] = None,
                  row_labels: Sequence = (), col_labels: Sequence = ()):
-        self.entries: tuple[Vector, ...] = tuple(
-            tuple(map(int, row)) for row in entries)
+        self.entries: tuple[Vector, ...] = tuple(map(tuple, entries))
         self.nrows = len(self.entries)
         if self.entries:
             widths = {len(r) for r in self.entries}
@@ -99,7 +99,8 @@ class IntMatrix:
 
 def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None,
            row_labels: Sequence = (), col_labels: Sequence = ()) -> IntMatrix:
-    return IntMatrix(rows, ncols=ncols, row_labels=row_labels, col_labels=col_labels)
+    return IntMatrix((map(int, row) for row in rows), ncols=ncols,
+                     row_labels=row_labels, col_labels=col_labels)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:

@@ -132,26 +132,26 @@ def plus(children: Iterable[TropicalExpr]) -> TropicalExpr:
     return Plus(kids)
 
 
+UNIT = Const(tval(0))  # the min-plus one, shared so it renders once
+
+
 def times(children: Iterable[TropicalExpr]) -> TropicalExpr:
     kids = tuple(children)
     if not kids:
-        return Const(tval(0))  # empty product is the unit
+        return UNIT  # empty product
     if len(kids) == 1:
         return kids[0]
     return Times(kids)
 
 
 def tropical_max(children: Sequence[TropicalExpr]) -> TropicalExpr:
-    """Maximum as a tropical quotient: the full product divided by the
-    minimum of the products that omit one term."""
+    """Maximum as a negated minimum, max(x_1..x_k) = -min(-x_1..-x_k):
+    0 ⊘ ((0 ⊘ x_1) ⊕ ... ⊕ (0 ⊘ x_k)), one node per term."""
     if not children:
         raise ValueError("maximum of nothing")
     if len(children) == 1:
         return children[0]
-    kids = tuple(children)
-    total = times(kids)
-    drop_one = plus(times(kids[:i] + kids[i + 1:]) for i in range(len(kids)))
-    return Quotient(total, drop_one)
+    return Quotient(UNIT, plus(Quotient(UNIT, x) for x in children))
 
 
 def _int_value(x: Union[int, TropicalValue, None]) -> Optional[int]:
@@ -288,13 +288,6 @@ def g_delta(d: Subgraph) -> TropicalExpr:
     return _factor(d.vertex_set, d.edge_set, boundary, mono, varcache)
 
 
-def subgraph_cap(cap: Optional[int] = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_VERTEX_CAP
-
-
 class EnumerationCapExceeded(ValueError):
     pass
 
@@ -411,7 +404,7 @@ def _candidate_subgraphs(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]
                 yield vs, es, boundary
 
 
-def z_gamma(g: WeightedGraph, cap: Optional[int] = None) -> TropicalExpr:
+def z_gamma(g: WeightedGraph) -> TropicalExpr:
     """Tropical product of the factors over all connected bipartite
     proper subgraphs; its value at the weight valuations is the p-torsion
     exponent for every odd prime p.  Only the live factors are built (see
@@ -426,17 +419,22 @@ def z_gamma(g: WeightedGraph, cap: Optional[int] = None) -> TropicalExpr:
     single edge come out as min(a, b) = the gcd valuation, as it must.
 
     Disconnected graphs multiply their components' expressions.  Graphs
-    with more vertices than the cap (default 10, GCOH_MAX_SUBGRAPHS
-    overrides) are refused: the enumeration is exponential.
+    with more vertices than the cap (default 10; GCOH_MAX_SUBGRAPHS
+    overrides, and must hold a non-negative integer) are refused: the
+    enumeration is exponential.
     """
-    limit = subgraph_cap(cap)
+    env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_VERTEX_CAP)
+    if not env.isdecimal():
+        raise ValueError(f"{CAP_ENV_VAR} must be a non-negative integer, "
+                         f"got {env!r}")
+    limit = int(env)
     if len(g.vertices) > limit:
         raise EnumerationCapExceeded(
             f"{len(g.vertices)} vertices exceeds the enumeration cap {limit}; "
             f"raise {CAP_ENV_VAR} to override")
     comps = components(full_subgraph(g))
     if len(comps) > 1:
-        return times(z_gamma(c.as_graph(), limit) for c in comps)
+        return times(z_gamma(c.as_graph()) for c in comps)
     mono = {e: Times((Var(e[0]), Var(e[1]))) for e in g.edges}
     varcache = {v: Var(v) for v in g.vertices}
     product = times(_factor(vs, es, boundary, mono, varcache)

@@ -208,11 +208,15 @@ def weighted_spanning_tree(g: Subgraph, p: int) -> Subgraph:
 
 
 def oriented_torsion_exponent(g: Subgraph, p: int) -> int:
-    """p-torsion exponent of an oriented reduced subgraph, read off a
-    weighted spanning tree: minimal weight valuation plus the sum of
-    (valence - 1) times the valuation over the tree."""
-    tree = weighted_spanning_tree(g, p)
-    vals = {v: p_valuation(g.parent.weight[v], p) for v in g.vertex_set}
+    """p-torsion exponent of an oriented reduced subgraph, by its tree."""
+    return spanning_tree_exponent(weighted_spanning_tree(g, p), p)
+
+
+def spanning_tree_exponent(tree: Subgraph, p: int) -> int:
+    """The torsion exponent read off a weighted spanning tree: minimal
+    weight valuation plus the sum of (valence - 1) times the valuation
+    over the tree."""
+    vals = {v: p_valuation(tree.parent.weight[v], p) for v in tree.vertex_set}
     degree = {v: 0 for v in tree.vertex_set}
     for u, v in tree.edge_set:
         degree[u] += 1

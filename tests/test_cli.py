@@ -228,6 +228,14 @@ def test_tropical_cap_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("cap", ["abc", "-1"])
+def test_tropical_malformed_cap_exit_2(k3_file, capsys, monkeypatch, cap):
+    monkeypatch.setenv("GCOH_MAX_SUBGRAPHS", cap)
+    code, out, err = run_cli(capsys, "tropical", k3_file)
+    assert code == 2 and out == ""
+    assert "GCOH_MAX_SUBGRAPHS" in err and repr(cap) in err
+
+
 def test_core_and_spanning_tree(k3_file, capsys):
     code, out, _ = run_cli(capsys, "core", k3_file, "--prime", "3")
     assert code == 0

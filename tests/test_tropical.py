@@ -71,7 +71,7 @@ def test_eval_examples():
     assert eval_expr(elementary_symmetric(1, vs), assignment) == tval(0)
     assert eval_expr(elementary_symmetric(2, vs), assignment) == tval(1)
     assert eval_expr(elementary_symmetric(3, vs), assignment) == tval(4)
-    # maximum via the quotient formula
+    # maximum as a negated minimum
     from gcoh.tropical import tropical_max
     mx = tropical_max([Var(v) for v in vs])
     assert eval_expr(mx, assignment) == tval(3)
@@ -123,11 +123,13 @@ def test_z_gamma_zero_valuations():
     assert eval_expr(z, {"u": 0, "v": 0, "w": 0}) == tval(0)
 
 
-def test_z_gamma_cap():
+def test_z_gamma_cap(monkeypatch):
+    monkeypatch.delenv("GCOH_MAX_SUBGRAPHS", raising=False)
     big = WeightedGraph({f"v{i}": 1 for i in range(11)}, [])
     with pytest.raises(EnumerationCapExceeded):
         z_gamma(big)
-    z_gamma(big, cap=11)  # explicit override works
+    monkeypatch.setenv("GCOH_MAX_SUBGRAPHS", "11")
+    z_gamma(big)  # the environment override works
 
 
 def test_z_gamma_disconnected_sums_components():
@@ -686,3 +688,25 @@ def test_render_refuses_unwritable_vertex_ids():
     with pytest.raises(ValueError):
         render(z_gamma(g))
     assert render(Times((Var("max"), Var("a-1")))) == "(max ⊙ a-1)"
+
+
+# --- the maximum as a negated minimum -----------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
+def test_tropical_max_evaluates_to_max(xs):
+    names = [f"x{i}" for i in range(len(xs))]
+    mx = tropical_max([Var(v) for v in names])
+    assert eval_expr(mx, dict(zip(names, xs))) == tval(max(xs))
+
+
+def test_rendered_max_grows_linearly():
+    text = render(tropical_max([Var(f"x{i}") for i in range(40)]))
+    assert len(text) <= 500
+    assert text.startswith("(0 ⊘ ((0 ⊘ x0) ⊕ (0 ⊘ x1) ⊕ ")
+
+
+def test_rendered_z_gamma_parses_back_to_its_value():
+    g, val = bench_bases()[0]
+    z = z_gamma(g)
+    assert eval_expr(parse(render(z)), val) == eval_expr(z, val)
