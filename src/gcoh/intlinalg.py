@@ -13,7 +13,9 @@ divisors and the rank hand over the tall orientation (they do not
 change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
 Pivots are entries of minimal absolute value, to keep coefficient
-growth down, and the multiply-back products skip zero entries.
+growth down; a row's least entry is recomputed only after a round
+changed the row.  The Hermite certificate factors R and C are built
+from nonzeros, and the multiply-back products skip zero entries.
 """
 
 from __future__ import annotations
@@ -320,7 +322,9 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
     so entries stay as small as the SNF keeps them.  Only the row
     operations are logged; the square row transform U is never built.  R,
     the first rank rows of U, comes from replaying the log backwards on
-    vectors of length rank; C is solved back against the echelon block.
+    sparse columns (one dict per original row), densified once.  C is
+    solved back over the nonzeros of H: the remainder's leading entry
+    sits in a pivot column, and that pivot alone clears it.
     """
     s = [list(row) for row in rows]
     m = len(s)
@@ -357,25 +361,42 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
                 t += 1
                 break
     h = s[:t]
-    r_cols = [[1 if k == i else 0 for k in range(t)] for i in range(m)]
+    r_cols: list[dict[int, int]] = [{i: 1} if i < t else {} for i in range(m)]
     for dst, src, c in reversed(log):
         if c is None:
             r_cols[dst], r_cols[src] = r_cols[src], r_cols[dst]
-        elif any(r_cols[dst]):
-            r_cols[src] = [a + c * b for a, b in zip(r_cols[src], r_cols[dst])]
-    pivots = [next(j for j, v in enumerate(row) if v) for row in h]
+        else:
+            _add_scaled(r_cols[src], c, r_cols[dst].items())
+    r = [[0] * m for _ in range(t)]
+    for i, col in enumerate(r_cols):
+        for k, x in col.items():
+            r[k][i] = x
+    pivots = {}  # pivot column -> (row of H, pivot entry, the row's other nonzeros)
+    for k, row in enumerate(h):
+        (j, lead), *tail = [(j, x) for j, x in enumerate(row) if x]
+        pivots[j] = (k, lead, tail)
     c_rows = []
     for row in rows:
-        rest = list(row)
-        c = []
-        for j, top in zip(pivots, h):
-            q = rest[j] // top[j]
-            if q:
-                rest[j:] = [a - q * b for a, b in zip(rest[j:], top[j:])]
-            c.append(q)
+        rest = {j: x for j, x in enumerate(row) if x}
+        c = [0] * t
+        while rest:
+            j = min(rest)
+            k, lead, tail = pivots[j]
+            q = c[k] = rest.pop(j) // lead
+            _add_scaled(rest, -q, tail)
         c_rows.append(c)
     return (IntMatrix(h, ncols=n), IntMatrix(c_rows, ncols=t),
-            IntMatrix(zip(*r_cols), ncols=m))
+            IntMatrix(r, ncols=m))
+
+
+def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> None:
+    """dst += c * src on sparse vectors; dst keeps only its nonzeros."""
+    for k, x in src:
+        y = dst.get(k, 0) + c * x
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
 
 
 def _smith(rows: Sequence[Vector], m: int, n: int):
@@ -383,26 +404,32 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
 
     V is kept by columns, so column operations are list operations too.
     Rows above the current pivot are finished (zero off the diagonal), so
-    column swaps and additions touch only the rows that can change.
+    column swaps and additions touch only the rows that can change; rows
+    from the pivot down are zero left of it, so row additions start there.
     """
     s = [list(row) for row in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
+    low: list[Optional[int]] = [None] * m  # least nonzero |x| of s[i][t:]; None: stale
     t = 0
     while t < min(m, n):
         # Re-pick the pivot every round: the first entry of least absolute
         # value in row-major order (a unit cannot be beaten, so the scan
         # stops there).  Remainders from the quotient steps keep shrinking
         # it, which both guarantees termination and keeps coefficient
-        # growth tame.
+        # growth tame.  A row's least entry is recomputed only after a
+        # step changed the row: a row no step touched has s[i][t] == 0, so
+        # moving past column t keeps its nonzero entries.
         pivot = None
         best = None
         for i in range(t, m):
-            low = min(filter(None, map(abs, s[i][t:])), default=0)
-            if low and (best is None or low < best):
-                best, pivot = low, i
-                if low == 1:
+            lo = low[i]
+            if lo is None:
+                lo = low[i] = min(filter(None, map(abs, s[i][t:])), default=0)
+            if lo and (best is None or lo < best):
+                best, pivot = lo, i
+                if lo == 1:
                     break
         if pivot is None:
             break
@@ -410,6 +437,7 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
         if pivot != t:
             s[t], s[pivot] = s[pivot], s[t]
             u[t], u[pivot] = u[pivot], u[t]
+            low[t], low[pivot] = low[pivot], low[t]
         if j != t:
             for row in s[t:]:
                 row[t], row[j] = row[j], row[t]
@@ -417,13 +445,15 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
 
         top, u_top = s[t], u[t]
         p = top[t]
+        top_t = top[t:]
         dirty = False
         for i in range(t + 1, m):
             x = s[i][t]
             if x:
                 c = -(x // p)
-                s[i] = [a + c * b for a, b in zip(s[i], top)]
+                s[i][t:] = [a + c * b for a, b in zip(s[i][t:], top_t)]
                 u[i] = [a + c * b for a, b in zip(u[i], u_top)]
+                low[i] = None
                 dirty = dirty or s[i][t] != 0
         live = [row for row in s[t:] if row[t]]  # rows a column step changes
         v_top = vt[t]
@@ -436,6 +466,7 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
                 vt[j] = [a + c * b for a, b in zip(vt[j], v_top)]
                 dirty = dirty or top[j] != 0
         if dirty:
+            low[t] = None  # the rows of `live` other than top were stepped
             continue  # smaller remainders exist; re-pick the pivot
 
         if p < 0:

@@ -77,6 +77,14 @@ class VerificationConfig:
     seed: int = 42
     parallelism: int = 1
 
+    def __post_init__(self):
+        for option, value, least in (("--instances", self.instance_count, 1),
+                                     ("--max-vertices", self.max_vertices, 3),
+                                     ("--max-valuation", self.max_valuation, 0),
+                                     ("--parallelism", self.parallelism, 1)):
+            if value < least:
+                raise ValueError(f"{option} must be at least {least}, got {value}")
+
     def odd_primes(self) -> tuple[int, ...]:
         return tuple(p for p in self.primes if p != 2) or (3,)
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,29 @@ def test_torsion_report(k3_file, capsys):
     assert code == 0
     assert doc["p_torsion_order"] == "81"
     assert doc["forest_matches_divisors"] is True
+
+
+def test_torsion_at_the_benchmark_sparse_scale(tmp_path, capsys):
+    # the shape of the largest sparse benchmark graphs: a random tree on 110
+    # vertices plus n/4 extra edges, weights 3**a * {1, 2, 4}; its 136 x 110
+    # d0 takes the Hermite-compressed path
+    rng = random.Random(110)
+    n = 110
+    names = [f"v{i:03d}" for i in range(n)]
+    edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+    while len(edges) < n - 1 + n // 4:
+        i, j = sorted(rng.sample(range(n), 2))
+        edges.add((names[i], names[j]))
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v, "weight": str(3 ** rng.randint(0, 3) * rng.choice([1, 2, 4]))}
+                     for v in names],
+        "edges": sorted(map(list, edges))}))
+    code, out, _ = run_cli(capsys, "torsion", str(path), "--prime", "3")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["forest_matches_divisors"] is True
+    assert int(doc["p_torsion_order"]) > 1
 
 
 def test_tropical_eval(k3_file, tmp_path, capsys):
@@ -286,6 +310,22 @@ def test_verify_parallel_run_matches_serial(capsys):
     parallel = run_cli(capsys, *args, "--parallelism", "2")
     assert serial[0] == 0
     assert parallel == serial
+
+
+@pytest.mark.parametrize("option, bad, good", [
+    ("--instances", "0", "1"),
+    ("--max-vertices", "2", "3"),
+    ("--max-valuation", "-1", "0"),
+    ("--parallelism", "0", "1"),
+])
+def test_verify_rejects_out_of_range_options(capsys, option, bad, good):
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--instances", "20",
+                             option, bad)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} must be at least {good}")
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--instances", "20",
+                           option, good)
+    assert code == 0 and "FAIL" not in out
 
 
 def test_verify_detects_injected_mutation(monkeypatch):
