@@ -5,23 +5,27 @@ decomposition is checked exactly before it is returned (`check_smith`).
 Matrices are dense, entries are Python ints (arbitrary precision).
 
 One shape rule decides the path.  A matrix with at least
-COMPRESS_MIN_GAP more rows than columns is first row-reduced to an
-echelon Hermite block H, certified by A == C @ H and H == R @ A, and
-the SNF runs on H with transforms no larger than cols x cols; any other
-matrix goes through the SNF as it is.  Callers that read only the
+COMPRESS_MIN_GAP more rows than columns has its columns put in greedy
+minimum-degree order, is row-reduced to an echelon Hermite block H,
+certified by A == C @ H and H == R @ A, and the SNF runs on H with
+transforms no larger than cols x cols; V absorbs the column order.  Any
+other matrix goes through the SNF as it is.  Callers that read only the
 divisors and the rank hand over the tall orientation (they do not
 change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
 Pivots are entries of minimal absolute value, to keep coefficient
 growth down; a row's least entry is recomputed only after a round
-changed the row.  The Hermite certificate factors R and C are built
-from nonzeros, and the multiply-back products skip zero entries.
+changed the row.  S is diagonal; its divisor chain comes from gcd/lcm
+on the scalars.  The Hermite certificate factors R and C are built from
+nonzeros, and the multiply-back products skip zero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import p_valuation
@@ -105,19 +109,6 @@ def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None,
                      row_labels=row_labels, col_labels=col_labels)
 
 
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(sigma, tau) with sigma*a + tau*b = gcd(a, b)."""
-    r0, r1 = a, b
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return s0, t0
-
-
 def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
     for c in cols:
         if len(c) != nrows:
@@ -192,7 +183,8 @@ def determinant(a: IntMatrix) -> int:
 
 
 class HermiteBlock(NamedTuple):
-    """An echelon block H of full row rank with A == C @ H and H == R @ A.
+    """A block H of full row rank with A == C @ H and H == R @ A, echelon
+    in the elimination's column order.
 
     The two identities make each row lattice contain the other, so A and
     H have the same elementary divisors, the same integer kernel and the
@@ -206,10 +198,11 @@ class HermiteBlock(NamedTuple):
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ B @ V == S with U, V unimodular and S in Smith normal form.
+    """U @ B @ V == S with U, V unimodular and S diagonal; `divisors` is
+    the chain.
 
-    B is A itself, or the Hermite block `hermite.h` when that is set;
-    S has A's nonzero diagonal either way.
+    B is A itself, or the Hermite block `hermite.h` when that is set.
+    `diagonal` pairs d_j with column j of V; it need not be a chain.
     """
 
     u: IntMatrix
@@ -224,6 +217,11 @@ class SmithDecomposition:
         while diag and diag[-1] == 0:
             diag.pop()
         return tuple(diag)
+
+    @property
+    def divisors(self) -> tuple[int, ...]:
+        """A's elementary divisors d1 | d2 | ... | dr, units included."""
+        return _divisor_chain(self.diagonal)
 
     @property
     def rank(self) -> int:
@@ -283,17 +281,23 @@ COMPRESS_MIN_GAP = 20
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Compute U, S, V with U*B*V = S diagonal, d1 | d2 | ... | dr > 0.
+    """Compute U, S, V with U*B*V = S diagonal and positive.
 
     B is A, or its row Hermite block H when A has at least
-    COMPRESS_MIN_GAP more rows than columns.  Row operations accumulate
-    in U, column operations in V, and the result passes `check_smith`
-    before it is returned.
+    COMPRESS_MIN_GAP more rows than columns; there the elimination runs
+    on A P for the column order P of `_min_degree_order`, H keeps A's
+    column order and V = P V'.  Row operations accumulate in U, column
+    operations in V, and the result passes `check_smith` before it is
+    returned.
     """
     if a.rows - a.cols >= COMPRESS_MIN_GAP:
-        block = HermiteBlock(*_hermite_rows(a.entries, a.cols))
-        h = block.h
-        dec = SmithDecomposition(*_smith(h.entries, h.rows, h.cols), block)
+        order = _min_degree_order(a.entries, a.cols)
+        h, c, r = _hermite_rows([[row[j] for j in order] for row in a.entries], a.cols)
+        u, s, v = _smith(h.entries, h.rows, h.cols)
+        back = sorted(range(a.cols), key=order.__getitem__)  # order's inverse
+        h = IntMatrix(([row[k] for k in back] for row in h.entries), ncols=a.cols)
+        v = IntMatrix((v.entries[k] for k in back), ncols=a.cols)
+        dec = SmithDecomposition(u, s, v, HermiteBlock(h, c, r))
     else:
         dec = SmithDecomposition(*_smith(a.entries, a.rows, a.cols))
     check_smith(a, dec)
@@ -311,6 +315,37 @@ def check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
         b = block.h
     if matmul(matmul(dec.u, b), dec.v) != dec.s:
         raise AssertionError("Smith decomposition failed to multiply back")
+
+
+def _min_degree_order(rows: Sequence[Vector], n: int) -> list[int]:
+    """The n columns in greedy minimum-degree order of the nonzero pattern.
+
+    Two columns are adjacent when they share a row; for d0 that is the
+    graph.  The column of least degree goes next, the lowest index among
+    ties, and its neighbours become a clique: the fill of symmetric
+    elimination (George and Liu, SIAM Rev. 31(1), 1989).
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for row in rows:
+        support = list(compress(range(n), row))
+        for j in support:
+            adj[j].update(support)
+            adj[j].discard(j)
+    heap = [(len(nb), j) for j, nb in enumerate(adj)]
+    heapify(heap)
+    order: list[int] = []
+    placed = [False] * n
+    while heap:
+        deg, j = heappop(heap)
+        if placed[j] or deg != len(adj[j]):
+            continue  # stale: j is placed, or its degree changed since
+        placed[j] = True
+        order.append(j)
+        for k in adj[j]:
+            adj[k] |= adj[j]
+            adj[k] -= {j, k}
+            heappush(heap, (len(adj[k]), k))
+    return order
 
 
 def _hermite_rows(rows: Sequence[Vector], n: int):
@@ -474,31 +509,6 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
             u[t] = [-x for x in u_top]
         t += 1
 
-    # Divisibility chain: fold pairs (d_i, d_j) into (gcd, lcm) with local
-    # unimodular transforms; cheaper than re-running the elimination.
-    def chain_fix(i, j):
-        a, b = s[i][i], s[j][j]
-        if a == 0 or b % a == 0:
-            return
-        g = gcd(a, b)
-        lo, hi = a // g, b // g
-        sigma, tau = _bezout(a, b)
-        # U2 = [[sigma, tau], [-hi, lo]], V2 = [[1, -tau*hi], [1, sigma*lo]]
-        ui, uj = u[i], u[j]
-        u[i] = [sigma * x + tau * y for x, y in zip(ui, uj)]
-        u[j] = [-hi * x + lo * y for x, y in zip(ui, uj)]
-        vi, vj = vt[i], vt[j]
-        vt[i] = [x + y for x, y in zip(vi, vj)]
-        vt[j] = [-tau * hi * x + sigma * lo * y for x, y in zip(vi, vj)]
-        s[i][i], s[j][j] = g, a * b // g
-
-    rank_now = sum(1 for k in range(min(m, n)) if s[k][k] != 0)
-    for i in range(rank_now):
-        if s[i][i] == 1:
-            continue  # a unit divides everything and stays a unit
-        for j in range(i + 1, rank_now):
-            chain_fix(i, j)
-
     return (IntMatrix(u, ncols=m), IntMatrix(s, ncols=n),
             IntMatrix(zip(*vt), ncols=n))
 
@@ -572,20 +582,29 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def _divisor_chain(diagonal: Sequence[int]) -> tuple[int, ...]:
+    """The chain d1 | d2 | ... of diag(diagonal), entries positive: folding
+    each pair (d_i, d_j), i < j, into (gcd, lcm) keeps every p-part."""
+    units = [d for d in diagonal if d == 1]  # a unit divides everything
+    chain = [d for d in diagonal if d != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            x, y = chain[i], chain[j]
+            chain[i], chain[j] = gcd(x, y), lcm(x, y)
+    return tuple(units + chain)
+
+
 def direct_sum(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
-    """a + b, its divisor chain read off the Smith form of diag(divisors)."""
-    divisors = a.divisors + b.divisors
-    n = len(divisors)
-    diag = [[d if i == j else 0 for j in range(n)] for i, d in enumerate(divisors)]
-    torsion = cokernel_structure(IntMatrix(diag, ncols=n))
-    return AbelianGroup(a.rank + b.rank, torsion.divisors)
+    """a + b, its divisor chain folded from the summands' divisors."""
+    chain = _divisor_chain(a.divisors + b.divisors)
+    return AbelianGroup(a.rank + b.rank, tuple(d for d in chain if d > 1))
 
 
 def cokernel_structure(a: IntMatrix) -> AbelianGroup:
     """Structure of Z^rows / (column span of A)."""
     dec = smith_normal_form(a if a.rows >= a.cols else a.transpose())
     return AbelianGroup(a.rows - dec.rank,
-                        tuple(d for d in dec.diagonal if d > 1))
+                        tuple(d for d in dec.divisors if d > 1))
 
 
 def kernel_mod(a: IntMatrix, p: int, s: int) -> list[Vector]:

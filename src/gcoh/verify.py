@@ -170,8 +170,8 @@ def check_snf_invariants(cfg, count) -> PropertyResult:
         ok = (matmul(matmul(dec.u, a), dec.v) == dec.s
               and abs(determinant(dec.u)) == 1
               and abs(determinant(dec.v)) == 1)
-        diag = dec.diagonal
-        ok = ok and all(y % x == 0 for x, y in zip(diag, diag[1:]))
+        chain = dec.divisors
+        ok = ok and all(y % x == 0 for x, y in zip(chain, chain[1:]))
         if not ok:
             return PropertyResult("snf_invariants", k + 1, False,
                                   {"matrix": a.entries})

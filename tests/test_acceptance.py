@@ -66,7 +66,7 @@ def test_criterion_1_worked_example():
 
     dec = smith_normal_form(d0_matrix(sub))
     _, h1 = cohomology_groups(sub)
-    ok = dec.diagonal == (1, 1, 162) and h1.divisors == (162,) and h1.rank == 0
+    ok = dec.divisors == (1, 1, 162) and h1.divisors == (162,) and h1.rank == 0
 
     ok = ok and torsion_order_p(sub, 3) == 4
 

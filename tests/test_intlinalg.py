@@ -1,14 +1,25 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcoh import intlinalg
-from gcoh.cohomology import d0_matrix
-from gcoh.graphs import WeightedGraph, full_subgraph, p_valuation
+from gcoh.cohomology import cohomology_groups, critical_columns, d0_matrix
+from gcoh.forest import build_forest, torsion_structure
+from gcoh.graphs import (
+    WeightedGraph,
+    bipartition,
+    components,
+    full_subgraph,
+    p_valuation,
+)
 from gcoh.intlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -57,13 +68,13 @@ D0_K3 = matrix([[1, 27, 0], [3, 0, 27], [0, 3, 1]])  # rows RG,RB,GB; cols R,G,B
 
 
 def test_snf_diagonal_examples():
-    assert smith_normal_form(matrix([[2, 0], [0, 3]])).diagonal == (1, 6)
+    assert smith_normal_form(matrix([[2, 0], [0, 3]])).divisors == (1, 6)
     dec = smith_normal_form(zero_matrix(2, 3))
     assert dec.diagonal == ()
     assert dec.u == identity_matrix(2) and dec.v == identity_matrix(3)
     # worked K3 example, cross-checked against the minors oracle
     assert divisors_by_minors(D0_K3) == [1, 1, 162]
-    assert smith_normal_form(D0_K3).diagonal == (1, 1, 162)
+    assert smith_normal_form(D0_K3).divisors == (1, 1, 162)
 
 
 def test_snf_empty_shapes():
@@ -204,14 +215,14 @@ def test_snf_invariants(rows):
     assert matmul(matmul(dec.u, a), dec.v) == dec.s
     assert abs(determinant(dec.u)) == 1
     assert abs(determinant(dec.v)) == 1
-    diag = dec.diagonal
-    assert all(d > 0 for d in diag)
-    for x, y in zip(diag, diag[1:]):
+    assert all(d > 0 for d in dec.diagonal)
+    chain = dec.divisors
+    for x, y in zip(chain, chain[1:]):
         assert y % x == 0
     off = [dec.s[i, j] for i in range(dec.s.rows) for j in range(dec.s.cols) if i != j]
     assert all(x == 0 for x in off)
     # oracle: divisors from gcds of minors
-    assert list(diag) == divisors_by_minors(a)
+    assert list(chain) == divisors_by_minors(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,10 +341,10 @@ def test_snf_diagonal_on_full_and_compressed_paths(a):
     want = divisors_by_minors(a)
     full = smith_normal_form(a)
     assert full.hermite is None
-    assert list(full.diagonal) == want
+    assert list(full.divisors) == want
     dec = compressed_smith(a)
     assert (dec.hermite is None) == (a.rows <= a.cols)
-    assert list(dec.diagonal) == want
+    assert list(dec.divisors) == want
     if dec.hermite is not None:
         assert max(dec.u.rows, dec.v.rows) <= a.cols
         assert dec.hermite.h.rows == len(want)  # the block has full row rank
@@ -471,22 +482,27 @@ def test_snf_diagonal_matches_sympy_on_zero_heavy_matrices(rows):
     # the pivot search reads cached row minima
     a = matrix(rows)
     want = sympy_divisors(a)
-    assert smith_normal_form(a).diagonal == want
-    assert compressed_smith(a).diagonal == want
+    assert smith_normal_form(a).divisors == want
+    assert compressed_smith(a).divisors == want
 
 
-def sparse_graph_d0(seed: int) -> IntMatrix:
-    """d0 of a random tree plus n/4 extra edges on 20-40 vertices, with
-    weights 3**a * {1, 2, 4, 5, 7}."""
-    rng = random.Random(seed)
-    n = rng.randint(20, 40)
+def sparse_graph(rng: random.Random, n: int, p: int) -> WeightedGraph:
+    """A random tree plus n/4 extra edges on n vertices, with weights
+    p**a * u, a in 0..3 and u in 1..7 prime to p."""
     names = [f"v{i}" for i in range(n)]
     edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
     while len(edges) < n - 1 + n // 4:
         i, j = sorted(rng.sample(range(n), 2))
         edges.add((names[i], names[j]))
-    weights = {v: 3 ** rng.randint(0, 3) * rng.choice([1, 2, 4, 5, 7]) for v in names}
-    return d0_matrix(full_subgraph(WeightedGraph(weights, sorted(edges))))
+    units = [u for u in range(1, 8) if u % p]
+    weights = {v: p ** rng.randint(0, 3) * rng.choice(units) for v in names}
+    return WeightedGraph(weights, sorted(edges))
+
+
+def sparse_graph_d0(seed: int) -> IntMatrix:
+    """d0 of a `sparse_graph` on 20-40 vertices at p = 3."""
+    rng = random.Random(seed)
+    return d0_matrix(full_subgraph(sparse_graph(rng, rng.randint(20, 40), 3)))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -494,6 +510,96 @@ def test_snf_diagonal_matches_sympy_on_sparse_graphs(seed):
     a = sparse_graph_d0(seed)
     want = sympy_divisors(a)
     assert any(d > 1 for d in want)
-    assert smith_normal_form(a).diagonal == want
+    assert smith_normal_form(a).divisors == want
     dec = compressed_smith(a)
-    assert dec.hermite is not None and dec.diagonal == want
+    assert dec.hermite is not None and dec.divisors == want
+
+
+# --- the raw diagonal, the column order and the transforms at scale ----------
+
+RAW_DIAGONALS = [
+    (matrix([[2, 0], [0, 3]]), (2, 3), (1, 6)),
+    (matrix([[4, 0, 0], [0, 6, 0], [0, 0, 9]]), (4, 6, 9), (1, 6, 36)),
+    # tall, so compressed at gap 1
+    (matrix([[0, 9, 0], [4, 0, 0], [0, 0, 6], [0, 0, 0]]), (4, 6, 9), (1, 6, 36)),
+]
+
+
+@pytest.mark.parametrize("a, raw, chain", RAW_DIAGONALS)
+def test_per_column_callers_read_the_raw_diagonal(a, raw, chain):
+    # the diagonal is no divisor chain, yet the callers that pair d_j with
+    # column j of V agree with brute force modulo p**s
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "COMPRESS_MIN_GAP", 1)
+        dec = smith_normal_form(a)
+        assert (dec.hermite is not None) == (a.rows > a.cols)
+        assert dec.diagonal == raw and dec.divisors == chain
+        for p, s in product((2, 3), (1, 2)):
+            ps = p ** s
+            ker = brute_kernel_mod(a, p, s)
+            assert span_mod(kernel_mod(a, p, s), a.cols, p, s) == ker
+            lifted = {tuple(p * x % ps for x in v)
+                      for v in brute_kernel_mod(a, p, s - 1)}
+            crit = critical_columns(dec, p, s)
+            assert p ** len(crit) == len(ker) // len(lifted)
+            assert all(tuple(x % ps for x in dec.v.column(j)) in ker for j in crit)
+            image = {tuple(y % ps for y in mat_vec(a, x))
+                     for x in product(range(ps), repeat=a.cols)}
+            for b in product(range(ps), repeat=a.rows):
+                x = dec.solve(b, (p, s))
+                assert (x is not None) == (b in image)
+                assert x is None or tuple(y % ps for y in mat_vec(a, x)) == b
+
+
+@pytest.mark.parametrize("n, seed", [(200, 0), (200, 3), (300, 1)])
+def test_snf_matches_the_forest_at_benchmark_scale(n, seed):
+    # the forest is an oracle for the p-parts independent of the SNF;
+    # the rank of d0 is n minus the number of bipartite components
+    for p in (2, 3, 5):
+        g = sparse_graph(random.Random(seed), n, p)
+        sub = full_subgraph(g)
+        a = d0_matrix(sub)
+        _, h1 = cohomology_groups(sub)
+        assert list(h1.p_part_exponents(p)) == torsion_structure(build_forest(g, p))
+        bipartite = sum(bipartition(c) is not None for c in components(sub))
+        assert a.rows - h1.rank == n - bipartite
+        if n == 200 and p == 3:
+            # the elimination in the original column order: same divisors
+            block = intlinalg._hermite_rows(a.entries, a.cols)[0]
+            unordered = intlinalg._smith(block.entries, block.rows, block.cols)
+            want = intlinalg.SmithDecomposition(*unordered).divisors
+            assert h1 == AbelianGroup(a.rows - len(want),
+                                      tuple(d for d in want if d > 1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compressed_transforms_are_unimodular(seed):
+    # check_smith proves U @ H @ V == S, not that U and V are invertible
+    rng = random.Random(seed)
+    a = d0_matrix(full_subgraph(sparse_graph(rng, rng.randint(40, 60), 3)))
+    assert intlinalg._min_degree_order(a.entries, a.cols) != list(range(a.cols))
+    dec = compressed_smith(a)
+    assert dec.hermite is not None
+    assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
+
+
+def test_snf_is_independent_of_the_hash_seed():
+    code = (
+        "import hashlib, random, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_intlinalg import sparse_graph, d0_matrix, full_subgraph\n"
+        "from gcoh.intlinalg import smith_normal_form\n"
+        "a = d0_matrix(full_subgraph(sparse_graph(random.Random(7), 110, 3)))\n"
+        "dec = smith_normal_form(a)\n"
+        "assert dec.hermite is not None\n"
+        "m = (dec.u.entries, dec.s.entries, dec.v.entries)\n"
+        "print(hashlib.sha256(repr(m).encode()).hexdigest())\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(intlinalg.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    digests = [subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                              env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                              timeout=120, check=True, text=True).stdout
+               for seed in ("0", "1")]
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
