@@ -67,36 +67,32 @@ class Chain:
                      (p, s))
 
 
+def _edge_rows(g: Subgraph, entries) -> IntMatrix:
+    """Rows are edges, columns vertices; the row of edge e(u,v) holds
+    `entries(k_u, k_v)` in columns u and v."""
+    verts = g.vertices
+    edges = g.edges
+    col = {v: i for i, v in enumerate(verts)}
+    weight = g.parent.weight
+    rows = []
+    for u, v in edges:
+        row = [0] * len(verts)
+        row[col[u]], row[col[v]] = entries(weight[u], weight[v])
+        rows.append(row)
+    return IntMatrix(rows, ncols=len(verts), row_labels=edges, col_labels=verts)
+
+
 def d0_matrix(g: Subgraph) -> IntMatrix:
     """Matrix of the differential: rows are edges, columns vertices.
 
     The row of edge e(v,w) holds k_w in column v and k_v in column w.
     """
-    verts = g.vertices
-    edges = g.edges
-    col = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for u, v in edges:
-        row = [0] * len(verts)
-        row[col[u]] = g.parent.weight[v]
-        row[col[v]] = g.parent.weight[u]
-        rows.append(row)
-    return IntMatrix(rows, ncols=len(verts), row_labels=edges, col_labels=verts)
+    return _edge_rows(g, lambda ku, kv: (kv, ku))
 
 
 def d0_edge_matrix(g: Subgraph) -> IntMatrix:
     """Edge-weighted variant: both endpoint columns carry k_v * k_w."""
-    verts = g.vertices
-    edges = g.edges
-    col = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for u, v in edges:
-        kk = g.parent.weight[u] * g.parent.weight[v]
-        row = [0] * len(verts)
-        row[col[u]] = kk
-        row[col[v]] = kk
-        rows.append(row)
-    return IntMatrix(rows, ncols=len(verts), row_labels=edges, col_labels=verts)
+    return _edge_rows(g, lambda ku, kv: (ku * kv,) * 2)
 
 
 def cohomology_groups(g: Subgraph) -> tuple[AbelianGroup, AbelianGroup]:

@@ -25,15 +25,36 @@ def edge_key(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015); larger numbers are refused.
+PRIME_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 @lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; a ValueError from PRIME_BOUND on."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"cannot decide whether {p} is prime: primality "
+                         f"is exact only below {PRIME_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 

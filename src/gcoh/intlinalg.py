@@ -544,15 +544,9 @@ class AbelianGroup:
 
     def p_part_exponents(self, p: int) -> tuple[int, ...]:
         """Exponents e with the p-primary part isomorphic to +Z/p**e."""
-        out = []
-        for d in self.divisors:
-            e = 0
-            while d % p == 0:
-                d //= p
-                e += 1
-            if e:
-                out.append(e)
-        return tuple(sorted(out))
+        # each divisor divides the next, so the exponents come sorted
+        exponents = (p_valuation(d, p) for d in self.divisors)
+        return tuple(e for e in exponents if e)
 
     def __str__(self) -> str:
         parts = [f"Z^{self.rank}"] if self.rank else []

@@ -5,6 +5,14 @@ exact Smith-normal-form computation on randomized instances.  Each
 property draws its own deterministic stream from the configured seed, so
 a report is reproducible bit for bit.
 
+A property is a generator `check(cfg, rng, count)` registered with
+`@prop(name, stream)`.  For each draw from `rng` it yields `None` if the
+instance holds, a counterexample document if it fails, or `SKIP` if it
+rejects the draw.  `_run` seeds the stream, stops at `count` accepted
+instances, at 40 * count draws or when the generator ends, and reports
+the first failure with the number of instances run.  Globals are looked
+up at run time, so tests can patch them.
+
 The forest oracle, the chi chain map and restriction functoriality run
 at every configured prime, p = 2 included: a forest node at level r is
 a reduction component oriented over Z/p**(r - min valuation), which
@@ -21,9 +29,12 @@ import json
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from itertools import islice
+from typing import Callable, Iterator, Optional
 
 from .graphs import (
+    Subgraph,
     WeightedGraph,
     bipartition,
     components,
@@ -46,6 +57,7 @@ from .fcomplex import (
     chi_image_torsion_order,
     complex_cohomology,
     fundamental_complex,
+    p_part_graph,
     restrict,
 )
 from .intlinalg import (
@@ -152,81 +164,102 @@ def random_bipartite_connected(rng, p, max_n, max_a) -> WeightedGraph:
 
 
 def _graph_doc(g: WeightedGraph, **extra) -> dict:
-    doc = {"graph": graph_to_json(g)}
-    doc.update(extra)
-    return doc
+    return {"graph": graph_to_json(g), **extra}
+
+
+# Yielded for a rejected draw: it counts towards the draw cap only.
+SKIP = object()
+
+PROPERTIES: dict[str, Callable[[VerificationConfig, int], PropertyResult]] = {}
+SLOW: dict[str, int] = {}
+
+
+def _run(name: str, stream: str, check: Callable[..., Iterator],
+         cfg: VerificationConfig, count: int) -> PropertyResult:
+    draws = islice(check(cfg, _rng_for(cfg, stream), count), 40 * count)
+    accepted = (outcome for outcome in draws if outcome is not SKIP)
+    done = 0
+    for done, outcome in enumerate(islice(accepted, count), 1):
+        if outcome is not None:
+            return PropertyResult(name, done, False, outcome)
+    return PropertyResult(name, done, True)
+
+
+def prop(name: str, stream: str, slow: int = 1):
+    """Register a property generator under `name`, drawing from `stream`.
+
+    Instance cost varies wildly; `slow` divides the instance budget to
+    keep the total sane."""
+    def register(check):
+        PROPERTIES[name] = partial(_run, name, stream, check)
+        SLOW[name] = slow
+        return check
+    return register
 
 
 # --- properties ---------------------------------------------------------------
 
-def check_snf_invariants(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "snf")
-    for k in range(count):
+def _ranks(sub: Subgraph) -> tuple[int, int]:
+    h0, h1 = cohomology_groups(sub)
+    return h0.rank, h1.rank
+
+
+@prop("snf_invariants", "snf")
+def check_snf_invariants(cfg, rng, count):
+    while True:
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = matrix([[rng.randint(-20, 20) for _ in range(cols)]
                     for _ in range(rows)])
         dec = smith_normal_form(a)
+        chain = dec.divisors
         ok = (matmul(matmul(dec.u, a), dec.v) == dec.s
               and abs(determinant(dec.u)) == 1
-              and abs(determinant(dec.v)) == 1)
-        chain = dec.divisors
-        ok = ok and all(y % x == 0 for x, y in zip(chain, chain[1:]))
-        if not ok:
-            return PropertyResult("snf_invariants", k + 1, False,
-                                  {"matrix": a.entries})
-    return PropertyResult("snf_invariants", count, True)
+              and abs(determinant(dec.v)) == 1
+              and all(y % x == 0 for x, y in zip(chain, chain[1:])))
+        yield None if ok else {"matrix": a.entries}
 
 
-def check_rank_formula(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "rank")
-    for k in range(count):
+@prop("rank_formula", "rank")
+def check_rank_formula(cfg, rng, count):
+    while True:
         g = random_connected(rng, cfg.max_vertices, 3, cfg.max_valuation)
         sub = full_subgraph(g)
-        h0, h1 = cohomology_groups(sub)
-        bip = bipartition(sub) is not None
+        ranks = _ranks(sub)
         ne, nv = len(g.edges), len(g.vertices)
-        if (h0.rank, h1.rank) != ((1, ne - nv + 1) if bip else (0, ne - nv)):
-            return PropertyResult("rank_formula", k + 1, False, _graph_doc(g))
-    return PropertyResult("rank_formula", count, True)
+        want = (1, ne - nv + 1) if bipartition(sub) is not None else (0, ne - nv)
+        yield None if ranks == want else _graph_doc(g)
 
 
-def check_rank_reweighting(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "reweight")
-    rounds = max(1, count // 10)
-    for k in range(rounds):
+@prop("rank_reweighting", "reweight")
+def check_rank_reweighting(cfg, rng, count):
+    # an instance is a round: one graph under ten random reweightings
+    for _ in range(max(1, count // 10)):
         g = random_connected(rng, cfg.max_vertices, 3, cfg.max_valuation)
-        base = cohomology_groups(full_subgraph(g))
-        for _ in range(10):
-            h = WeightedGraph({v: rng.randint(1, 50) for v in g.vertices},
-                              g.edges)
-            got = cohomology_groups(full_subgraph(h))
-            if (got[0].rank, got[1].rank) != (base[0].rank, base[1].rank):
-                return PropertyResult("rank_reweighting", k + 1, False,
-                                      _graph_doc(h))
-    return PropertyResult("rank_reweighting", rounds, True)
+        base = _ranks(full_subgraph(g))
+        reweighted = (WeightedGraph({v: rng.randint(1, 50) for v in g.vertices},
+                                    g.edges) for _ in range(10))
+        bad = next((h for h in reweighted
+                    if _ranks(full_subgraph(h)) != base), None)
+        yield None if bad is None else _graph_doc(bad)
 
 
-def check_p_splitting(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "psplit")
-    for k in range(count):
+@prop("p_splitting", "psplit")
+def check_p_splitting(cfg, rng, count):
+    while True:
         g = random_graph(rng, cfg.max_vertices, 60)
         _, h1 = cohomology_groups(full_subgraph(g))
         total = h1.torsion_order
         prod = 1
         for p in factorize(total):
-            gp = WeightedGraph({v: p ** p_valuation(g.weight[v], p)
-                                for v in g.vertices}, g.edges)
-            _, h1p = cohomology_groups(full_subgraph(gp))
+            _, h1p = cohomology_groups(full_subgraph(p_part_graph(g, p)))
             prod *= p ** h1p.p_exponent(p)
-        if prod != total:
-            return PropertyResult("p_splitting", k + 1, False, _graph_doc(g))
-    return PropertyResult("p_splitting", count, True)
+        yield None if prod == total else _graph_doc(g)
 
 
-def check_disjoint_union(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "disjoint")
-    for k in range(count):
+@prop("disjoint_union", "disjoint")
+def check_disjoint_union(cfg, rng, count):
+    while True:
         g1 = random_graph(rng, 4, 30)
         g2 = random_graph(rng, 4, 30)
         renamed = {f"w{v}": k for v, k in g2.weight.items()}
@@ -236,146 +269,119 @@ def check_disjoint_union(cfg, count) -> PropertyResult:
         hu = cohomology_groups(full_subgraph(union))
         ha = cohomology_groups(full_subgraph(g1))
         hb = cohomology_groups(full_subgraph(g2))
-        if hu[0] != direct_sum(ha[0], hb[0]) or hu[1] != direct_sum(ha[1], hb[1]):
-            return PropertyResult("disjoint_union", k + 1, False,
-                                  _graph_doc(union))
-    return PropertyResult("disjoint_union", count, True)
+        ok = hu[0] == direct_sum(ha[0], hb[0]) and hu[1] == direct_sum(ha[1], hb[1])
+        yield None if ok else _graph_doc(union)
 
 
-def check_unit_rescaling(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "rescale")
-    for k in range(count):
+@prop("unit_rescaling", "rescale")
+def check_unit_rescaling(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         base = torsion_order_p(full_subgraph(g), p)
         units = [u for u in range(1, 10) if u % p]
         h = WeightedGraph({v: g.weight[v] * rng.choice(units)
                            for v in g.vertices}, g.edges)
-        if torsion_order_p(full_subgraph(h), p) != base:
-            return PropertyResult("unit_rescaling", k + 1, False,
-                                  _graph_doc(h, prime=p))
-    return PropertyResult("unit_rescaling", count, True)
+        ok = torsion_order_p(full_subgraph(h), p) == base
+        yield None if ok else _graph_doc(h, prime=p)
 
 
-def check_forest_oracle(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "forest")
-    for k in range(count):
+@prop("forest_oracle", "forest")
+def check_forest_oracle(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         _, h1 = cohomology_groups(full_subgraph(g))
         got = torsion_structure(build_forest(g, p))
         want = list(h1.p_part_exponents(p))
-        if got != want:
-            return PropertyResult(
-                "forest_oracle", k + 1, False,
-                _graph_doc(g, prime=p, forest=got, divisors=want))
-    return PropertyResult("forest_oracle", count, True)
+        yield None if got == want else _graph_doc(g, prime=p, forest=got,
+                                                  divisors=want)
 
 
-def check_order_law(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "orderlaw")
-    for k in range(count):
+@prop("order_law", "orderlaw")
+def check_order_law(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         forest = build_forest(g, p)
         _, h1 = complex_cohomology(fundamental_complex(forest))
-        if h1.torsion_order != p ** len(forest.counted_nodes) or h1.rank != 0:
-            return PropertyResult("order_law", k + 1, False,
-                                  _graph_doc(g, prime=p))
-    return PropertyResult("order_law", count, True)
+        ok = h1.torsion_order == p ** len(forest.counted_nodes) and h1.rank == 0
+        yield None if ok else _graph_doc(g, prime=p)
 
 
-def check_generation(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "generation")
-    for k in range(count):
+@prop("generation", "generation", slow=4)
+def check_generation(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         g = random_connected(rng, min(5, cfg.max_vertices), p,
                              cfg.max_valuation)
         s = rng.randint(1, 3)
-        if not generation_check(g, p, s):
-            return PropertyResult("generation", k + 1, False,
-                                  _graph_doc(g, prime=p, s=s))
-    return PropertyResult("generation", count, True)
+        yield None if generation_check(g, p, s) else _graph_doc(g, prime=p, s=s)
 
 
-def check_euler_relation(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "euler")
-    for k in range(count):
+@prop("euler_relation", "euler")
+def check_euler_relation(cfg, rng, count):
+    while True:
         g = random_graph(rng, cfg.max_vertices, 40)
         c0, c1, c2 = edge_weighted_constants(full_subgraph(g))
         _, h1 = cohomology_groups(full_subgraph(g))
-        if c0 * c2 != c1 * h1.torsion_order:
-            return PropertyResult("euler_relation", k + 1, False, _graph_doc(g))
-    return PropertyResult("euler_relation", count, True)
+        yield None if c0 * c2 == c1 * h1.torsion_order else _graph_doc(g)
 
 
-def check_hbe_count(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "hbe")
-    done = 0
-    tried = 0
-    while done < count and tried < 40 * count:
-        tried += 1
+@prop("hbe_count", "hbe")
+def check_hbe_count(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.odd_primes())
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation,
                              min_n=3)
         if bipartition(full_subgraph(g)) is not None:
+            yield SKIP
             continue
         _, _, c2 = edge_weighted_constants(full_subgraph(g))
-        done += 1
-        if hbe_count(g, p) != p_valuation(c2, p):
-            return PropertyResult("hbe_count", done, False,
-                                  _graph_doc(g, prime=p))
-    return PropertyResult("hbe_count", done, True)
+        ok = hbe_count(g, p) == p_valuation(c2, p)
+        yield None if ok else _graph_doc(g, prime=p)
 
 
-def check_tree_formula(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "tree")
-    for k in range(count):
+@prop("tree_formula", "tree")
+def check_tree_formula(cfg, rng, count):
+    while True:
         n = rng.randint(1, 8)
         names = [f"v{i}" for i in range(n)]
         g = WeightedGraph({v: rng.randint(1, 10 ** 6) for v in names},
                           [(names[rng.randrange(i)], names[i])
                            for i in range(1, n)])
         _, h1 = cohomology_groups(full_subgraph(g))
-        if tree_torsion(full_subgraph(g)) != h1.torsion_order:
-            return PropertyResult("tree_formula", k + 1, False, _graph_doc(g))
-    return PropertyResult("tree_formula", count, True)
+        ok = tree_torsion(full_subgraph(g)) == h1.torsion_order
+        yield None if ok else _graph_doc(g)
 
 
-def check_spanning_tree(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "spanning")
-    for k in range(count):
+@prop("spanning_tree", "spanning")
+def check_spanning_tree(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.odd_primes())
         g = random_bipartite_connected(rng, p, 7, cfg.max_valuation)
         sub = full_subgraph(g)
-        if oriented_torsion_exponent(sub, p) != torsion_order_p(sub, p):
-            return PropertyResult("spanning_tree", k + 1, False,
-                                  _graph_doc(g, prime=p))
-    return PropertyResult("spanning_tree", count, True)
+        ok = oriented_torsion_exponent(sub, p) == torsion_order_p(sub, p)
+        yield None if ok else _graph_doc(g, prime=p)
 
 
-def check_core_relation(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "core")
-    done = 0
-    tried = 0
-    while done < count and tried < 40 * count:
-        tried += 1
+@prop("core_relation", "core")
+def check_core_relation(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.odd_primes())
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation,
                              min_n=3)
         try:
             got = core_torsion_relation(g, p)  # asserts against the oracle
         except AssertionError:
-            return PropertyResult("core_relation", done + 1, False,
-                                  _graph_doc(g, prime=p))
-        if got is not None:
-            done += 1
-    return PropertyResult("core_relation", done, True)
+            yield _graph_doc(g, prime=p)
+        else:
+            yield SKIP if got is None else None
 
 
-def check_tropical(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "tropical")
-    for k in range(count):
+@prop("tropical_interpretation", "tropical", slow=2)
+def check_tropical(cfg, rng, count):
+    while True:
         n = rng.randint(2, min(6, cfg.max_vertices))
         names = [f"v{i}" for i in range(n)]
         edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
@@ -384,18 +390,18 @@ def check_tropical(cfg, count) -> PropertyResult:
                   if (names[i], names[j]) not in edges and rng.random() < 0.35]
         z = z_gamma(WeightedGraph({v: 1 for v in names}, edges))
         vals = {v: rng.randint(0, cfg.max_valuation + 1) for v in names}
+        doc = None
         for p in cfg.odd_primes():
             g = WeightedGraph({v: p ** vals[v] for v in names}, edges)
             want = torsion_order_p(full_subgraph(g), p)
             if eval_expr(z, vals) != tval(want):
-                return PropertyResult("tropical_interpretation", k + 1, False,
-                                      _graph_doc(g, prime=p, valuations=vals))
-    return PropertyResult("tropical_interpretation", count, True)
+                doc = _graph_doc(g, prime=p, valuations=vals)
+                break
+        yield doc
 
 
-def check_complete_graph(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "complete")
-    per_n = max(1, count // 3)
+@prop("complete_graph", "complete")
+def check_complete_graph(cfg, rng, count):
     for n in (3, 4, 5):
         names = [f"v{i}" for i in range(n)]
         kn = WeightedGraph({v: 1 for v in names},
@@ -403,40 +409,34 @@ def check_complete_graph(cfg, count) -> PropertyResult:
                             for j in range(i + 1, n)])
         zg = z_gamma(kn)
         zc = z_complete(n, names)
-        for k in range(per_n):
+        for _ in range(max(1, count // 3)):
             vals = {v: rng.randint(0, cfg.max_valuation + 1) for v in names}
             ge = eval_expr(zg, vals)
             ce = eval_expr(zc, vals)
             p = rng.choice(cfg.odd_primes())
             g = WeightedGraph({v: p ** vals[v] for v in names}, kn.edges)
             want = tval(torsion_order_p(full_subgraph(g), p))
-            if not (ge == ce == want):
-                return PropertyResult(
-                    "complete_graph", k + 1, False,
-                    _graph_doc(g, prime=p, valuations=vals))
-    return PropertyResult("complete_graph", 3 * per_n, True)
+            yield None if ge == ce == want else _graph_doc(g, prime=p,
+                                                           valuations=vals)
 
 
-def check_chi(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "chi")
-    for k in range(count):
+@prop("chi_chain_map", "chi", slow=2)
+def check_chi(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         try:
             cm = chi(fundamental_complex(build_forest(g, p)))
+            want = p ** torsion_order_p(full_subgraph(g), p)
+            ok = chi_image_torsion_order(cm) == want
         except ChainMapError:
-            return PropertyResult("chi_chain_map", k + 1, False,
-                                  _graph_doc(g, prime=p))
-        want = p ** torsion_order_p(full_subgraph(g), p)
-        if chi_image_torsion_order(cm) != want:
-            return PropertyResult("chi_chain_map", k + 1, False,
-                                  _graph_doc(g, prime=p))
-    return PropertyResult("chi_chain_map", count, True)
+            ok = False
+        yield None if ok else _graph_doc(g, prime=p)
 
 
-def check_restrict(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "restrict")
-    for k in range(count):
+@prop("restrict_functoriality", "restrict", slow=4)
+def check_restrict(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation)
         forest = build_forest(g, p)
@@ -453,68 +453,32 @@ def check_restrict(cfg, count) -> PropertyResult:
             j2 = restrict(j1.target.forest,
                           subgraph_of(inner, [v], []), source=j1.target)
             direct = restrict(forest, subgraph_of(g, [v], []), source=fc)
-            if j2.compose(j1) != (direct.map_neg, direct.map_zero,
-                                  direct.map_one):
-                return PropertyResult("restrict_functoriality", k + 1, False,
-                                      _graph_doc(g, prime=p))
+            ok = j2.compose(j1) == (direct.map_neg, direct.map_zero,
+                                    direct.map_one)
         except (ChainMapError, UnsupportedRestriction):
-            return PropertyResult("restrict_functoriality", k + 1, False,
-                                  _graph_doc(g, prime=p))
-    return PropertyResult("restrict_functoriality", count, True)
+            ok = False
+        yield None if ok else _graph_doc(g, prime=p)
 
 
-def check_orientation_methods(cfg, count) -> PropertyResult:
-    rng = _rng_for(cfg, "orient")
-    done = 0
-    tried = 0
-    while done < count and tried < 40 * count:
-        tried += 1
+@prop("orientation_methods", "orient", slow=2)
+def check_orientation_methods(cfg, rng, count):
+    while True:
         p = rng.choice(cfg.primes)
         s = rng.randint(1, 3)
         g = random_connected(rng, min(5, cfg.max_vertices), p, 2)
         sub = full_subgraph(g)
         if any(g.edge_valuation(e, p) >= s for e in g.edges):
+            yield SKIP
             continue
-        done += 1
         rep = is_orientable(sub, p, s)
         dims_ok = all(critical_cohomology_dim(c, p, s) == 1
                       for c in components(sub))
-        if rep.orientable != dims_ok:
-            return PropertyResult("orientation_methods", done, False,
-                                  _graph_doc(g, prime=p, s=s))
-    return PropertyResult("orientation_methods", done, True)
-
-
-PROPERTIES: dict[str, Callable] = {
-    "snf_invariants": check_snf_invariants,
-    "rank_formula": check_rank_formula,
-    "rank_reweighting": check_rank_reweighting,
-    "p_splitting": check_p_splitting,
-    "disjoint_union": check_disjoint_union,
-    "unit_rescaling": check_unit_rescaling,
-    "forest_oracle": check_forest_oracle,
-    "order_law": check_order_law,
-    "generation": check_generation,
-    "euler_relation": check_euler_relation,
-    "hbe_count": check_hbe_count,
-    "tree_formula": check_tree_formula,
-    "spanning_tree": check_spanning_tree,
-    "core_relation": check_core_relation,
-    "tropical_interpretation": check_tropical,
-    "complete_graph": check_complete_graph,
-    "chi_chain_map": check_chi,
-    "restrict_functoriality": check_restrict,
-    "orientation_methods": check_orientation_methods,
-}
-
-# instance cost varies wildly; weights keep the total budget sane
-SLOW = {"generation": 4, "tropical_interpretation": 2, "chi_chain_map": 2,
-        "restrict_functoriality": 4, "orientation_methods": 2}
+        yield None if rep.orientable == dims_ok else _graph_doc(g, prime=p, s=s)
 
 
 def run_property(name: str, cfg: VerificationConfig) -> PropertyResult:
     budget = max(3, cfg.instance_count // len(PROPERTIES))
-    budget = max(3, budget // SLOW.get(name, 1))
+    budget = max(3, budget // SLOW[name])
     return PROPERTIES[name](cfg, budget)
 
 

@@ -129,6 +129,19 @@ def test_forest_rejects_composite_prime(k3_file, capsys):
     assert code == 2
 
 
+def test_prime_above_the_primality_bound_exit_2(k3_file, capsys):
+    from gcoh.graphs import PRIME_BOUND
+
+    # 2^89 - 1 is a Mersenne prime, past the bound where primality is exact
+    code, out, err = run_cli(capsys, "torsion", k3_file, "--prime",
+                             str(2 ** 89 - 1))
+    assert code == 2 and out == ""
+    assert str(PRIME_BOUND) in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--primes", f"3,{2 ** 89 - 1}"])
+    assert exc.value.code == 2
+
+
 def test_torsion_report(k3_file, capsys):
     code, out, _ = run_cli(capsys, "torsion", k3_file, "--prime", "3")
     doc = json.loads(out)
@@ -348,6 +361,54 @@ def test_verify_detects_injected_mutation(monkeypatch):
 
     healthy = run_property("tree_formula", cfg)
     assert healthy.passed
+
+
+def test_complete_graph_failure_reports_the_instances_run(monkeypatch):
+    import gcoh.verify
+    from gcoh.tropical import Const, times, tval
+
+    real = gcoh.verify.z_complete
+
+    def wrong_at_four(n, names=None):
+        z = real(n, names)
+        return times([z, Const(tval(1))]) if n == 4 else z
+
+    monkeypatch.setattr(gcoh.verify, "z_complete", wrong_at_four)
+    # budget 190 // 19 = 10 instances, per_n = 3 for each of n = 3, 4, 5
+    result = run_property("complete_graph",
+                          VerificationConfig(instance_count=190, seed=1))
+    assert not result.passed
+    assert result.instances == 3 + 1
+    assert len(result.counterexample["graph"]["vertices"]) == 4
+
+
+def test_properties_are_the_names_the_tracer_reports():
+    import importlib.util
+
+    import gcoh.verify
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert sorted(gcoh.verify.PROPERTIES) == list(tracing.VERIFY_PROPERTIES)
+    assert len(tracing.VERIFY_PROPERTIES) == 19
+
+
+def test_run_property_calls_the_patched_entry(monkeypatch):
+    import gcoh.verify
+
+    calls = []
+
+    def stub(cfg, count):
+        calls.append((cfg, count))
+        return gcoh.verify.PropertyResult("tree_formula", count, True)
+
+    monkeypatch.setitem(gcoh.verify.PROPERTIES, "tree_formula", stub)
+    cfg = VerificationConfig(instance_count=190, seed=1)
+    assert run_property("tree_formula", cfg).line() == \
+        "pass  tree_formula (10 instances)"
+    assert calls == [(cfg, 10)]
 
 
 # p = 2: a graph whose forest has a node oriented over Z/2^(r - m) with

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gcoh.graphs import (
+    PRIME_BOUND,
     Subgraph,
     WeightedGraph,
     bipartition,
@@ -15,6 +17,7 @@ from gcoh.graphs import (
     full_subgraph,
     graph_from_json,
     graph_to_json,
+    is_prime,
     p_valuation,
     reduce_graph,
     reduction,
@@ -38,6 +41,37 @@ def test_p_valuation_rejects_bad_input():
         p_valuation(0, 3)
     with pytest.raises(ValueError):
         p_valuation(12, 4)
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-2, 10 ** 5)
+            if is_prime(n) != trial_division(n)] == []
+
+
+def test_is_prime_on_large_numbers_is_fast_and_exact():
+    cases = {
+        2 ** 61 - 1: True,
+        10 ** 16 + 61: True,
+        10 ** 14 + 31: True,
+        # strong pseudoprime to the bases 2..23, and to 2..37
+        3825123056546413051: False,
+        318665857834031151167461: False,
+        (10 ** 9 + 7) * (10 ** 9 + 9): False,
+    }
+    for n, want in cases.items():
+        start = time.perf_counter()
+        assert is_prime(n) is want, n
+        assert time.perf_counter() - start < 0.1, n
+
+
+def test_is_prime_refuses_numbers_from_the_bound_on():
+    assert is_prime(PRIME_BOUND - 1) is False  # even
+    for n in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+            is_prime(n)
 
 
 def test_graph_rejects_loops_multiedges_and_bad_weights():
