@@ -203,11 +203,16 @@ def cmd_verify(args) -> int:
 
 
 def _primes_list(text: str) -> list[int]:
+    """Comma-separated primes; a refusal keeps its reason in the usage
+    error."""
     out = []
-    for part in text.split(","):
-        p = int(part)
-        require_prime(p)
-        out.append(p)
+    try:
+        for part in text.split(","):
+            p = int(part)
+            require_prime(p)
+            out.append(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return out
 
 

@@ -71,15 +71,14 @@ def _edge_rows(g: Subgraph, entries) -> IntMatrix:
     """Rows are edges, columns vertices; the row of edge e(u,v) holds
     `entries(k_u, k_v)` in columns u and v."""
     verts = g.vertices
-    edges = g.edges
     col = {v: i for i, v in enumerate(verts)}
     weight = g.parent.weight
     rows = []
-    for u, v in edges:
+    for u, v in g.edges:
         row = [0] * len(verts)
         row[col[u]], row[col[v]] = entries(weight[u], weight[v])
         rows.append(row)
-    return IntMatrix(rows, ncols=len(verts), row_labels=edges, col_labels=verts)
+    return IntMatrix(rows, ncols=len(verts))
 
 
 def d0_matrix(g: Subgraph) -> IntMatrix:
@@ -151,12 +150,12 @@ def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ..
         m_delta = filt.min_val[delta]
         levels = [s - d for d in range(s)
                   if r_delta is None or r_delta - m_delta >= s - d]
-        classes = orientation_classes(delta, p, levels)
+        classes = orientation_classes(filt, delta, p, levels)
         for t in levels:
-            if classes[t] is None:
+            cls = classes[t][0]
+            if cls is None:
                 continue
-            scaled = tuple(x * p ** (s - t) % ps
-                           for x in classes[t].vector(verts))
+            scaled = tuple(x * p ** (s - t) % ps for x in cls.vector(verts))
             if any(scaled):
                 candidates.append(scaled)
     return candidates

@@ -254,8 +254,8 @@ def _assign_orientations(forest: FundamentalForest) -> None:
     then restrict downwards through the covers.
 
     A bipartite top takes its own normalized bipartitioning; at p = 2 a
-    non-bipartite top at level sup takes those of the level-(sup - 1)
-    classes inside it, +1 everywhere when sup == 1 (every edge is gone).
+    non-bipartite top at level sup takes `Filtration.signs` at sup - 1,
+    the bipartitionings of the level-(sup - 1) classes inside it.
     """
     p = forest.prime
     filt = forest.filtration
@@ -263,20 +263,14 @@ def _assign_orientations(forest: FundamentalForest) -> None:
     for top_graph in forest.maximal:
         if top_graph in forest.orientation:
             continue
-        alpha = bipartition(top_graph)
-        if alpha is None:
-            if p != 2:
-                raise AssertionError("non-bipartite top at an odd prime")
-            sup = forest.sup_level[top_graph]
-            assert sup is not None
-            sign = dict.fromkeys(top_graph.vertex_set, 1)
-            if sup > 1:  # class_of(v, 0) would read the top level
-                for cls in {filt.class_of(v, sup - 1) for v in sign}:
-                    part = bipartition(cls)
-                    if part is None:
-                        raise AssertionError("unorientable top subgraph")
-                    sign.update(part.sign)
-            alpha = Bipartition(sign)
+        if filt.bipartite[top_graph]:
+            alpha = bipartition(top_graph)
+        elif p != 2:
+            raise AssertionError("non-bipartite top at an odd prime")
+        else:
+            alpha = filt.signs(top_graph, forest.sup_level[top_graph] - 1)
+            if alpha is None:
+                raise AssertionError("unorientable top subgraph")
         forest.orientation[top_graph] = alpha
         queue.append(top_graph)
     while queue:

@@ -141,11 +141,6 @@ class Subgraph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edge_set))
 
-    def weight(self, v: str) -> int:
-        if v not in self.vertex_set:
-            raise KeyError(v)
-        return self.parent.weight[v]
-
     def key(self) -> tuple[frozenset[str], frozenset[Edge]]:
         return (self.vertex_set, self.edge_set)
 
@@ -346,6 +341,24 @@ class Filtration(NamedTuple):
 
     def class_of(self, v: str, r: int) -> Subgraph:
         return self.owner[r - 1][v]
+
+    def signs(self, c: Subgraph, r: int) -> Optional[Bipartition]:
+        """`bipartition(reduction(c, p, r))` for a class c, r >= 0.
+
+        No edge is left at r = 0, so every vertex gets +1.  Below c's
+        first level the reduction is the union of the level-r classes
+        inside c, each signed on its own; from that level on it is c.
+        """
+        if r >= self.span[c][0]:
+            return bipartition(c) if self.bipartite[c] else None
+        sign = dict.fromkeys(c.vertices, 1)
+        if r > 0:
+            for cls in dict.fromkeys(self.class_of(v, r) for v in sign):
+                part = bipartition(cls)
+                if part is None:
+                    return None
+                sign.update(part.sign)
+        return Bipartition(sign)
 
     def boundary_valuation(self, d: Subgraph) -> Optional[int]:
         """`boundary_valuation(d, p)` for a class d when the filtered

@@ -34,17 +34,16 @@ Vector = tuple[int, ...]
 
 
 class IntMatrix:
-    """Integer matrix with explicit shape and optional basis labels.
+    """Integer matrix with explicit shape.
 
     The shape is stored explicitly so zero-row and zero-column matrices
     (edgeless graphs, empty generator lists) behave like any other.
     Entries must be ints already; the public builder `matrix` converts.
     """
 
-    __slots__ = ("entries", "nrows", "ncols", "row_labels", "col_labels")
+    __slots__ = ("entries", "nrows", "ncols")
 
-    def __init__(self, entries: Iterable[Iterable[int]], ncols: Optional[int] = None,
-                 row_labels: Sequence = (), col_labels: Sequence = ()):
+    def __init__(self, entries: Iterable[Iterable[int]], ncols: Optional[int] = None):
         self.entries: tuple[Vector, ...] = tuple(map(tuple, entries))
         self.nrows = len(self.entries)
         if self.entries:
@@ -55,13 +54,7 @@ class IntMatrix:
             if ncols is not None and ncols != self.ncols:
                 raise ValueError("declared column count does not match entries")
         else:
-            self.ncols = ncols if ncols is not None else len(col_labels)
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        if self.row_labels and len(self.row_labels) != self.nrows:
-            raise ValueError("row label count does not match row count")
-        if self.col_labels and len(self.col_labels) != self.ncols:
-            raise ValueError("column label count does not match column count")
+            self.ncols = ncols if ncols is not None else 0
 
     @property
     def rows(self) -> int:
@@ -96,17 +89,14 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         rows = ([self.entries[i][j] for i in range(self.nrows)]
                 for j in range(self.ncols))
-        return IntMatrix(rows, ncols=self.nrows,
-                         row_labels=self.col_labels, col_labels=self.row_labels)
+        return IntMatrix(rows, ncols=self.nrows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.nrows}x{self.ncols}, {self.entries!r})"
 
 
-def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None,
-           row_labels: Sequence = (), col_labels: Sequence = ()) -> IntMatrix:
-    return IntMatrix((map(int, row) for row in rows), ncols=ncols,
-                     row_labels=row_labels, col_labels=col_labels)
+def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None) -> IntMatrix:
+    return IntMatrix((map(int, row) for row in rows), ncols=ncols)
 
 
 def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
@@ -145,8 +135,7 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 for j, y in b_row:
                     acc[j] += x * y
         out.append(acc)
-    return IntMatrix(out, ncols=n, row_labels=a.row_labels,
-                     col_labels=b.col_labels)
+    return IntMatrix(out, ncols=n)
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> Vector:

@@ -9,7 +9,12 @@ reduced schemes this has a purely combinatorial characterization:
     bipartite and the weight gcd is odd.
 
 A reduced scheme's orientation class is the divided fundamental chain
-of a suitable bipartitioning.  Non-reduced inputs follow the column
+of a suitable bipartitioning.  Every input of this rule is read off one
+`graphs.filtration` sweep: the components are the top-level classes, a
+class is reduced at s from its first level on, bipartiteness is stored
+per class, the signs are `Filtration.signs` (at s - 1 for the 2-adic
+case) and the weight gcd is odd when the class's minimal valuation is
+0.  Non-reduced inputs follow the column
 rule: with U @ d0 @ V == S, summand j of H0(Z/p**s) is
 Z/p**min(v_p(d_j), s), and multiplication by p from level s - 1 is onto
 it unless v_p(d_j) >= s (d_j = 0 past the rank).  So the scheme is
@@ -24,12 +29,10 @@ from typing import Iterable, Optional
 
 from .graphs import (
     Bipartition,
+    Filtration,
     Subgraph,
-    bipartition,
-    components,
+    filtration,
     is_connected,
-    p_valuation,
-    reduction,
     require_prime,
 )
 from .cohomology import Chain, critical_columns, d0_matrix
@@ -67,67 +70,44 @@ def divided_fundamental_class(d: Subgraph, a: Bipartition,
     return Chain(0, {v: c // g for v, c in chain.coefficients.items()})
 
 
-def two_adic_bipartition(d: Subgraph, s: int) -> Optional[Bipartition]:
-    """Bipartitioning of the (s-1)-step 2-adic reduction of d.
-
-    This is the sign choice that orients non-bipartite 2-adically
-    oriented schemes; each component of the reduction is normalized with
-    +1 on its smallest vertex.  For s = 1 every edge is forgotten.
-    """
-    if s >= 2:
-        reduced = reduction(d, 2, s - 1)
-    else:
-        reduced = Subgraph(d.parent, d.vertex_set, frozenset())
-    return bipartition(reduced)
-
-
-def _decide_reduced(comp: Subgraph, p: int, s: int) -> tuple[bool, Optional[Chain], str]:
-    alpha = bipartition(comp)
-    if alpha is not None:
-        return True, divided_fundamental_class(comp, alpha), "bipartite"
+def _decide_reduced(filt: Filtration, c: Subgraph, p: int,
+                    s: int) -> tuple[Optional[Chain], str]:
+    if filt.bipartite[c]:
+        return divided_fundamental_class(c, filt.signs(c, s)), "bipartite"
     if p != 2:
-        return False, None, "odd-prime"
-    alpha2 = two_adic_bipartition(comp, s)
-    if alpha2 is not None and p_valuation(comp.weight_gcd(), 2) == 0:
-        cls = divided_fundamental_class(comp, alpha2, require_bipartition=False)
-        return True, cls, "two-adic"
-    return False, None, "two-adic"
+        return None, "odd-prime"
+    alpha = filt.signs(c, s - 1)
+    if alpha is None or filt.min_val[c] != 0:
+        return None, "two-adic"
+    return divided_fundamental_class(c, alpha, require_bipartition=False), "two-adic"
 
 
-def _decide_from_columns(comp: Subgraph, dec: SmithDecomposition, p: int,
-                         s: int) -> tuple[bool, Optional[Chain], str]:
-    """The column rule on a decomposition of d0(comp)."""
+def _decide_from_columns(c: Subgraph, dec: SmithDecomposition, p: int,
+                         s: int) -> tuple[Optional[Chain], str]:
+    """The column rule on a decomposition of d0(c)."""
     critical = critical_columns(dec, p, s)
     if len(critical) != 1:
-        return False, None, "critical-dimension"
-    cls = Chain(0, dict(zip(comp.vertices, dec.v.column(critical[0]))))
-    return True, cls.reduced(p, s), "critical-dimension"
+        return None, "critical-dimension"
+    cls = Chain(0, dict(zip(c.vertices, dec.v.column(critical[0]))))
+    return cls.reduced(p, s), "critical-dimension"
 
 
-def _is_reduced(comp: Subgraph, p: int, s: int) -> bool:
-    return all(comp.parent.edge_valuation(e, p) < s for e in comp.edge_set)
-
-
-def _decide_component(comp: Subgraph, p: int, s: int) -> tuple[bool, Optional[Chain], str]:
-    if _is_reduced(comp, p, s):
-        return _decide_reduced(comp, p, s)
-    return _decide_from_columns(comp, smith_normal_form(d0_matrix(comp)), p, s)
-
-
-def orientation_classes(comp: Subgraph, p: int,
-                        levels: Iterable[int]) -> dict[int, Optional[Chain]]:
-    """The orientation class of a connected subgraph over Z/p**s for each
-    s in `levels`, None where it is not oriented.  d0(comp) is decomposed
-    at most once, for every level at which comp is not reduced."""
+def orientation_classes(filt: Filtration, c: Subgraph, p: int,
+                        levels: Iterable[int]) -> dict[int, tuple[Optional[Chain], str]]:
+    """The orientation class of a class c of `filt` over Z/p**s for each
+    s in `levels`, None where c is not oriented, with the rule that
+    decided it.  c is reduced at s exactly from its first level on, where
+    its edges all have valuation below s; d0(c) is decomposed at most
+    once, for every level below that."""
     dec = None
-    out: dict[int, Optional[Chain]] = {}
+    out: dict[int, tuple[Optional[Chain], str]] = {}
     for s in levels:
-        if _is_reduced(comp, p, s):
-            _, out[s], _ = _decide_reduced(comp, p, s)
+        if filt.span[c][0] <= s:
+            out[s] = _decide_reduced(filt, c, p, s)
         else:
             if dec is None:
-                dec = smith_normal_form(d0_matrix(comp))
-            _, out[s], _ = _decide_from_columns(comp, dec, p, s)
+                dec = smith_normal_form(d0_matrix(c))
+            out[s] = _decide_from_columns(c, dec, p, s)
     return out
 
 
@@ -135,9 +115,10 @@ def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:
     """Decide Z/p**s orientability; a disconnected subgraph is oriented
     exactly when every component is.
 
-    The reported class is the sum of per-component classes (components
-    have disjoint supports, so nothing is lost); for reduced inputs it is
-    a divided fundamental chain with integer coefficients.
+    The components are the top-level classes of `filtration(d, p)`.  The
+    reported class is the sum of per-component classes (components have
+    disjoint supports, so nothing is lost); for reduced inputs it is a
+    divided fundamental chain with integer coefficients.
     """
     require_prime(p)
     if s < 1:
@@ -145,21 +126,13 @@ def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:
     ring = f"mod({p}^{s})"
     if not d.vertex_set:
         return OrientationReport(ring, True, Chain(0, {}), "bipartite")
-    methods = []
-    merged: dict[str, int] = {}
-    orientable = True
-    for comp in components(d):
-        ok, cls, method = _decide_component(comp, p, s)
-        methods.append(method)
-        if not ok:
-            orientable = False
-            continue
-        assert cls is not None
-        for v, c in cls.coefficients.items():
-            merged[v] = c
-    method = methods[0] if len(set(methods)) == 1 else "+".join(sorted(set(methods)))
-    if not orientable:
+    filt = filtration(d, p)
+    decided = [orientation_classes(filt, c, p, (s,))[s]
+               for c in filt.at(filt.top)]
+    method = "+".join(sorted({m for _, m in decided}))
+    if any(cls is None for cls, _ in decided):
         return OrientationReport(ring, False, None, method)
+    merged = {v: x for cls, _ in decided for v, x in cls.coefficients.items()}
     return OrientationReport(ring, True, Chain(0, merged), method)
 
 

@@ -10,8 +10,9 @@ A property is a generator `check(cfg, rng, count)` registered with
 instance holds, a counterexample document if it fails, or `SKIP` if it
 rejects the draw.  `_run` seeds the stream, stops at `count` accepted
 instances, at 40 * count draws or when the generator ends, and reports
-the first failure with the number of instances run.  Globals are looked
-up at run time, so tests can patch them.
+the first failure with the number of instances run.  A property that
+accepted no instance fails, with the counterexample {"accepted": 0}.
+Globals are looked up at run time, so tests can patch them.
 
 The forest oracle, the chi chain map and restriction functoriality run
 at every configured prime, p = 2 included: a forest node at level r is
@@ -20,7 +21,8 @@ makes the structure theorem hold at p = 2 as well.  A restriction that
 raises `ChainMapError` or `UnsupportedRestriction` is a failure with a
 counterexample.  The weight, core and tropical properties keep to odd
 primes.  The tropical properties draw valuations from
-0..max_valuation + 1.
+0..max_valuation + 1, and `core_relation` from 0..max(1, max_valuation):
+with every weight a unit, no graph has a forest node at an odd prime.
 """
 
 from __future__ import annotations
@@ -182,6 +184,8 @@ def _run(name: str, stream: str, check: Callable[..., Iterator],
     for done, outcome in enumerate(islice(accepted, count), 1):
         if outcome is not None:
             return PropertyResult(name, done, False, outcome)
+    if done == 0:  # a property that checked nothing has shown nothing
+        return PropertyResult(name, 0, False, {"accepted": 0})
     return PropertyResult(name, done, True)
 
 
@@ -369,8 +373,8 @@ def check_spanning_tree(cfg, rng, count):
 def check_core_relation(cfg, rng, count):
     while True:
         p = rng.choice(cfg.odd_primes())
-        g = random_connected(rng, cfg.max_vertices, p, cfg.max_valuation,
-                             min_n=3)
+        g = random_connected(rng, cfg.max_vertices, p,
+                             max(1, cfg.max_valuation), min_n=3)
         try:
             got = core_torsion_relation(g, p)  # asserts against the oracle
         except AssertionError:

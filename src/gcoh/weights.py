@@ -31,7 +31,6 @@ from .graphs import (
 from .cohomology import d0_edge_matrix, torsion_order_p
 from .forest import FundamentalForest, build_forest
 from .intlinalg import cokernel_structure
-from .orientation import is_orientable
 
 
 def tree_torsion(g: Subgraph) -> int:
@@ -186,21 +185,24 @@ def weighted_spanning_tree(g: Subgraph, p: int) -> Subgraph:
 
     The Kruskal tree of `filtration`, unique under the order (valuation,
     edge): lexicographically largest edges go first among ties, matching
-    the worked examples.  Requires a connected subgraph that is reduced
-    and orientable at r = max edge valuation + 1; odd primes only, the
-    p = 2 analogue of this reduction is out of scope.
+    the worked examples.  Requires a nonempty connected subgraph that is
+    orientable at its top level, where it is reduced: at odd p, that is
+    a bipartite one.  Odd primes only, the p = 2 analogue of this
+    reduction is out of scope.
     """
     require_prime(p)
     if p == 2:
         raise ValueError("weighted spanning trees are built for odd primes only")
-    if not is_connected(g):
+    filt = filtration(g, p)
+    comps = filt.at(filt.top)
+    if len(comps) != 1:
         raise ValueError("weighted_spanning_tree requires a connected subgraph")
-    top = 1 + max((g.parent.edge_valuation(e, p) for e in g.edge_set), default=0)
-    if not is_orientable(g, p, top).orientable:
-        raise ValueError(f"subgraph is not orientable mod p^{top}")
+    # reduced at its top level, so oriented at odd p exactly when bipartite
+    if not filt.bipartite[comps[0]]:
+        raise ValueError(f"subgraph is not orientable mod p^{filt.top}")
 
-    tree = Subgraph(g.parent, g.vertex_set, filtration(g, p).tree)
-    levels = range(1, top + 1)
+    tree = Subgraph(g.parent, g.vertex_set, filt.tree)
+    levels = range(1, filt.top + 1)
     if _partitions_at(tree, p, levels) != _partitions_at(g, p, levels):
         raise AssertionError("spanning tree does not preserve the reduction "
                              "partitions")

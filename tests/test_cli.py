@@ -9,6 +9,7 @@ import pytest
 
 import gcoh
 from gcoh.cli import main
+from gcoh.graphs import PRIME_BOUND
 from gcoh.verify import VerificationConfig, run_property
 
 K3 = {
@@ -297,6 +298,21 @@ def test_spanning_tree_on_bipartite(tmp_path, capsys):
     assert len(parsed["tree_edges"]) == 3
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": [], "edges": []},
+    {"vertices": [{"id": "a", "weight": "3"}, {"id": "b", "weight": "1"}],
+     "edges": []},
+], ids=["empty", "disconnected"])
+def test_spanning_tree_refuses_all_but_one_component(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    for p in ("3", "5"):
+        code, out, err = run_cli(capsys, "spanning-tree", str(path), "--prime", p)
+        assert code == 2 and out == ""
+        assert err == ("error: weighted_spanning_tree requires a connected "
+                       "subgraph\n")
+
+
 def test_reports_deterministic(k3_file, capsys):
     _, out1, _ = run_cli(capsys, "torsion", k3_file, "--prime", "3")
     _, out2, _ = run_cli(capsys, "torsion", k3_file, "--prime", "3")
@@ -339,6 +355,45 @@ def test_verify_rejects_out_of_range_options(capsys, option, bad, good):
     code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--instances", "20",
                            option, good)
     assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("primes, reason", [
+    ("3,4", "4 is not prime"),
+    (f"3,{2 ** 89 - 1}", f"primality is exact only below {PRIME_BOUND}"),
+])
+def test_primes_option_keeps_the_reason_for_a_refusal(capsys, primes, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--primes", primes])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error: argument --primes: " in err
+    assert err.rstrip().endswith(reason)
+
+
+def test_a_property_that_accepts_no_instance_fails():
+    from gcoh.verify import SKIP, _run
+
+    def rejects_every_draw(cfg, rng, count):
+        while True:
+            yield SKIP
+
+    def draws_nothing(cfg, rng, count):
+        yield from ()
+
+    cfg = VerificationConfig(instance_count=20, seed=1)
+    for check in (rejects_every_draw, draws_nothing):
+        result = _run("empty", "empty", check, cfg, 5)
+        assert not result.passed and result.instances == 0
+        assert result.counterexample == {"accepted": 0}
+        assert result.line().startswith("FAIL  empty (0 instances)")
+
+
+def test_core_relation_checks_instances_at_max_valuation_zero(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "5", "--instances",
+                           "200", "--max-valuation", "0")
+    assert code == 0 and "FAIL" not in out
+    line = next(l for l in out.splitlines() if " core_relation " in l)
+    assert line.startswith("pass") and "(0 instances)" not in line
 
 
 def test_verify_detects_injected_mutation(monkeypatch):

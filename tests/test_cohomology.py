@@ -36,9 +36,10 @@ def triangle(a, b, c):
 
 
 def test_d0_matrix_rows():
-    a = d0_matrix(full_subgraph(k3()))
-    assert a.col_labels == ("B", "G", "R")
-    rows = dict(zip(a.row_labels, a.entries))
+    g = full_subgraph(k3())
+    a = d0_matrix(g)
+    assert g.vertices == ("B", "G", "R") and a.cols == 3
+    rows = dict(zip(g.edges, a.entries))
     # row of e(v,w): k_w in column v, k_v in column w
     assert rows[("G", "R")] == (0, 27, 1)
     assert rows[("B", "R")] == (27, 0, 3)
@@ -54,8 +55,8 @@ def test_d0_edge_matrix():
     ae = d0_edge_matrix(full_subgraph(e))
     assert ae.entries == ((24, 24),)
 
-    k = d0_edge_matrix(full_subgraph(k3()))
-    rows = dict(zip(k.row_labels, k.entries))
+    g = full_subgraph(k3())
+    rows = dict(zip(g.edges, d0_edge_matrix(g).entries))
     assert rows[("B", "G")] == (3, 3, 0)
 
 

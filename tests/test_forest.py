@@ -1,9 +1,17 @@
 import random
 
-from gcoh.graphs import WeightedGraph, components, full_subgraph, reduce_graph
+from gcoh.graphs import (
+    Subgraph,
+    WeightedGraph,
+    bipartition,
+    components,
+    full_subgraph,
+    reduce_graph,
+    reduction,
+)
 from gcoh.cohomology import cohomology_groups
 from gcoh.forest import build_forest, forest_to_dot, torsion_structure
-from gcoh.orientation import is_orientable, two_adic_bipartition
+from gcoh.orientation import is_orientable
 
 
 def k3():
@@ -209,6 +217,16 @@ def test_membership_matches_critical_dimension():
                 assert ((comp.key(), r) in nodes) == want, (g, p, comp, r)
                 checked += 1
     assert checked > 200
+
+
+def two_adic_bipartition(d, s):
+    """Bipartitioning of the (s-1)-step 2-adic reduction of d, built from
+    the reduction itself; for s = 1 every edge is forgotten."""
+    if s >= 2:
+        reduced = reduction(d, 2, s - 1)
+    else:
+        reduced = Subgraph(d.parent, d.vertex_set, frozenset())
+    return bipartition(reduced)
 
 
 def test_two_adic_top_orientation_matches_the_reduction():

@@ -291,6 +291,20 @@ def test_filtration_boundary_valuation_matches_the_edge_scan(gp):
         assert filt.boundary_valuation(c) == boundary_valuation(c, p), c
 
 
+@settings(max_examples=80, deadline=None)
+@given(valued_graphs())
+@example(EDGELESS)
+@example(ISOLATED_HEAVY)
+def test_filtration_signs_match_the_bipartition_of_the_reduction(gp):
+    g, p = gp
+    filt = filtration(full_subgraph(g), p)
+    for c in filt.span:
+        for r in range(filt.top + 1):
+            reduced = (reduction(c, p, r) if r
+                       else Subgraph(g, c.vertex_set, frozenset()))
+            assert filt.signs(c, r) == bipartition(reduced), (c, r)
+
+
 def _tree_path(tree, u, v):
     """Edges of the path from u to v in a forest given by its edges."""
     adj: dict = {}

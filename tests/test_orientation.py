@@ -7,12 +7,14 @@ import gcoh.intlinalg
 import gcoh.orientation
 from gcoh.graphs import (
     Bipartition,
+    Subgraph,
     WeightedGraph,
     bipartition,
     components,
     edge_boundary,
     full_subgraph,
     p_valuation,
+    reduction,
     subgraph_of,
 )
 from gcoh.cohomology import (
@@ -29,6 +31,7 @@ from gcoh.intlinalg import (
     span_exponent_mod,
 )
 from gcoh.orientation import (
+    OrientationReport,
     divided_fundamental_class,
     fundamental_chain,
     is_orientable,
@@ -302,3 +305,78 @@ def test_one_snf_per_orientation_question(monkeypatch):
     assert len(calls) == 1
     assert rep.orientable and rep.method == "critical-dimension"
     assert rep.orientation_class.coefficients == {"b": 6, "c": 1, "d": 6}
+
+
+# The route `is_orientable` took before it read the filtration, kept as a
+# reference: its own components, an edge scan for reducedness, and the
+# reduction of each non-bipartite component at s - 1 for the 2-adic signs.
+
+def _reference_component(comp, p, s):
+    if any(comp.parent.edge_valuation(e, p) >= s for e in comp.edge_set):
+        dec = smith_normal_form(d0_matrix(comp))
+        critical = critical_columns(dec, p, s)
+        if len(critical) != 1:
+            return None, "critical-dimension"
+        cls = Chain(0, dict(zip(comp.vertices, dec.v.column(critical[0]))))
+        return cls.reduced(p, s), "critical-dimension"
+    alpha = bipartition(comp)
+    if alpha is not None:
+        return divided_fundamental_class(comp, alpha), "bipartite"
+    if p != 2:
+        return None, "odd-prime"
+    lower = (reduction(comp, 2, s - 1) if s >= 2
+             else Subgraph(comp.parent, comp.vertex_set, frozenset()))
+    alpha = bipartition(lower)
+    if alpha is None or p_valuation(comp.weight_gcd(), 2) != 0:
+        return None, "two-adic"
+    return (divided_fundamental_class(comp, alpha, require_bipartition=False),
+            "two-adic")
+
+
+def reference_is_orientable(d, p, s):
+    ring = f"mod({p}^{s})"
+    if not d.vertex_set:
+        return OrientationReport(ring, True, Chain(0, {}), "bipartite")
+    decided = [_reference_component(comp, p, s) for comp in components(d)]
+    methods = [m for _, m in decided]
+    method = (methods[0] if len(set(methods)) == 1
+              else "+".join(sorted(set(methods))))
+    if any(cls is None for cls, _ in decided):
+        return OrientationReport(ring, False, None, method)
+    merged = {}
+    for cls, _ in decided:
+        merged.update(cls.coefficients)
+    return OrientationReport(ring, True, Chain(0, merged), method)
+
+
+def test_is_orientable_matches_the_per_component_reference():
+    rng = random.Random(62)
+    seen = {"disconnected": 0, "edge subset": 0, "oriented two-adic": 0,
+            "oriented critical-dimension": 0, "odd-prime": 0, "mixed": 0}
+    for _ in range(3000):
+        p = rng.choice((2, 2, 3, 5))
+        s = rng.randint(1, 4)
+        # up to three dense blocks, so components with odd cycles are common
+        names, edges = [], []
+        for _ in range(rng.randint(0, 3)):
+            block = [f"v{len(names) + i}" for i in range(rng.randint(1, 4))]
+            edges += [(u, w) for i, u in enumerate(block) for w in block[i + 1:]
+                      if rng.random() < 0.8]
+            names += block
+        units = [u for u in (1, 3, 5, 7) if u % p]
+        weights = {v: p ** rng.choice((0, 0, 0, 1, 2, 3)) * rng.choice(units)
+                   for v in names}
+        g = WeightedGraph(weights, edges)
+        d = full_subgraph(g)
+        if rng.random() < 0.3:
+            d = subgraph_of(g, names, [e for e in edges if rng.random() < 0.7])
+            seen["edge subset"] += 1
+        rep = is_orientable(d, p, s)
+        assert rep == reference_is_orientable(d, p, s), (d, p, s)
+        seen["disconnected"] += len(components(d)) > 1
+        seen["odd-prime"] += "odd-prime" in rep.method
+        seen["mixed"] += "+" in rep.method
+        if rep.orientable:
+            for method in ("two-adic", "critical-dimension"):
+                seen["oriented " + method] += method in rep.method
+    assert min(seen.values()) >= 30, seen
