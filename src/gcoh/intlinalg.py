@@ -2,7 +2,7 @@
 
 This is the oracle everything else is checked against, so every Smith
 decomposition is checked exactly before it is returned (`check_smith`).
-Matrices are dense, entries are Python ints (arbitrary precision).
+`IntMatrix` is dense, entries are Python ints (arbitrary precision).
 
 One shape rule decides the path.  A matrix with at least
 COMPRESS_MIN_GAP more rows than columns has its columns put in greedy
@@ -14,10 +14,10 @@ divisors and the rank hand over the tall orientation (they do not
 change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
 Pivots are entries of minimal absolute value, to keep coefficient
-growth down; a row's least entry is recomputed only after a round
-changed the row.  S is diagonal; its divisor chain comes from gcd/lcm
-on the scalars.  The Hermite certificate factors R and C are built from
-nonzeros, and the multiply-back products skip zero entries.
+growth down.  S is diagonal; its divisor chain comes from gcd/lcm on the
+scalars.  The Hermite elimination works on sparse rows with a column
+index, U, V, R and C are built from sparse vectors, and the
+multiply-back products skip zero entries.
 """
 
 from __future__ import annotations
@@ -340,77 +340,69 @@ def _min_degree_order(rows: Sequence[Vector], n: int) -> list[int]:
 def _hermite_rows(rows: Sequence[Vector], n: int):
     """(H, C, R): an echelon block H of the rows, rows == C @ H, H == R @ rows.
 
-    Column by column, the row whose entry has least absolute value is the
-    pivot and reduces the rows below it to their least remainders until
-    the column is clear under it: the row half of the SNF pivoting rule,
-    so entries stay as small as the SNF keeps them.  Only the row
-    operations are logged; the square row transform U is never built.  R,
-    the first rank rows of U, comes from replaying the log backwards on
-    sparse columns (one dict per original row), densified once.  C is
-    solved back over the nonzeros of H: the remainder's leading entry
-    sits in a pivot column, and that pivot alone clears it.
+    Column by column, the row with the least absolute entry (the first
+    among ties) is the pivot and reduces the rows below it to their least
+    remainders until the column is clear under it; colrows[j] indexes the
+    unfinished sparse rows with a nonzero in column j.  R replays the log
+    backwards on sparse columns; C is solved back over the nonzeros of H,
+    where a pivot alone clears the leading entry of each remainder.
     """
-    s = [list(row) for row in rows]
-    m = len(s)
+    given = [{j: row[j] for j in compress(range(n), row)} for row in rows]
+    s = [dict(row) for row in given]
+    colrows: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(s):
+        for j in row:
+            colrows[j].add(i)
     log: list[tuple[int, int, Optional[int]]] = []  # row dst += c * row src; c None: swap
     t = 0
-    for j in range(n):
-        while t < m:
-            best = piv = None
-            for i in range(t, m):
-                x = s[i][j]
-                if x and (best is None or abs(x) < best):
-                    best, piv = abs(x), i
-                    if best == 1:
-                        break
-            if piv is None:
-                break
+    for j, col in enumerate(colrows):
+        while col:
+            piv = min([(abs(s[i][j]), i) for i in col])[1]
             if piv != t:
+                for k in s[t].keys() ^ s[piv].keys():
+                    colrows[k] ^= {t, piv}  # the one of the two rows with a nonzero moves
                 s[t], s[piv] = s[piv], s[t]
                 log.append((t, piv, None))
-            top = s[t]
-            p = top[j]
-            clear = True
-            for i in range(t + 1, m):
-                x = s[i][j]
-                if x:
-                    q, rem = divmod(x, p)
-                    if 2 * abs(rem) > best:
-                        q, rem = q + 1, rem - p
-                    row = s[i]
-                    row[j:] = [a - q * b for a, b in zip(row[j:], top[j:])]
-                    log.append((i, t, -q))
-                    clear = clear and not rem
-            if clear:
+            top, p = s[t], s[t][j]
+            for i in sorted(col)[1:]:  # the least is t: col holds no finished row
+                row = s[i]
+                q, rem = divmod(row[j], p)
+                if 2 * abs(rem) > abs(p):
+                    q += 1
+                for k, y in top.items():
+                    z = row.pop(k, 0) - q * y
+                    if z:
+                        row[k] = z
+                        colrows[k].add(i)
+                    else:
+                        colrows[k].discard(i)
+                log.append((i, t, -q))
+            if len(col) == 1:  # every remainder was zero: the column is clear under t
+                for k in top:
+                    colrows[k].discard(t)
                 t += 1
                 break
-    h = s[:t]
-    r_cols: list[dict[int, int]] = [{i: 1} if i < t else {} for i in range(m)]
+    r_cols: list[dict[int, int]] = [{i: 1} if i < t else {} for i in range(len(rows))]
     for dst, src, c in reversed(log):
         if c is None:
             r_cols[dst], r_cols[src] = r_cols[src], r_cols[dst]
         else:
             _add_scaled(r_cols[src], c, r_cols[dst].items())
-    r = [[0] * m for _ in range(t)]
-    for i, col in enumerate(r_cols):
-        for k, x in col.items():
-            r[k][i] = x
+    del s[t:], colrows, log  # freed before the dense results are built; s[:t] is H
     pivots = {}  # pivot column -> (row of H, pivot entry, the row's other nonzeros)
-    for k, row in enumerate(h):
-        (j, lead), *tail = [(j, x) for j, x in enumerate(row) if x]
+    for k, row in enumerate(s):
+        (j, lead), *tail = sorted(row.items())
         pivots[j] = (k, lead, tail)
     c_rows = []
-    for row in rows:
-        rest = {j: x for j, x in enumerate(row) if x}
+    for rest in given:  # emptied as C is solved
         c = [0] * t
         while rest:
-            j = min(rest)
-            k, lead, tail = pivots[j]
+            k, lead, tail = pivots[j := min(rest)]
             q = c[k] = rest.pop(j) // lead
             _add_scaled(rest, -q, tail)
-        c_rows.append(c)
-    return (IntMatrix(h, ncols=n), IntMatrix(c_rows, ncols=t),
-            IntMatrix(r, ncols=m))
+        c_rows.append(tuple(c))
+    return (IntMatrix([_dense(row, n) for row in s], ncols=n), IntMatrix(c_rows, ncols=t),
+            IntMatrix(zip(*(_dense(col, t) for col in r_cols)), ncols=len(rows)))
 
 
 def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> None:
@@ -423,18 +415,25 @@ def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> 
             dst.pop(k, None)
 
 
+def _dense(vec: dict[int, int], n: int) -> Vector:
+    """The sparse vector as a length-n tuple."""
+    out = [0] * n
+    for k, x in vec.items():
+        out[k] = x
+    return tuple(out)
+
+
 def _smith(rows: Sequence[Vector], m: int, n: int):
     """(U, S, V) for the m x n matrix with these rows, by min-abs pivoting.
 
-    V is kept by columns, so column operations are list operations too.
-    Rows above the current pivot are finished (zero off the diagonal), so
-    column swaps and additions touch only the rows that can change; rows
-    from the pivot down are zero left of it, so row additions start there.
+    U is kept by sparse rows and V by sparse columns.  Rows above the
+    current pivot are finished (zero off the diagonal), so column swaps
+    and additions touch only the rows that can change; rows from the
+    pivot down are zero left of it, so row additions start there.
     """
     s = [list(row) for row in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    vt = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
+    u: list[dict[int, int]] = [{i: 1} for i in range(m)]
+    vt: list[dict[int, int]] = [{j: 1} for j in range(n)]
     low: list[Optional[int]] = [None] * m  # least nonzero |x| of s[i][t:]; None: stale
     t = 0
     while t < min(m, n):
@@ -476,18 +475,18 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
             if x:
                 c = -(x // p)
                 s[i][t:] = [a + c * b for a, b in zip(s[i][t:], top_t)]
-                u[i] = [a + c * b for a, b in zip(u[i], u_top)]
+                _add_scaled(u[i], c, u_top.items())
                 low[i] = None
                 dirty = dirty or s[i][t] != 0
         live = [row for row in s[t:] if row[t]]  # rows a column step changes
-        v_top = vt[t]
+        v_top = vt[t].items()
         for j in range(t + 1, n):
             x = top[j]
             if x:
                 c = -(x // p)
                 for row in live:
                     row[j] += c * row[t]
-                vt[j] = [a + c * b for a, b in zip(vt[j], v_top)]
+                _add_scaled(vt[j], c, v_top)
                 dirty = dirty or top[j] != 0
         if dirty:
             low[t] = None  # the rows of `live` other than top were stepped
@@ -495,11 +494,11 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
 
         if p < 0:
             s[t] = [-x for x in top]
-            u[t] = [-x for x in u_top]
+            u[t] = {k: -x for k, x in u_top.items()}
         t += 1
 
-    return (IntMatrix(u, ncols=m), IntMatrix(s, ncols=n),
-            IntMatrix(zip(*vt), ncols=n))
+    return (IntMatrix([_dense(row, m) for row in u], ncols=m), IntMatrix(s, ncols=n),
+            IntMatrix(zip(*(_dense(col, n) for col in vt)), ncols=n))
 
 
 @dataclass(frozen=True)

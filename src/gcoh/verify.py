@@ -490,7 +490,8 @@ def run_all(cfg: VerificationConfig) -> list[PropertyResult]:
     names = sorted(PROPERTIES)
     if cfg.parallelism > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        # fork starts every worker up front: never more than there are properties
+        with ProcessPoolExecutor(max_workers=min(cfg.parallelism, len(names))) as pool:
             futures = [(n, pool.submit(run_property, n, cfg)) for n in names]
             return [f.result() for _, f in futures]
     return [run_property(n, cfg) for n in names]

@@ -341,6 +341,36 @@ def test_verify_parallel_run_matches_serial(capsys):
     assert parallel == serial
 
 
+def test_verify_pool_never_exceeds_the_property_count(capsys, monkeypatch):
+    # fork starts every worker up front, so the pool is capped; a recording
+    # stand-in runs the tasks inline and no process is started
+    import concurrent.futures
+    import multiprocessing
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    args = ("verify", "--seed", "3", "--instances", "20")
+    serial = run_cli(capsys, *args)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert run_cli(capsys, *args, "--parallelism", "1000000") == serial
+    assert sizes == [19]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("option, bad, good", [
     ("--instances", "0", "1"),
     ("--max-vertices", "2", "3"),

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -580,17 +581,59 @@ def test_compressed_transforms_are_unimodular(seed):
     assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
 
 
+def dense_graph(rng: random.Random, n: int, density: float, weight) -> WeightedGraph:
+    """A random tree on n vertices plus each other pair with probability
+    density; vertex weights drawn by weight(rng)."""
+    names = [f"v{i}" for i in range(n)]
+    edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+    edges |= {(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < density}
+    return WeightedGraph({v: weight(rng) for v in names}, sorted(edges))
+
+
+def decomposition_digest(dec) -> str:
+    """sha256 over the entries of U, S, V and, when set, H, C and R."""
+    parts = [dec.u, dec.s, dec.v, *(dec.hermite or ())]
+    return hashlib.sha256(repr([m.entries for m in parts]).encode()).hexdigest()
+
+
+# d0 of seeded graphs on both paths; the digests were recorded with the
+# dense elimination, so a rewrite of it must take the same pivots.
+PINNED_DECOMPOSITIONS = {
+    "sparse-unit-110": (
+        lambda: sparse_graph(random.Random(7), 110, 3), True,
+        "6777e8c1b10d48c3f8b620b8e7c798b48f4424eeb136f522cf934ee76cf21a3d"),
+    "dense-ppower-36": (
+        lambda: dense_graph(random.Random(36), 36, 0.32, lambda r: 3 ** r.randint(0, 3)),
+        True, "ce9887ec8ee8ffa5a0fc11053381c69187cd202455cd31407fe3befcf16f23a1"),
+    "dense-generic-18": (
+        lambda: dense_graph(random.Random(18), 18, 0.5, lambda r: r.randint(1, 10 ** 6)),
+        True, "c38013a71bfddc86a8c4d1105ce394ad54de61e551e3d75554e3f8002a1966cc"),
+    "full-path-30": (
+        lambda: sparse_graph(random.Random(30), 30, 5), False,
+        "96743c1f11fe01c71d9c36d8f20ce3a0c2a04ec0970c88ddd599299a71be595d"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DECOMPOSITIONS)
+def test_decompositions_are_pinned(name):
+    graph, compressed, want = PINNED_DECOMPOSITIONS[name]
+    a = d0_matrix(full_subgraph(graph()))
+    dec = smith_normal_form(a)
+    assert (dec.hermite is not None) == compressed
+    assert decomposition_digest(dec) == want
+
+
 def test_snf_is_independent_of_the_hash_seed():
     code = (
-        "import hashlib, random, sys\n"
+        "import random, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "from test_intlinalg import sparse_graph, d0_matrix, full_subgraph\n"
+        "from test_intlinalg import d0_matrix, decomposition_digest, full_subgraph, sparse_graph\n"
         "from gcoh.intlinalg import smith_normal_form\n"
         "a = d0_matrix(full_subgraph(sparse_graph(random.Random(7), 110, 3)))\n"
         "dec = smith_normal_form(a)\n"
         "assert dec.hermite is not None\n"
-        "m = (dec.u.entries, dec.s.entries, dec.v.entries)\n"
-        "print(hashlib.sha256(repr(m).encode()).hexdigest())\n")
+        "print(decomposition_digest(dec))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(intlinalg.__file__).resolve().parent.parent)]
