@@ -171,11 +171,7 @@ def cmd_core(args) -> int:
 
 def cmd_spanning_tree(args) -> int:
     g = _load(args.graph)
-    sub = full_subgraph(g)
-    try:
-        tree = weighted_spanning_tree(sub, args.prime)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    tree = weighted_spanning_tree(full_subgraph(g), args.prime)
     _emit({
         "prime": args.prime,
         "tree_edges": [[u, v] for u, v in tree.edges],
@@ -257,13 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, required=True)
     p.set_defaults(func=cmd_spanning_tree)
 
+    defaults = VerificationConfig()
     p = sub.add_parser("verify", help="randomized oracle cross-checks")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--instances", type=int, default=500)
-    p.add_argument("--max-vertices", type=int, default=6)
-    p.add_argument("--max-valuation", type=int, default=3)
-    p.add_argument("--primes", type=_primes_list, default=[2, 3, 5])
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--instances", type=int, default=defaults.instance_count)
+    p.add_argument("--max-vertices", type=int, default=defaults.max_vertices)
+    p.add_argument("--max-valuation", type=int, default=defaults.max_valuation)
+    p.add_argument("--primes", type=_primes_list, default=list(defaults.primes))
+    p.add_argument("--parallelism", type=int, default=defaults.parallelism)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -275,13 +272,10 @@ def main(argv=None) -> int:
         if getattr(args, "prime", None) is not None:
             require_prime(args.prime)
         return args.func(args)
-    except InputError as exc:
+    except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        if isinstance(exc, EnumerationCapExceeded):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
+        return EXIT_CAP
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,7 +16,7 @@ cohomology, but without them the comparison map would not be a chain map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Subgraph, WeightedGraph, components, full_subgraph, p_valuation
@@ -49,15 +49,20 @@ class FundamentalComplex:
     gens_one: tuple[Subgraph, ...]
     d_neg: IntMatrix   # degree -1 -> 0
     d_zero: IntMatrix  # degree 0 -> 1
+    # generator -> position in gens_zero and gens_one
+    zero_at: dict[tuple[str, Subgraph], int] = field(repr=False, compare=False)
+    one_at: dict[Subgraph, int] = field(repr=False, compare=False)
 
     def zero_index(self, kind: str, d: Subgraph) -> int:
-        return self.gens_zero.index((kind, d))
+        return self.zero_at[(kind, d)]
 
     def one_index(self, d: Subgraph) -> Optional[int]:
-        try:
-            return self.gens_one.index(d)
-        except ValueError:
-            return None  # class is divided out (infinite tail)
+        return self.one_at.get(d)  # None: class is divided out (infinite tail)
+
+
+def _lower_level(forest: FundamentalForest, d: Subgraph) -> int:
+    """The level of a non-minimal subgraph's cover, one below its first."""
+    return forest.filtration.span[d][0] - 1
 
 
 def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
@@ -68,8 +73,9 @@ def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
     gens_zero = tuple([(REL0, d) for d in rel_graphs]
                       + [(CLS0, d) for d in cls_graphs])
     gens_one = tuple(d for d in cls_graphs if d not in bip)
-    one_index = {d: i for i, d in enumerate(gens_one)}
-    zero_index = {g: i for i, g in enumerate(gens_zero)}
+    one_at = {d: i for i, d in enumerate(gens_one)}
+    zero_at = {g: i for i, g in enumerate(gens_zero)}
+    min_val = forest.filtration.min_val
     p = forest.prime
 
     cols_zero = []
@@ -78,31 +84,29 @@ def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
         sup = forest.sup_level[d]
         if kind == REL0:
             if sup is not None:
-                col[one_index[d]] += p ** (sup - forest.lower_level[d])
+                col[one_at[d]] += p ** (sup - _lower_level(forest, d))
             for child in forest.phi[d]:
-                col[one_index[child]] -= 1
+                col[one_at[child]] -= 1
         else:
             if sup is not None:
-                col[one_index[d]] += p ** (sup - forest.min_val[d])
+                col[one_at[d]] += p ** (sup - min_val[d])
         cols_zero.append(col)
     d_zero = matrix_from_columns(cols_zero, len(gens_one))
 
     cols_neg = []
     for d in rel_graphs:
         col = [0] * len(gens_zero)
-        col[zero_index[(CLS0, d)]] += 1
-        col[zero_index[(REL0, d)]] -= p ** (forest.lower_level[d]
-                                            - forest.min_val[d])
+        col[zero_at[(CLS0, d)]] += 1
+        col[zero_at[(REL0, d)]] -= p ** (_lower_level(forest, d) - min_val[d])
         for child in forest.phi[d]:
-            col[zero_index[(CLS0, child)]] -= p ** (forest.min_val[child]
-                                                    - forest.min_val[d])
+            col[zero_at[(CLS0, child)]] -= p ** (min_val[child] - min_val[d])
         cols_neg.append(col)
     d_neg = matrix_from_columns(cols_neg, len(gens_zero))
 
     if not matmul(d_zero, d_neg).is_zero():
         raise ChainMapError("fundamental complex differentials do not square to zero")
     return FundamentalComplex(forest, rel_graphs, gens_zero, gens_one,
-                              d_neg, d_zero)
+                              d_neg, d_zero, zero_at, one_at)
 
 
 def complex_cohomology(fc: FundamentalComplex) -> tuple[AbelianGroup, AbelianGroup]:
@@ -165,7 +169,7 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
         if kind == REL0:
             cols0.append([0] * len(verts))
             continue
-        pm = p ** forest.min_val[d]
+        pm = p ** forest.filtration.min_val[d]
         cols0.append([x // pm for x in _fundamental_vector(forest, gp, d)])
     degree0 = matrix_from_columns(cols0, len(verts))
 
@@ -226,14 +230,6 @@ class UnsupportedRestriction(ValueError):
     """The restriction's image needs generators the target complex lacks."""
 
 
-def _intersection_components(omega: Subgraph, d: Subgraph,
-                             target_graph: WeightedGraph) -> list[Subgraph]:
-    inter_v = omega.vertex_set & d.vertex_set
-    inter_e = omega.edge_set & d.edge_set
-    return components(Subgraph(target_graph, frozenset(inter_v),
-                               frozenset(inter_e)))
-
-
 def restrict(forest: FundamentalForest, d: Subgraph,
              source: Optional[FundamentalComplex] = None) -> Restriction:
     """Induced map from the complex of the ambient graph to the complex of
@@ -257,19 +253,25 @@ def restrict(forest: FundamentalForest, d: Subgraph,
     p = forest.prime
 
     small_all = set(small.subgraphs) | set(small.extras)
-
-    def comps(omega: Subgraph) -> list[Subgraph]:
-        return _intersection_components(omega, d, dg)
+    # each generator's intersection with d, split into components and
+    # checked once; gens_one go first, which decides what a refusal names
+    pieces: dict[Subgraph, list[Subgraph]] = {}
+    for omega in fc_big.gens_one + tuple(g for _, g in fc_big.gens_zero):
+        if omega in pieces:
+            continue
+        pieces[omega] = components(Subgraph(
+            dg, omega.vertex_set & d.vertex_set, omega.edge_set & d.edge_set))
+        for psi in pieces[omega]:
+            if psi not in small_all:
+                raise UnsupportedRestriction(
+                    f"component {psi} of the restriction is not a generator")
 
     n_one = len(fc_small.gens_one)
     cols_one = []
     for omega in fc_big.gens_one:
         col = [0] * n_one
         r_big = forest.sup_level[omega]
-        for psi in comps(omega):
-            if psi not in small_all:
-                raise UnsupportedRestriction(
-                    f"component {psi} of the restriction is not a generator")
+        for psi in pieces[omega]:
             r_small = small.sup_level[psi]
             if r_small is None:
                 continue  # class divided out in the target
@@ -278,20 +280,17 @@ def restrict(forest: FundamentalForest, d: Subgraph,
     map_one = matrix_from_columns(cols_one, n_one)
 
     n_zero = len(fc_small.gens_zero)
-    small_rel = set(fc_small.gens_neg)
+    small_rel = {psi: i for i, psi in enumerate(fc_small.gens_neg)}
     cols_zero = []
     for kind, omega in fc_big.gens_zero:
         col = [0] * n_zero
-        for psi in comps(omega):
-            if psi not in small_all:
-                raise UnsupportedRestriction(
-                    f"component {psi} of the restriction is not a generator")
+        for psi in pieces[omega]:
             if kind == CLS0:
                 col[fc_small.zero_index(CLS0, psi)] += 1
             else:
                 if psi not in small_rel:
                     continue  # no relator on the target side
-                shift = small.lower_level[psi] - forest.lower_level[omega]
+                shift = _lower_level(small, psi) - _lower_level(forest, omega)
                 if shift < 0:
                     continue  # target chain reaches deeper; no integral image
                 col[fc_small.zero_index(REL0, psi)] += p ** shift
@@ -302,9 +301,9 @@ def restrict(forest: FundamentalForest, d: Subgraph,
     cols_neg = []
     for omega in fc_big.gens_neg:
         col = [0] * n_neg
-        for psi in comps(omega):
+        for psi in pieces[omega]:
             if psi in small_rel:
-                col[fc_small.gens_neg.index(psi)] += 1
+                col[small_rel[psi]] += 1
         cols_neg.append(col)
     map_neg = matrix_from_columns(cols_neg, n_neg)
 

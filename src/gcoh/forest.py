@@ -15,11 +15,13 @@ stored symbolically (sup_level None) and only materialized up to the
 largest level that matters.
 
 Everything is read off one `graphs.filtration` sweep: the reduction
-components at every level with their level intervals, bipartiteness and
-minimal valuations.  Descent and covers look up a vertex's class one
-level down; a subgraph is maximal when the class above its top level is
-not a node; a class's boundary valuation is its last level, and at
-p = 2 a non-bipartite top is signed by the classes one level down.
+components at every level with their level intervals, bipartiteness,
+minimal valuations and the sweep's 2-colourings.  Descent and covers
+look up a vertex's class one level down; a subgraph is maximal when the
+class above its top level is not a node; a class's boundary valuation is
+its last level.  Every sign map is `Filtration.signs`: a bipartite top
+takes its own colouring, and at p = 2 a non-bipartite top takes the
+colourings of the classes one level down.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .graphs import (
     Filtration,
     Subgraph,
     WeightedGraph,
-    bipartition,
     filtration,
     full_subgraph,
     require_prime,
@@ -76,20 +77,17 @@ class FundamentalForest:
       witness          minimal subgraph -> a vertex realizing min_val
       orientation      subgraph -> sign map, induced from the chain tops
       maximal          subgraphs whose top node has no node above it
-      filtration       the sweep all of the above is read from
+      filtration       the sweep behind all of the above: min_val, span, top
     """
 
     def __init__(self, graph: WeightedGraph, prime: int, filt: Filtration):
         self.graph = graph
         self.prime = prime
         self.filtration = filt
-        self.top_level = filt.top
         self.nodes: tuple[ForestNode, ...] = ()
         self.subgraphs: tuple[Subgraph, ...] = ()
         self.extras: tuple[Subgraph, ...] = ()
         self.sup_level: dict[Subgraph, Optional[int]] = {}
-        self.min_val: dict[Subgraph, int] = {}
-        self.lower_level: dict[Subgraph, int] = {}
         self.phi: dict[Subgraph, tuple[Subgraph, ...]] = {}
         self.descent: dict[ForestNode, ForestNode] = {}
         self.to_minimal: dict[ForestNode, ForestNode] = {}
@@ -117,14 +115,13 @@ def _membership(filt: Filtration, comp: Subgraph, p: int, level: int) -> bool:
     at s is that of comp / p**m at s - m.  The divided scheme is reduced
     at level - 2m, where the combinatorial criterion decides it: bipartite,
     or, at p = 2, the reduction of comp at level - 1 is bipartite (the
-    divided weights have odd gcd).  No Smith normal form is needed.
+    divided weights have odd gcd): `filt.signs` signs it.  No SNF needed.
     """
     if filt.min_val[comp] >= level:
         return False
     if filt.bipartite[comp]:
         return True
-    return p == 2 and (level == 1 or all(
-        filt.bipartite[filt.class_of(v, level - 1)] for v in comp.vertex_set))
+    return p == 2 and filt.signs(comp, level - 1) is not None
 
 
 def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
@@ -146,10 +143,9 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     for delta, rs in levels.items():
         if rs != list(range(rs[0], rs[-1] + 1)):
             raise AssertionError(f"levels of {delta} not contiguous: {rs}")
-        m = forest.min_val[delta] = filt.min_val[delta]
         sup = forest.sup_level[delta] = None if delta in tails else rs[-1]
         for r in rs:
-            nodes.append(ForestNode(delta, r, m, sup))
+            nodes.append(ForestNode(delta, r, filt.min_val[delta], sup))
             forest._node_at[(delta, r)] = nodes[-1]
     forest.nodes = tuple(sorted(nodes, key=ForestNode.sort_key))
     forest.subgraphs = tuple(sorted(
@@ -224,7 +220,6 @@ def _build_phi(forest: FundamentalForest) -> None:
         if lower < 1:
             raise AssertionError(
                 f"non-minimal subgraph with no positive-valuation edge: {delta}")
-        forest.lower_level[delta] = lower
         children = []
         for comp in dict.fromkeys(filt.class_of(v, lower) for v in delta.vertices):
             if (comp, lower) in forest._node_at:
@@ -241,7 +236,6 @@ def _build_phi(forest: FundamentalForest) -> None:
                 raise AssertionError(
                     f"cover vertex {v} has valuation {mv} but boundary {bv}")
             extras.add(comp)
-            forest.min_val.setdefault(comp, mv)
             forest.sup_level.setdefault(comp, mv)  # degenerate: r == m
             children.append(comp)
         forest.phi[delta] = tuple(
@@ -253,24 +247,22 @@ def _assign_orientations(forest: FundamentalForest) -> None:
     """Choose sign maps consistently: orient each forest-maximal subgraph,
     then restrict downwards through the covers.
 
-    A bipartite top takes its own normalized bipartitioning; at p = 2 a
-    non-bipartite top at level sup takes `Filtration.signs` at sup - 1,
-    the bipartitionings of the level-(sup - 1) classes inside it.
+    Every top is signed by `Filtration.signs`: a bipartite top by its
+    own colouring from the sweep, and at p = 2 a non-bipartite top at
+    level sup by the colourings of the level-(sup - 1) classes inside it.
     """
-    p = forest.prime
     filt = forest.filtration
     queue = []
     for top_graph in forest.maximal:
         if top_graph in forest.orientation:
             continue
-        if filt.bipartite[top_graph]:
-            alpha = bipartition(top_graph)
-        elif p != 2:
+        bipartite = filt.bipartite[top_graph]
+        if not bipartite and forest.prime != 2:
             raise AssertionError("non-bipartite top at an odd prime")
-        else:
-            alpha = filt.signs(top_graph, forest.sup_level[top_graph] - 1)
-            if alpha is None:
-                raise AssertionError("unorientable top subgraph")
+        alpha = filt.signs(top_graph, filt.top if bipartite
+                           else forest.sup_level[top_graph] - 1)
+        if alpha is None:
+            raise AssertionError("unorientable top subgraph")
         forest.orientation[top_graph] = alpha
         queue.append(top_graph)
     while queue:
@@ -309,9 +301,9 @@ def forest_to_dot(forest: FundamentalForest) -> str:
         vs = ",".join(comp.vertices)
         tails.append(comp)
         lines.append(
-            f'  tail{len(tails)} [label="({{{vs}}},r>{forest.top_level})'
+            f'  tail{len(tails)} [label="({{{vs}}},r>{forest.filtration.top})'
             f' ad infinitum", shape=box];')
-        top_node = forest.node_at(comp, forest.top_level)
+        top_node = forest.node_at(comp, forest.filtration.top)
         lines.append(f'  {names[top_node]} -> tail{len(tails)} [style=dotted];')
     for node, target in forest.descent.items():
         lines.append(

@@ -321,9 +321,10 @@ class Filtration(NamedTuple):
     `owner[r - 1]` maps each vertex to its level-r class; a class that
     does not change from one level to the next is the same object at
     both.  Per class: `span` (first and last level), `bipartite`,
-    `min_val` (smallest vertex valuation).  `tree` holds the edges that
-    merged two classes, the unique minimum spanning forest under the
-    strict order (valuation, edge).
+    `min_val` (smallest vertex valuation) and, for a bipartite class,
+    `colouring`: the sweep's 2-colouring as signs, the smallest vertex
+    +1.  `tree` holds the edges that merged two classes, the unique
+    minimum spanning forest under the strict order (valuation, edge).
     """
 
     top: int
@@ -332,6 +333,7 @@ class Filtration(NamedTuple):
     span: dict[Subgraph, tuple[int, int]]
     bipartite: dict[Subgraph, bool]
     min_val: dict[Subgraph, int]
+    colouring: dict[Subgraph, Bipartition]
     tree: frozenset[Edge]
 
     def at(self, r: int) -> tuple[Subgraph, ...]:
@@ -343,21 +345,23 @@ class Filtration(NamedTuple):
         return self.owner[r - 1][v]
 
     def signs(self, c: Subgraph, r: int) -> Optional[Bipartition]:
-        """`bipartition(reduction(c, p, r))` for a class c, r >= 0.
+        """`bipartition(reduction(c, p, r))` for a class c, r >= 0, read
+        off the colourings.
 
         No edge is left at r = 0, so every vertex gets +1.  Below c's
         first level the reduction is the union of the level-r classes
-        inside c, each signed on its own; from that level on it is c.
+        inside c, each signed by its own colouring; from that level on it
+        is c.
         """
         if r >= self.span[c][0]:
-            return bipartition(c) if self.bipartite[c] else None
-        sign = dict.fromkeys(c.vertices, 1)
-        if r > 0:
-            for cls in dict.fromkeys(self.class_of(v, r) for v in sign):
-                part = bipartition(cls)
-                if part is None:
-                    return None
-                sign.update(part.sign)
+            return self.colouring.get(c)
+        if r == 0:
+            return Bipartition(dict.fromkeys(c.vertex_set, 1))
+        sign: dict[str, int] = {}
+        for cls in dict.fromkeys(self.owner[r - 1][v] for v in c.vertex_set):
+            if cls not in self.colouring:
+                return None
+            sign.update(self.colouring[cls].sign)
         return Bipartition(sign)
 
     def boundary_valuation(self, d: Subgraph) -> Optional[int]:
@@ -377,9 +381,11 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     """One union-find sweep over the edges of g in (valuation, edge) order.
 
     The levels run to the largest edge valuation + 1, further if an
-    isolated vertex of valuation a needs level a + 1.  Each entry carries
-    its colour relative to its leader: an edge between equal colours of
-    one class makes the class non-bipartite.
+    isolated vertex of valuation a needs level a + 1.  Each vertex keeps
+    its class root and its colour, +1 or -1; a merge relabels the
+    smaller class and recolours it so that the merging edge joins
+    opposite colours, and an edge between equal colours of one class
+    makes the class non-bipartite.
     """
     require_prime(p)
     val = {v: p_valuation(g.parent.weight[v], p) for v in g.vertex_set}
@@ -390,33 +396,31 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     top = max([max(entering, default=0) + 1]
               + [val[v] + 1 for v in g.vertex_set - touched])
 
-    leader = {v: v for v in g.vertex_set}
-    side = dict.fromkeys(g.vertex_set, 0)
+    root = {v: v for v in g.vertex_set}
+    colour = dict.fromkeys(g.vertex_set, 1)
     members = {v: [v] for v in g.vertex_set}
     edges: dict[str, list[Edge]] = {v: [] for v in g.vertex_set}
     bip = dict.fromkeys(g.vertex_set, True)
-
-    def find(v: str) -> tuple[str, int]:
-        colour = 0
-        while leader[v] != v:
-            colour ^= side[v]
-            v = leader[v]
-        return v, colour
 
     owner: dict[str, Subgraph] = {}
     owners, tree = [], []
     bipartite: dict[Subgraph, bool] = {}
     min_val: dict[Subgraph, int] = {}
+    colouring: dict[Subgraph, Bipartition] = {}
     changed = dict.fromkeys(sorted(g.vertex_set))
     for r in range(1, top + 1):
         for e in entering.get(r - 1, ()):
-            (a, ca), (b, cb) = find(e[0]), find(e[1])
+            u, w = e
+            a, b = root[u], root[w]
             if a == b:
-                bip[a] = bip[a] and ca != cb
+                bip[a] = bip[a] and colour[u] != colour[w]
             else:
                 if len(members[a]) < len(members[b]):
                     a, b = b, a
-                leader[b], side[b] = a, ca ^ cb ^ 1
+                flip = -colour[u] * colour[w]
+                for v in members[b]:
+                    root[v] = a
+                    colour[v] *= flip
                 members[a] += members.pop(b)
                 edges[a] += edges.pop(b)
                 bip[a] = bip[a] and bip.pop(b)
@@ -428,6 +432,10 @@ def filtration(g: Subgraph, p: int) -> Filtration:
             sub = Subgraph(g.parent, frozenset(members[a]), frozenset(edges[a]))
             bipartite[sub] = bip[a]
             min_val[sub] = min(val[v] for v in members[a])
+            if bip[a]:
+                plus = colour[min(members[a])]
+                colouring[sub] = Bipartition(
+                    {v: colour[v] * plus for v in members[a]})
             owner.update(dict.fromkeys(members[a], sub))
         changed = {}
         owners.append(dict(owner))
@@ -435,8 +443,8 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     for r, level in enumerate(owners, 1):
         for sub in level.values():
             span[sub] = (span.get(sub, (r,))[0], r)
-    return Filtration(top, val, tuple(owners), span,
-                      bipartite, min_val, frozenset(tree))
+    return Filtration(top, val, tuple(owners), span, bipartite, min_val,
+                      colouring, frozenset(tree))
 
 
 def edge_boundary(d: Subgraph) -> frozenset[Edge]:

@@ -63,10 +63,11 @@ from .fcomplex import (
     restrict,
 )
 from .intlinalg import (
+    COMPRESS_MIN_GAP,
+    check_smith,
     determinant,
     direct_sum,
     factorize,
-    matmul,
     matrix,
     smith_normal_form,
 )
@@ -210,17 +211,22 @@ def _ranks(sub: Subgraph) -> tuple[int, int]:
 
 @prop("snf_invariants", "snf")
 def check_snf_invariants(cfg, rng, count):
+    # one draw in four takes the compressed path, so its U and V are checked
     while True:
-        rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
+        rows = (cols + COMPRESS_MIN_GAP + rng.randint(0, 3)
+                if rng.randint(0, 3) == 0 else rng.randint(1, 5))
         a = matrix([[rng.randint(-20, 20) for _ in range(cols)]
                     for _ in range(rows)])
-        dec = smith_normal_form(a)
-        chain = dec.divisors
-        ok = (matmul(matmul(dec.u, a), dec.v) == dec.s
-              and abs(determinant(dec.u)) == 1
-              and abs(determinant(dec.v)) == 1
-              and all(y % x == 0 for x, y in zip(chain, chain[1:])))
+        try:
+            dec = smith_normal_form(a)
+            check_smith(a, dec)
+        except AssertionError:  # a failed multiply-back
+            ok = False
+        else:
+            chain = dec.divisors
+            ok = (abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
+                  and all(y % x == 0 for x, y in zip(chain, chain[1:])))
         yield None if ok else {"matrix": a.entries}
 
 

@@ -110,7 +110,7 @@ def oriented_core(g: WeightedGraph, p: int,
     covered: set[str] = set()
     for delta in forest.maximal:
         parts.append(CoreComponent(delta, forest.sup_level[delta],
-                                   forest.min_val[delta],
+                                   forest.filtration.min_val[delta],
                                    forest.filtration.bipartite[delta], True))
         covered |= delta.vertex_set
     for v in g.vertices:

@@ -448,6 +448,58 @@ def test_verify_detects_injected_mutation(monkeypatch):
     assert healthy.passed
 
 
+def _doubled_first_row(dec):
+    """dec with row 0 of U and row 0 of S doubled: it still multiplies
+    back, but U is no longer unimodular."""
+    from gcoh.intlinalg import SmithDecomposition, matrix
+
+    def doubled(m):
+        return matrix([[2 * x for x in m.entries[0]], *m.entries[1:]], m.cols)
+
+    return SmithDecomposition(doubled(dec.u), doubled(dec.s), dec.v, dec.hermite)
+
+
+def test_snf_invariants_fails_a_non_unimodular_compressed_transform(monkeypatch):
+    import gcoh.verify
+    from gcoh.intlinalg import (COMPRESS_MIN_GAP, check_smith, determinant,
+                                matrix, smith_normal_form)
+
+    rng = random.Random(4)
+    a = matrix([[rng.randint(-20, 20) for _ in range(3)]
+                for _ in range(3 + COMPRESS_MIN_GAP)])
+    bad = _doubled_first_row(smith_normal_form(a))
+    assert bad.hermite is not None
+    check_smith(a, bad)  # the multiply-back alone accepts it
+    assert abs(determinant(bad.u)) == 2
+
+    def mutated(m):
+        dec = smith_normal_form(m)
+        return dec if dec.hermite is None else _doubled_first_row(dec)
+
+    cfg = VerificationConfig(instance_count=200, seed=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(gcoh.verify, "smith_normal_form", mutated)
+        result = run_property("snf_invariants", cfg)
+    assert not result.passed
+    tall = result.counterexample["matrix"]
+    assert len(tall) - len(tall[0]) >= COMPRESS_MIN_GAP
+
+    assert run_property("snf_invariants", cfg).passed
+
+
+def test_snf_invariants_reports_a_failed_multiply_back(monkeypatch):
+    import gcoh.verify
+    from gcoh.intlinalg import SmithDecomposition, smith_normal_form
+
+    def wrong_s(m):
+        dec = smith_normal_form(m)
+        return SmithDecomposition(dec.u, dec.u, dec.v, dec.hermite)
+
+    monkeypatch.setattr(gcoh.verify, "smith_normal_form", wrong_s)
+    result = run_property("snf_invariants", VerificationConfig(seed=1))
+    assert not result.passed and "matrix" in result.counterexample
+
+
 def test_complete_graph_failure_reports_the_instances_run(monkeypatch):
     import gcoh.verify
     from gcoh.tropical import Const, times, tval

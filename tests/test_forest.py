@@ -210,7 +210,7 @@ def test_membership_matches_critical_dimension():
                            for v in base.vertices}, base.edges)
         f = build_forest(g, p)
         nodes = {(n.graph.key(), n.level) for n in f.nodes}
-        for r in range(1, f.top_level + 1):
+        for r in range(1, f.filtration.top + 1):
             for comp in components(reduce_graph(g, p, r)):
                 m = comp.min_valuation(p)
                 want = m < r and is_orientable(comp, p, r - m).orientable
@@ -249,6 +249,25 @@ def test_two_adic_top_orientation_matches_the_reduction():
             assert f.orientation[top].sign == dict(want.sign), (g, top)
             checked.add(sup)
     assert 1 in checked and len(checked) >= 3  # sup == 1 and deeper tops
+
+
+def test_bipartite_top_orientation_is_its_bipartition():
+    # A bipartite top takes the sweep's colouring; the reference is the
+    # breadth-first 2-colouring of the top itself.
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(60):
+        p = rng.choice([2, 3, 5])
+        base = random_connected(rng, 7, p, 3)
+        units = [u for u in range(1, 8) if u % p]
+        g = WeightedGraph({v: base.weight[v] * rng.choice(units)
+                           for v in base.vertices}, base.edges)
+        f = build_forest(g, p)
+        for top in f.maximal:
+            if f.filtration.bipartite[top]:
+                assert f.orientation[top] == bipartition(top), (g, p, top)
+                checked += 1
+    assert checked >= 60
 
 
 def test_dot_export_shape():
