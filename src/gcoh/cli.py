@@ -78,11 +78,14 @@ def cmd_forest(args) -> int:
             "{" + ",".join(c.vertices) + "}"
             for c in forest.bipartite_components],
     }
-    _emit(doc)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(forest_to_dot(forest))
-            fh.write("\n")
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(forest_to_dot(forest))
+                fh.write("\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot}: {exc}") from exc
+    _emit(doc)
     return EXIT_OK
 
 

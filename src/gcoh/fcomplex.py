@@ -41,7 +41,7 @@ class ChainMapError(AssertionError):
     """A built map failed its exact chain-map verification."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FundamentalComplex:
     forest: FundamentalForest
     gens_neg: tuple[Subgraph, ...]
@@ -66,9 +66,8 @@ def _lower_level(forest: FundamentalForest, d: Subgraph) -> int:
 
 
 def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
-    minimal_graphs = {n.graph for n in forest.minimal_nodes}
     bip = set(forest.bipartite_components)
-    rel_graphs = tuple(d for d in forest.subgraphs if d not in minimal_graphs)
+    rel_graphs = tuple(forest.phi)
     cls_graphs = tuple(list(forest.subgraphs) + list(forest.extras))
     gens_zero = tuple([(REL0, d) for d in rel_graphs]
                       + [(CLS0, d) for d in cls_graphs])
@@ -130,7 +129,7 @@ def p_part_graph(g: WeightedGraph, p: int) -> WeightedGraph:
         {v: p ** p_valuation(g.weight[v], p) for v in g.vertices}, g.edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonMap:
     """chi: fundamental complex -> ambient cochain complex (p-part weights)."""
 
@@ -208,7 +207,7 @@ def chi_image_torsion_order(cm: ComparisonMap) -> int:
     return base // quotient_torsion
 
 
-@dataclass
+@dataclass(frozen=True)
 class Restriction:
     """Matrices of the induced map between fundamental complexes."""
 

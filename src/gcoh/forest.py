@@ -15,13 +15,15 @@ stored symbolically (sup_level None) and only materialized up to the
 largest level that matters.
 
 Everything is read off one `graphs.filtration` sweep: the reduction
-components at every level with their level intervals, bipartiteness,
-minimal valuations and the sweep's 2-colourings.  Descent and covers
-look up a vertex's class one level down; a subgraph is maximal when the
-class above its top level is not a node; a class's boundary valuation is
-its last level.  Every sign map is `Filtration.signs`: a bipartite top
+components with their level intervals, minimal valuations and the
+sweep's 2-colourings, which the bipartite ones alone have.  Node levels
+are read per class, over its interval; descent and covers look up a
+vertex's class one level down; a subgraph is maximal when the class
+above its top level is not a node; a class's boundary valuation is its
+last level.  Every sign map is `Filtration.signs`: a bipartite top
 takes its own colouring, and at p = 2 a non-bipartite top takes the
-colourings of the classes one level down.
+colourings of the classes one level down.  The forest is one frozen
+value, constructed once from these tables.
 """
 
 from __future__ import annotations
@@ -58,17 +60,18 @@ class ForestNode:
         return f"({{{','.join(self.graph.vertices)}}},{self.level})"
 
 
+@dataclass(frozen=True, eq=False)
 class FundamentalForest:
-    """Forest structure at a prime; see the module docstring.
-
-    Attributes of note:
+    """Forest structure at a prime, built once by `build_forest`; see the
+    module docstring.  Equality is identity.  Attributes of note:
       nodes            all materialized nodes
       subgraphs        distinct node subgraphs
       extras           single-vertex cover graphs that fail the minimal
                        valuation condition (needed to span vertex sets in
                        the fundamental complex; they carry no nodes)
+      sup_level        subgraph or extra -> largest level, None for a tail
+      phi              non-minimal subgraph -> its level-down cover
       descent          one-level-down map, defined off the minimal nodes
-      to_minimal       iterated descent
       minimal_nodes    nodes at level = min_val + 1
       counted_minimal  minimal nodes of finite chains
       counted_nodes    nodes on finite chains (they count the torsion)
@@ -80,27 +83,25 @@ class FundamentalForest:
       filtration       the sweep behind all of the above: min_val, span, top
     """
 
-    def __init__(self, graph: WeightedGraph, prime: int, filt: Filtration):
-        self.graph = graph
-        self.prime = prime
-        self.filtration = filt
-        self.nodes: tuple[ForestNode, ...] = ()
-        self.subgraphs: tuple[Subgraph, ...] = ()
-        self.extras: tuple[Subgraph, ...] = ()
-        self.sup_level: dict[Subgraph, Optional[int]] = {}
-        self.phi: dict[Subgraph, tuple[Subgraph, ...]] = {}
-        self.descent: dict[ForestNode, ForestNode] = {}
-        self.to_minimal: dict[ForestNode, ForestNode] = {}
-        self.minimal_nodes: tuple[ForestNode, ...] = ()
-        self.counted_minimal: tuple[ForestNode, ...] = ()
-        self.counted_nodes: tuple[ForestNode, ...] = ()
-        self.peak_map: dict[ForestNode, ForestNode] = {}
-        self.peak_nodes: tuple[ForestNode, ...] = ()
-        self.witness: dict[Subgraph, str] = {}
-        self.orientation: dict[Subgraph, Bipartition] = {}
-        self.bipartite_components: tuple[Subgraph, ...] = ()
-        self.maximal: tuple[Subgraph, ...] = ()
-        self._node_at: dict[tuple[Subgraph, int], ForestNode] = {}
+    graph: WeightedGraph
+    prime: int
+    filtration: Filtration
+    nodes: tuple[ForestNode, ...]
+    subgraphs: tuple[Subgraph, ...]
+    extras: tuple[Subgraph, ...]
+    sup_level: dict[Subgraph, Optional[int]]
+    phi: dict[Subgraph, tuple[Subgraph, ...]]
+    descent: dict[ForestNode, ForestNode]
+    minimal_nodes: tuple[ForestNode, ...]
+    counted_minimal: tuple[ForestNode, ...]
+    counted_nodes: tuple[ForestNode, ...]
+    peak_map: dict[ForestNode, ForestNode]
+    peak_nodes: tuple[ForestNode, ...]
+    witness: dict[Subgraph, str]
+    orientation: dict[Subgraph, Bipartition]
+    bipartite_components: tuple[Subgraph, ...]
+    maximal: tuple[Subgraph, ...]
+    _node_at: dict[tuple[Subgraph, int], ForestNode]
 
     def node_at(self, graph: Subgraph, level: int) -> ForestNode:
         return self._node_at[(graph, level)]
@@ -119,7 +120,7 @@ def _membership(filt: Filtration, comp: Subgraph, p: int, level: int) -> bool:
     """
     if filt.min_val[comp] >= level:
         return False
-    if filt.bipartite[comp]:
+    if comp in filt.colouring:
         return True
     return p == 2 and filt.signs(comp, level - 1) is not None
 
@@ -127,102 +128,100 @@ def _membership(filt: Filtration, comp: Subgraph, p: int, level: int) -> bool:
 def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     require_prime(p)
     filt = filtration(full_subgraph(g), p)
-    forest = FundamentalForest(g, p, filt)
     top = filt.top
 
-    levels: dict[Subgraph, list[int]] = {}
-    for r in range(1, top + 1):
-        for comp in filt.at(r):
-            if _membership(filt, comp, p, r):
-                levels.setdefault(comp, []).append(r)
+    levels: dict[Subgraph, range] = {}  # each class's node levels
+    for comp, (first, last) in filt.span.items():
+        rs = [r for r in range(first, last + 1)
+              if _membership(filt, comp, p, r)]
+        if rs:
+            if rs != list(range(rs[0], rs[-1] + 1)):
+                raise AssertionError(f"levels of {comp} not contiguous: {rs}")
+            levels[comp] = range(rs[0], rs[-1] + 1)
 
-    forest.bipartite_components = tuple(
-        c for c in filt.at(top) if filt.bipartite[c])
-    tails = set(forest.bipartite_components)
-    nodes = []
+    bipartite_components = tuple(
+        c for c in filt.at(top) if c in filt.colouring)
+    tails = set(bipartite_components)
+    sup_level: dict[Subgraph, Optional[int]] = {}
+    anchor: dict[Subgraph, str] = {}  # smallest vertex of least valuation
+    node_at: dict[tuple[Subgraph, int], ForestNode] = {}
     for delta, rs in levels.items():
-        if rs != list(range(rs[0], rs[-1] + 1)):
-            raise AssertionError(f"levels of {delta} not contiguous: {rs}")
-        sup = forest.sup_level[delta] = None if delta in tails else rs[-1]
+        m = filt.min_val[delta]
+        sup = sup_level[delta] = None if delta in tails else rs[-1]
+        anchor[delta] = min(v for v in delta.vertex_set
+                            if filt.valuation[v] == m)
         for r in rs:
-            nodes.append(ForestNode(delta, r, filt.min_val[delta], sup))
-            forest._node_at[(delta, r)] = nodes[-1]
-    forest.nodes = tuple(sorted(nodes, key=ForestNode.sort_key))
-    forest.subgraphs = tuple(sorted(
-        levels, key=lambda d: (d.vertices, d.edges)))
+            node_at[(delta, r)] = ForestNode(delta, r, m, sup)
+    nodes = tuple(sorted(node_at.values(), key=ForestNode.sort_key))
+    subgraphs = tuple(sorted(levels, key=lambda d: (d.vertices, d.edges)))
 
-    # descent: one level down through the smallest minimal-weight vertex;
-    # nodes come in level order, so the node below is already mapped
-    for node in forest.nodes:
+    # descent: one level down through the anchor; nodes come in level
+    # order, so the node below is already mapped
+    descent: dict[ForestNode, ForestNode] = {}
+    to_minimal: dict[ForestNode, ForestNode] = {}
+    witness: dict[Subgraph, str] = {}
+    for node in nodes:
         if node.level == node.min_val + 1:
-            forest.to_minimal[node] = node
-            forest.witness[node.graph] = _anchor(filt, node)
+            to_minimal[node] = node
+            witness[node.graph] = anchor[node.graph]
             continue
-        below = filt.class_of(_anchor(filt, node), node.level - 1)
-        forest.descent[node] = forest.node_at(below, node.level - 1)
-        forest.to_minimal[node] = forest.to_minimal[forest.descent[node]]
+        below = filt.class_of(anchor[node.graph], node.level - 1)
+        descent[node] = node_at[(below, node.level - 1)]
+        to_minimal[node] = to_minimal[descent[node]]
 
-    forest.minimal_nodes = tuple(
-        n for n in forest.nodes if n.level == n.min_val + 1)
-
-    excluded = {forest.to_minimal[forest.node_at(c, levels[c][0])]
-                for c in forest.bipartite_components}
-    forest.counted_minimal = tuple(
-        n for n in forest.minimal_nodes if n not in excluded)
-    counted_min = set(forest.counted_minimal)
-    forest.counted_nodes = tuple(
-        n for n in forest.nodes if forest.to_minimal[n] in counted_min)
+    minimal_nodes = tuple(n for n in nodes if n.level == n.min_val + 1)
+    excluded = {to_minimal[node_at[(c, levels[c][0])]]
+                for c in bipartite_components}
+    counted_minimal = tuple(n for n in minimal_nodes if n not in excluded)
+    counted_nodes = tuple(n for n in nodes if to_minimal[n] not in excluded)
 
     chains: dict[ForestNode, list[ForestNode]] = {}
-    for n in forest.nodes:
-        chains.setdefault(forest.to_minimal[n], []).append(n)
-    for a in forest.counted_minimal:
-        forest.peak_map[a] = max(chains[a], key=lambda n: n.level)
-    forest.peak_nodes = tuple(sorted(forest.peak_map.values(),
-                                     key=ForestNode.sort_key))
+    for n in nodes:
+        chains.setdefault(to_minimal[n], []).append(n)
+    peak_map = {a: max(chains[a], key=lambda n: n.level)
+                for a in counted_minimal}
+    peak_nodes = tuple(sorted(peak_map.values(), key=ForestNode.sort_key))
 
     maximal = []
-    for delta in forest.subgraphs:
-        sup = forest.sup_level[delta]
+    for delta in subgraphs:
+        sup = sup_level[delta]
         if (sup is None or sup >= top
-                or (filt.class_of(delta.min_vertex(), sup + 1), sup + 1)
-                not in forest._node_at):
+                or sup + 1 not in levels.get(
+                    filt.class_of(delta.min_vertex(), sup + 1), ())):
             maximal.append(delta)
-    forest.maximal = tuple(maximal)
 
-    _build_phi(forest)
-    _assign_orientations(forest)
-    return forest
-
-
-def _anchor(filt: Filtration, node: ForestNode) -> str:
-    """The smallest vertex of the node's subgraph realizing its min_val."""
-    return min(v for v in node.graph.vertex_set
-               if filt.valuation[v] == node.min_val)
+    phi, extras = _build_phi(filt, levels, subgraphs)
+    for comp in extras:
+        sup_level[comp] = filt.valuation[comp.min_vertex()]  # r == m
+    orientation = _assign_orientations(filt, p, maximal, sup_level, phi)
+    return FundamentalForest(
+        g, p, filt, nodes, subgraphs, extras, sup_level, phi, descent,
+        minimal_nodes, counted_minimal, counted_nodes, peak_map, peak_nodes,
+        witness, orientation, bipartite_components, tuple(maximal), node_at)
 
 
-def _build_phi(forest: FundamentalForest) -> None:
-    """Level-down cover of each non-minimal subgraph, extras included.
+def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
+               subgraphs: tuple[Subgraph, ...]) -> tuple[dict, tuple]:
+    """Level-down cover of each non-minimal subgraph, and the extras.
 
     The cover of D is the set of components of the reduction of D at its
     largest internal edge valuation, one below the level where D first
     appears.  Components that fail the minimal valuation condition are
     single vertices whose weight valuation equals their boundary
-    valuation; they are recorded as extras so the cover always spans V(D).
+    valuation; they are returned as extras so the cover always spans V(D).
     """
-    filt = forest.filtration
-    minimal_graphs = {n.graph for n in forest.minimal_nodes}
+    phi: dict[Subgraph, tuple[Subgraph, ...]] = {}
     extras: set[Subgraph] = set()
-    for delta in forest.subgraphs:
-        if delta in minimal_graphs:
-            continue
+    for delta in subgraphs:
+        if levels[delta][0] == filt.min_val[delta] + 1:
+            continue  # a minimal subgraph has no cover
         lower = filt.span[delta][0] - 1
         if lower < 1:
             raise AssertionError(
                 f"non-minimal subgraph with no positive-valuation edge: {delta}")
         children = []
         for comp in dict.fromkeys(filt.class_of(v, lower) for v in delta.vertices):
-            if (comp, lower) in forest._node_at:
+            if lower in levels.get(comp, ()):
                 children.append(comp)
                 continue
             # must be a single-vertex cover graph with valuation == level
@@ -236,46 +235,47 @@ def _build_phi(forest: FundamentalForest) -> None:
                 raise AssertionError(
                     f"cover vertex {v} has valuation {mv} but boundary {bv}")
             extras.add(comp)
-            forest.sup_level.setdefault(comp, mv)  # degenerate: r == m
             children.append(comp)
-        forest.phi[delta] = tuple(
+        phi[delta] = tuple(
             sorted(children, key=lambda c: (c.vertices, c.edges)))
-    forest.extras = tuple(sorted(extras, key=lambda c: (c.vertices, c.edges)))
+    return phi, tuple(sorted(extras, key=lambda c: (c.vertices, c.edges)))
 
 
-def _assign_orientations(forest: FundamentalForest) -> None:
+def _assign_orientations(filt: Filtration, p: int, maximal: list[Subgraph],
+                         sup_level: dict[Subgraph, Optional[int]],
+                         phi: dict[Subgraph, tuple[Subgraph, ...]],
+                         ) -> dict[Subgraph, Bipartition]:
     """Choose sign maps consistently: orient each forest-maximal subgraph,
-    then restrict downwards through the covers.
+    then restrict downwards through the covers; every subgraph and extra
+    (the keys of `sup_level`) must end up with one.
 
     Every top is signed by `Filtration.signs`: a bipartite top by its
     own colouring from the sweep, and at p = 2 a non-bipartite top at
     level sup by the colourings of the level-(sup - 1) classes inside it.
     """
-    filt = forest.filtration
+    orientation: dict[Subgraph, Bipartition] = {}
     queue = []
-    for top_graph in forest.maximal:
-        if top_graph in forest.orientation:
-            continue
-        bipartite = filt.bipartite[top_graph]
-        if not bipartite and forest.prime != 2:
+    for top_graph in maximal:
+        bipartite = top_graph in filt.colouring
+        if not bipartite and p != 2:
             raise AssertionError("non-bipartite top at an odd prime")
         alpha = filt.signs(top_graph, filt.top if bipartite
-                           else forest.sup_level[top_graph] - 1)
+                           else sup_level[top_graph] - 1)
         if alpha is None:
             raise AssertionError("unorientable top subgraph")
-        forest.orientation[top_graph] = alpha
+        orientation[top_graph] = alpha
         queue.append(top_graph)
     while queue:
         delta = queue.pop()
-        alpha = forest.orientation[delta]
-        for child in forest.phi.get(delta, ()):
-            if child not in forest.orientation:
-                forest.orientation[child] = alpha.restricted(child.vertex_set)
+        alpha = orientation[delta]
+        for child in phi.get(delta, ()):
+            if child not in orientation:
+                orientation[child] = alpha.restricted(child.vertex_set)
                 queue.append(child)
-    missing = [d for d in list(forest.subgraphs) + list(forest.extras)
-               if d not in forest.orientation]
+    missing = [d for d in sup_level if d not in orientation]
     if missing:
         raise AssertionError(f"subgraphs without an orientation: {missing}")
+    return orientation
 
 
 def torsion_structure(forest: FundamentalForest) -> list[int]:

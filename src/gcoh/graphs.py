@@ -158,12 +158,6 @@ class Subgraph:
         """Smallest p-adic valuation of a vertex weight in this subgraph."""
         return min(p_valuation(self.parent.weight[v], p) for v in self.vertex_set)
 
-    def max_edge_valuation(self, p: int) -> Optional[int]:
-        """Largest p-adic valuation of an internal edge, None if edgeless."""
-        if not self.edge_set:
-            return None
-        return max(self.parent.edge_valuation(e, p) for e in self.edge_set)
-
     def as_graph(self) -> WeightedGraph:
         """The subgraph as a standalone graph with induced weights."""
         return WeightedGraph(
@@ -320,18 +314,19 @@ class Filtration(NamedTuple):
 
     `owner[r - 1]` maps each vertex to its level-r class; a class that
     does not change from one level to the next is the same object at
-    both.  Per class: `span` (first and last level), `bipartite`,
-    `min_val` (smallest vertex valuation) and, for a bipartite class,
-    `colouring`: the sweep's 2-colouring as signs, the smallest vertex
-    +1.  `tree` holds the edges that merged two classes, the unique
-    minimum spanning forest under the strict order (valuation, edge).
+    both.  Per class: `span` (first and last level, so readers visit a
+    class once over its levels), `min_val` (smallest vertex valuation)
+    and, exactly for a bipartite class, `colouring`: the sweep's
+    2-colouring as signs, the smallest vertex +1.  `tree` holds the
+    edges that merged two classes, the unique minimum spanning forest
+    under the strict order (valuation, edge).  `build_forest` reads one
+    filtration and keeps it as `FundamentalForest.filtration`.
     """
 
     top: int
     valuation: dict[str, int]
     owner: tuple[dict[str, Subgraph], ...]
     span: dict[Subgraph, tuple[int, int]]
-    bipartite: dict[Subgraph, bool]
     min_val: dict[Subgraph, int]
     colouring: dict[Subgraph, Bipartition]
     tree: frozenset[Edge]
@@ -404,7 +399,6 @@ def filtration(g: Subgraph, p: int) -> Filtration:
 
     owner: dict[str, Subgraph] = {}
     owners, tree = [], []
-    bipartite: dict[Subgraph, bool] = {}
     min_val: dict[Subgraph, int] = {}
     colouring: dict[Subgraph, Bipartition] = {}
     changed = dict.fromkeys(sorted(g.vertex_set))
@@ -430,7 +424,6 @@ def filtration(g: Subgraph, p: int) -> Filtration:
             changed[a] = None
         for a in changed:
             sub = Subgraph(g.parent, frozenset(members[a]), frozenset(edges[a]))
-            bipartite[sub] = bip[a]
             min_val[sub] = min(val[v] for v in members[a])
             if bip[a]:
                 plus = colour[min(members[a])]
@@ -443,7 +436,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     for r, level in enumerate(owners, 1):
         for sub in level.values():
             span[sub] = (span.get(sub, (r,))[0], r)
-    return Filtration(top, val, tuple(owners), span, bipartite, min_val,
+    return Filtration(top, val, tuple(owners), span, min_val,
                       colouring, frozenset(tree))
 
 
@@ -477,7 +470,7 @@ def graph_to_json(g: WeightedGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> WeightedGraph:
-    """Parse a graph document, rejecting duplicate and non-string ids."""
+    """Parse a graph document: unique string ids, integer or string weights."""
     try:
         weights: dict[str, int] = {}
         for item in doc["vertices"]:
@@ -486,6 +479,9 @@ def graph_from_json(doc: dict) -> WeightedGraph:
                 raise ValueError(f"vertex id {v!r} is not a string")
             if v in weights:
                 raise ValueError(f"duplicate vertex id {v!r}")
+            if type(item["weight"]) not in (int, str):  # no bool, no float
+                raise ValueError(f"weight of vertex {v!r} is neither an "
+                                 f"integer nor a string: {item['weight']!r}")
             weights[v] = int(item["weight"])
         edges = [(u, v) for u, v in doc["edges"]]
         for e in edges:

@@ -11,10 +11,10 @@ reduced schemes this has a purely combinatorial characterization:
 A reduced scheme's orientation class is the divided fundamental chain
 of a suitable bipartitioning.  Every input of this rule is read off one
 `graphs.filtration` sweep: the components are the top-level classes, a
-class is reduced at s from its first level on, bipartiteness is stored
-per class, the signs are `Filtration.signs` (at s - 1 for the 2-adic
-case) and the weight gcd is odd when the class's minimal valuation is
-0.  Non-reduced inputs follow the column
+class is reduced at s from its first level on, it is bipartite when
+the sweep kept its colouring, the signs are `Filtration.signs` (at
+s - 1 for the 2-adic case) and the weight gcd is odd when the class's
+minimal valuation is 0.  Non-reduced inputs follow the column
 rule: with U @ d0 @ V == S, summand j of H0(Z/p**s) is
 Z/p**min(v_p(d_j), s), and multiplication by p from level s - 1 is onto
 it unless v_p(d_j) >= s (d_j = 0 past the rank).  So the scheme is
@@ -72,7 +72,7 @@ def divided_fundamental_class(d: Subgraph, a: Bipartition,
 
 def _decide_reduced(filt: Filtration, c: Subgraph, p: int,
                     s: int) -> tuple[Optional[Chain], str]:
-    if filt.bipartite[c]:
+    if c in filt.colouring:
         return divided_fundamental_class(c, filt.signs(c, s)), "bipartite"
     if p != 2:
         return None, "odd-prime"

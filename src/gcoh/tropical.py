@@ -42,7 +42,7 @@ DEFAULT_VERTEX_CAP = 10
 CAP_ENV_VAR = "GCOH_MAX_SUBGRAPHS"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class TropicalValue:
     """An integer or the absorbing infinity (the min-plus zero)."""
 

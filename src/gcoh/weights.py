@@ -75,8 +75,7 @@ def hbe_count(g: WeightedGraph, p: int) -> int:
     forest = build_forest(g, p)
     if forest.bipartite_components:
         raise ValueError("hbe_count is infinite on bipartite components")
-    return len(forest.nodes) + sum(p_valuation(k, p)
-                                   for k in g.weight.values())
+    return len(forest.nodes) + sum(forest.filtration.valuation.values())
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,11 @@ def oriented_core(g: WeightedGraph, p: int,
         forest = build_forest(g, p)
     parts: list[CoreComponent] = []
     covered: set[str] = set()
+    filt = forest.filtration
     for delta in forest.maximal:
         parts.append(CoreComponent(delta, forest.sup_level[delta],
-                                   forest.filtration.min_val[delta],
-                                   forest.filtration.bipartite[delta], True))
+                                   filt.min_val[delta],
+                                   delta in filt.colouring, True))
         covered |= delta.vertex_set
     for v in g.vertices:
         if v in covered:
@@ -119,7 +119,7 @@ def oriented_core(g: WeightedGraph, p: int,
         single = Subgraph(g, frozenset([v]), frozenset())
         parts.append(CoreComponent(
             single, boundary_valuation(single, p),
-            p_valuation(g.weight[v], p), True, False))
+            filt.valuation[v], True, False))
     parts.sort(key=lambda c: c.graph.min_vertex())
 
     special: set[Edge] = set()
@@ -147,12 +147,11 @@ def core_torsion_relation(g: WeightedGraph, p: int) -> Optional[int]:
     maximal element have weight valuation equal to their boundary
     valuation, so they contribute nothing.)
     """
-    require_prime(p)
-    full = full_subgraph(g)
-    if not is_connected(full) or bipartition(full) is not None:
-        return None
     forest = build_forest(g, p)
-    if not forest.nodes:
+    filt = forest.filtration
+    # connected: one class at the top level; non-bipartite: no infinite tail
+    if (len(filt.at(filt.top)) != 1 or forest.bipartite_components
+            or not forest.nodes):
         return None
     dec = oriented_core(g, p, forest)
     total = torsion_order_p(dec.core, p)
@@ -164,7 +163,7 @@ def core_torsion_relation(g: WeightedGraph, p: int) -> Optional[int]:
             raise AssertionError("bipartite core component with infinite level "
                                  "inside a connected non-bipartite graph")
         total += sup - part.min_val
-    direct = torsion_order_p(full, p)
+    direct = torsion_order_p(full_subgraph(g), p)
     if total != direct:
         raise AssertionError(
             f"core relation gives {total}, direct computation {direct}")
@@ -198,7 +197,7 @@ def weighted_spanning_tree(g: Subgraph, p: int) -> Subgraph:
     if len(comps) != 1:
         raise ValueError("weighted_spanning_tree requires a connected subgraph")
     # reduced at its top level, so oriented at odd p exactly when bipartite
-    if not filt.bipartite[comps[0]]:
+    if comps[0] not in filt.colouring:
         raise ValueError(f"subgraph is not orientable mod p^{filt.top}")
 
     tree = Subgraph(g.parent, g.vertex_set, filt.tree)

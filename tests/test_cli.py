@@ -125,6 +125,29 @@ def test_forest_report_and_dot(k3_file, tmp_path, capsys):
     assert dot.read_text().startswith("digraph forest")
 
 
+def test_forest_dot_to_an_unwritable_path_exit_2(k3_file, tmp_path, capsys):
+    # the dot file is written before the report, so a refusal prints none
+    dot = tmp_path / "missing" / "forest.dot"
+    code, out, err = run_cli(capsys, "forest", k3_file,
+                             "--prime", "3", "--dot", str(dot))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dot}: ")
+
+
+@pytest.mark.parametrize("weight", [2.5, 3.0, True, None, [2]])
+def test_non_integer_weight_exit_2(tmp_path, capsys, weight):
+    # a JSON float or boolean must not be truncated to an integer weight
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "a", "weight": "2"}, {"id": "b", "weight": weight}],
+        "edges": [["a", "b"]]}))
+    code, out, err = run_cli(capsys, "cohomology", str(path))
+    assert code == 2
+    assert out == ""
+    assert "weight of vertex 'b'" in err
+
+
 def test_forest_rejects_composite_prime(k3_file, capsys):
     code, _, err = run_cli(capsys, "forest", k3_file, "--prime", "4")
     assert code == 2

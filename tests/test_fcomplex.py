@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -33,6 +34,16 @@ def k3():
 
 def k3_complex():
     return fundamental_complex(build_forest(k3(), 3))
+
+
+def test_results_are_frozen():
+    fc = k3_complex()
+    g = fc.forest.graph
+    results = [(fc.forest, "nodes"), (fc, "gens_one"), (chi(fc), "degree0"),
+               (restrict(fc.forest, full_subgraph(g), source=fc), "map_one")]
+    for result, name in results:
+        with pytest.raises(FrozenInstanceError):
+            setattr(result, name, ())
 
 
 def graph_of(gen):

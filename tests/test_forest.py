@@ -241,7 +241,7 @@ def test_two_adic_top_orientation_matches_the_reduction():
                            for v in base.vertices}, base.edges)
         f = build_forest(g, 2)
         for top in f.maximal:
-            if f.filtration.bipartite[top]:
+            if top in f.filtration.colouring:
                 continue
             sup = f.sup_level[top]
             want = two_adic_bipartition(top, sup)
@@ -264,7 +264,7 @@ def test_bipartite_top_orientation_is_its_bipartition():
                            for v in base.vertices}, base.edges)
         f = build_forest(g, p)
         for top in f.maximal:
-            if f.filtration.bipartite[top]:
+            if top in f.filtration.colouring:
                 assert f.orientation[top] == bipartition(top), (g, p, top)
                 checked += 1
     assert checked >= 60

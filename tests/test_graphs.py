@@ -268,7 +268,7 @@ def test_filtration_matches_reduction_components(gp):
         want = components(reduce_graph(g, p, r))
         assert [c.key() for c in filt.at(r)] == [c.key() for c in want]
         for c in filt.at(r):
-            assert filt.bipartite[c] == (bipartition(c) is not None)
+            assert (c in filt.colouring) == (bipartition(c) is not None)
             assert filt.min_val[c] == c.min_valuation(p)
             assert all(filt.class_of(v, r) is c for v in c.vertex_set)
             occurs.setdefault(id(c), []).append(r)

@@ -65,6 +65,13 @@ def test_semiring_ops():
         t_quotient(tval(1), INF)
 
 
+def test_tropical_values_are_not_ordered():
+    # infinity is the largest value in the min-plus order; no order is
+    # defined rather than one that puts it below every integer
+    with pytest.raises(TypeError):
+        INF < tval(3)
+
+
 def test_eval_examples():
     vs = ["a", "b", "c"]
     assignment = {"a": 3, "b": 0, "c": 1}

@@ -4,6 +4,7 @@ import pytest
 
 from gcoh.graphs import WeightedGraph, full_subgraph, p_valuation, subgraph_of
 from gcoh.cohomology import cohomology_groups, torsion_order_p
+from gcoh.forest import build_forest
 from gcoh.weights import (
     core_torsion_relation,
     edge_weighted_constants,
@@ -176,7 +177,8 @@ def test_core_membership_inequalities():
             r = part.sup_level
             if r is None:
                 continue
-            internal = part.graph.max_edge_valuation(p)
+            internal = max((g.edge_valuation(e, p)
+                            for e in part.graph.edge_set), default=None)
             bound = boundary_valuation(part.graph, p)
             assert (internal is None or internal < r)
             assert bound is None or r <= bound
@@ -193,6 +195,19 @@ def test_core_torsion_relation_examples():
                          [("u", "v"), ("u", "w"), ("v", "w")])
     got = core_torsion_relation(tri9, 3)
     assert got == torsion_order_p(full_subgraph(tri9), 3) == 2
+
+
+def test_core_torsion_relation_refuses_what_it_does_not_cover():
+    # empty, disconnected non-bipartite and connected bipartite graphs;
+    # each of the latter two has forest nodes, so only the shape refuses
+    assert core_torsion_relation(WeightedGraph({}, []), 3) is None
+    two = WeightedGraph({"u": 9, "v": 1, "w": 1, "x": 3},
+                        [("u", "v"), ("u", "w"), ("v", "w")])
+    assert build_forest(two, 3).nodes
+    assert core_torsion_relation(two, 3) is None
+    path = WeightedGraph({"u": 9, "v": 1, "w": 3}, [("u", "v"), ("v", "w")])
+    assert build_forest(path, 3).nodes
+    assert core_torsion_relation(path, 3) is None
 
 
 def test_core_torsion_relation_randomized_odd():
