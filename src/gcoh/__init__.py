@@ -7,7 +7,6 @@ against an exact Smith-normal-form engine.
 """
 
 from .graphs import (
-    Bipartition,
     Subgraph,
     WeightedGraph,
     bipartition,

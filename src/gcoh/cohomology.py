@@ -150,7 +150,7 @@ def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ..
         m_delta = filt.min_val[delta]
         levels = [s - d for d in range(s)
                   if r_delta is None or r_delta - m_delta >= s - d]
-        classes = orientation_classes(filt, delta, p, levels)
+        classes = orientation_classes(filt, delta, levels)
         for t in levels:
             cls = classes[t][0]
             if cls is None:

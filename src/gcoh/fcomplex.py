@@ -144,7 +144,7 @@ def _fundamental_vector(forest: FundamentalForest, gp: WeightedGraph,
                         d: Subgraph) -> list[int]:
     """Fundamental chain of d on the vertices of gp, zero off V(d)."""
     alpha = forest.orientation[d]
-    return [alpha(v) * gp.weight[v] if v in d.vertex_set else 0
+    return [alpha[v] * gp.weight[v] if v in d.vertex_set else 0
             for v in gp.vertices]
 
 

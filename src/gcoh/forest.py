@@ -20,10 +20,10 @@ sweep's 2-colourings, which the bipartite ones alone have.  Node levels
 are read per class, over its interval; descent and covers look up a
 vertex's class one level down; a subgraph is maximal when the class
 above its top level is not a node; a class's boundary valuation is its
-last level.  Every sign map is `Filtration.signs`: a bipartite top
-takes its own colouring, and at p = 2 a non-bipartite top takes the
-colourings of the classes one level down.  The forest is one frozen
-value, constructed once from these tables.
+last level.  Membership and the signs of every top are one rule,
+`Filtration.reduced_signs`: a bipartite class takes its colouring, at
+p = 2 a non-bipartite one the colourings one level down.  The forest
+is one frozen value, constructed once from these tables.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import (
-    Bipartition,
     Filtration,
     Subgraph,
     WeightedGraph,
@@ -80,11 +79,10 @@ class FundamentalForest:
       witness          minimal subgraph -> a vertex realizing min_val
       orientation      subgraph -> sign map, induced from the chain tops
       maximal          subgraphs whose top node has no node above it
-      filtration       the sweep behind all of the above: min_val, span, top
+      filtration       the sweep behind all of the above (prime, span...)
     """
 
     graph: WeightedGraph
-    prime: int
     filtration: Filtration
     nodes: tuple[ForestNode, ...]
     subgraphs: tuple[Subgraph, ...]
@@ -98,31 +96,17 @@ class FundamentalForest:
     peak_map: dict[ForestNode, ForestNode]
     peak_nodes: tuple[ForestNode, ...]
     witness: dict[Subgraph, str]
-    orientation: dict[Subgraph, Bipartition]
+    orientation: dict[Subgraph, dict[str, int]]
     bipartite_components: tuple[Subgraph, ...]
     maximal: tuple[Subgraph, ...]
     _node_at: dict[tuple[Subgraph, int], ForestNode]
 
+    @property
+    def prime(self) -> int:
+        return self.filtration.prime
+
     def node_at(self, graph: Subgraph, level: int) -> ForestNode:
         return self._node_at[(graph, level)]
-
-
-def _membership(filt: Filtration, comp: Subgraph, p: int, level: int) -> bool:
-    """Is a reduction component a forest node at this level?
-
-    It is when its minimal valuation m is below the level and it is
-    oriented over Z/p**(level - m).  Every weight is divisible by p**m, so
-    d0(comp) = p**m * d0(comp / p**m) and the critical dimension of comp
-    at s is that of comp / p**m at s - m.  The divided scheme is reduced
-    at level - 2m, where the combinatorial criterion decides it: bipartite,
-    or, at p = 2, the reduction of comp at level - 1 is bipartite (the
-    divided weights have odd gcd): `filt.signs` signs it.  No SNF needed.
-    """
-    if filt.min_val[comp] >= level:
-        return False
-    if comp in filt.colouring:
-        return True
-    return p == 2 and filt.signs(comp, level - 1) is not None
 
 
 def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
@@ -130,10 +114,15 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     filt = filtration(full_subgraph(g), p)
     top = filt.top
 
+    # A class is a node at level r when its minimal valuation m is below
+    # r and it is oriented over Z/p**(r - m), as comp / p**m is at r - m:
+    # d0(comp) = p**m * d0(comp / p**m).  The divided scheme is reduced,
+    # its weight gcd prime to p, so `reduced_signs` decides it, no SNF.
     levels: dict[Subgraph, range] = {}  # each class's node levels
     for comp, (first, last) in filt.span.items():
         rs = [r for r in range(first, last + 1)
-              if _membership(filt, comp, p, r)]
+              if filt.min_val[comp] < r
+              and filt.reduced_signs(comp, r) is not None]
         if rs:
             if rs != list(range(rs[0], rs[-1] + 1)):
                 raise AssertionError(f"levels of {comp} not contiguous: {rs}")
@@ -193,9 +182,9 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     phi, extras = _build_phi(filt, levels, subgraphs)
     for comp in extras:
         sup_level[comp] = filt.valuation[comp.min_vertex()]  # r == m
-    orientation = _assign_orientations(filt, p, maximal, sup_level, phi)
+    orientation = _assign_orientations(filt, maximal, sup_level, phi)
     return FundamentalForest(
-        g, p, filt, nodes, subgraphs, extras, sup_level, phi, descent,
+        g, filt, nodes, subgraphs, extras, sup_level, phi, descent,
         minimal_nodes, counted_minimal, counted_nodes, peak_map, peak_nodes,
         witness, orientation, bipartite_components, tuple(maximal), node_at)
 
@@ -241,26 +230,23 @@ def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
     return phi, tuple(sorted(extras, key=lambda c: (c.vertices, c.edges)))
 
 
-def _assign_orientations(filt: Filtration, p: int, maximal: list[Subgraph],
+def _assign_orientations(filt: Filtration, maximal: list[Subgraph],
                          sup_level: dict[Subgraph, Optional[int]],
                          phi: dict[Subgraph, tuple[Subgraph, ...]],
-                         ) -> dict[Subgraph, Bipartition]:
+                         ) -> dict[Subgraph, dict[str, int]]:
     """Choose sign maps consistently: orient each forest-maximal subgraph,
     then restrict downwards through the covers; every subgraph and extra
     (the keys of `sup_level`) must end up with one.
 
-    Every top is signed by `Filtration.signs`: a bipartite top by its
-    own colouring from the sweep, and at p = 2 a non-bipartite top at
-    level sup by the colourings of the level-(sup - 1) classes inside it.
+    Every top is signed by `Filtration.reduced_signs` at its largest
+    level (a tail, which is bipartite, at the top level): a bipartite top
+    by its own colouring, a p = 2 top by the colourings one level down.
     """
-    orientation: dict[Subgraph, Bipartition] = {}
+    orientation: dict[Subgraph, dict[str, int]] = {}
     queue = []
     for top_graph in maximal:
-        bipartite = top_graph in filt.colouring
-        if not bipartite and p != 2:
-            raise AssertionError("non-bipartite top at an odd prime")
-        alpha = filt.signs(top_graph, filt.top if bipartite
-                           else sup_level[top_graph] - 1)
+        sup = sup_level[top_graph]
+        alpha = filt.reduced_signs(top_graph, filt.top if sup is None else sup)
         if alpha is None:
             raise AssertionError("unorientable top subgraph")
         orientation[top_graph] = alpha
@@ -270,7 +256,7 @@ def _assign_orientations(filt: Filtration, p: int, maximal: list[Subgraph],
         alpha = orientation[delta]
         for child in phi.get(delta, ()):
             if child not in orientation:
-                orientation[child] = alpha.restricted(child.vertex_set)
+                orientation[child] = {v: alpha[v] for v in child.vertex_set}
                 queue.append(child)
     missing = [d for d in sup_level if d not in orientation]
     if missing:

@@ -85,8 +85,11 @@ class WeightedGraph:
     __slots__ = ("vertices", "weight", "edges", "edge_set")
 
     def __init__(self, weights: Mapping[str, int], edges: Iterable[tuple[str, str]]):
-        self.weight = {str(v): int(k) for v, k in weights.items()}
+        self.weight = {str(v): k for v, k in weights.items()}
         for v, k in self.weight.items():
+            if type(k) is not int:  # no bool, no float, no string
+                raise ValueError(f"weight of {v!r} must be an integer, "
+                                 f"got {k!r}")
             if k < 1:
                 raise ValueError(f"weight of {v!r} must be >= 1, got {k}")
         self.vertices: tuple[str, ...] = tuple(sorted(self.weight))
@@ -213,28 +216,9 @@ def is_connected(g: Subgraph) -> bool:
     return len(components(g)) <= 1
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-colouring of vertices by signs, opposite across every edge."""
-
-    sign: Mapping[str, int]
-
-    def __call__(self, v: str) -> int:
-        return self.sign[v]
-
-    def is_valid_for(self, g: Subgraph) -> bool:
-        if any(v not in self.sign for v in g.vertex_set):
-            return False
-        if any(self.sign[v] not in (1, -1) for v in g.vertex_set):
-            return False
-        return all(self.sign[u] != self.sign[v] for u, v in g.edge_set)
-
-    def restricted(self, vertices: Iterable[str]) -> "Bipartition":
-        return Bipartition({v: self.sign[v] for v in vertices})
-
-
-def bipartition(g: Subgraph) -> Optional[Bipartition]:
-    """Two-colour `g` if possible, else None.
+def bipartition(g: Subgraph) -> Optional[dict[str, int]]:
+    """Two-colour `g` as signs, +1 and -1 opposite across every edge, if
+    possible, else None.
 
     Per component the colouring is unique up to sign; it is normalized so
     the smallest vertex identifier of each component gets +1.
@@ -254,7 +238,7 @@ def bipartition(g: Subgraph) -> Optional[Bipartition]:
                     queue.append(w)
                 elif sign[w] == sign[v]:
                     return None
-    return Bipartition(sign)
+    return sign
 
 
 def find_odd_cycle(g: Subgraph) -> Optional[list[str]]:
@@ -310,25 +294,27 @@ def reduce_graph(g: WeightedGraph, p: int, s: int) -> Subgraph:
 
 
 class Filtration(NamedTuple):
-    """The components ("classes") of `reduction(g, p, r)` for r in 1..top.
+    """The components ("classes") of `reduction(g, p, r)` for r in 1..top,
+    at the prime p the sweep ran at (`prime`).
 
     `owner[r - 1]` maps each vertex to its level-r class; a class that
     does not change from one level to the next is the same object at
     both.  Per class: `span` (first and last level, so readers visit a
     class once over its levels), `min_val` (smallest vertex valuation)
     and, exactly for a bipartite class, `colouring`: the sweep's
-    2-colouring as signs, the smallest vertex +1.  `tree` holds the
-    edges that merged two classes, the unique minimum spanning forest
-    under the strict order (valuation, edge).  `build_forest` reads one
-    filtration and keeps it as `FundamentalForest.filtration`.
+    2-colouring as a dict of signs, the smallest vertex +1.  `tree`
+    holds the edges that merged two classes, the unique minimum spanning
+    forest under the strict order (valuation, edge).  `reduced_signs` is
+    the sign rule the forest and orientation share.
     """
 
+    prime: int
     top: int
     valuation: dict[str, int]
     owner: tuple[dict[str, Subgraph], ...]
     span: dict[Subgraph, tuple[int, int]]
     min_val: dict[Subgraph, int]
-    colouring: dict[Subgraph, Bipartition]
+    colouring: dict[Subgraph, dict[str, int]]
     tree: frozenset[Edge]
 
     def at(self, r: int) -> tuple[Subgraph, ...]:
@@ -339,7 +325,7 @@ class Filtration(NamedTuple):
     def class_of(self, v: str, r: int) -> Subgraph:
         return self.owner[r - 1][v]
 
-    def signs(self, c: Subgraph, r: int) -> Optional[Bipartition]:
+    def signs(self, c: Subgraph, r: int) -> Optional[dict[str, int]]:
         """`bipartition(reduction(c, p, r))` for a class c, r >= 0, read
         off the colourings.
 
@@ -351,13 +337,23 @@ class Filtration(NamedTuple):
         if r >= self.span[c][0]:
             return self.colouring.get(c)
         if r == 0:
-            return Bipartition(dict.fromkeys(c.vertex_set, 1))
+            return dict.fromkeys(c.vertex_set, 1)
         sign: dict[str, int] = {}
         for cls in dict.fromkeys(self.owner[r - 1][v] for v in c.vertex_set):
             if cls not in self.colouring:
                 return None
-            sign.update(self.colouring[cls].sign)
-        return Bipartition(sign)
+            sign.update(self.colouring[cls])
+        return sign
+
+    def reduced_signs(self, c: Subgraph, s: int) -> Optional[dict[str, int]]:
+        """Signs for a class c at a level s from its first on, where c is
+        reduced: c's colouring when c is bipartite, at p = 2 the signs of
+        its reduction one level down, else None.  At p = 2 these orient c
+        when its weight gcd is odd, which the caller checks or divides out.
+        """
+        if c in self.colouring:
+            return self.colouring[c]
+        return self.signs(c, s - 1) if self.prime == 2 else None
 
     def boundary_valuation(self, d: Subgraph) -> Optional[int]:
         """`boundary_valuation(d, p)` for a class d when the filtered
@@ -400,7 +396,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     owner: dict[str, Subgraph] = {}
     owners, tree = [], []
     min_val: dict[Subgraph, int] = {}
-    colouring: dict[Subgraph, Bipartition] = {}
+    colouring: dict[Subgraph, dict[str, int]] = {}
     changed = dict.fromkeys(sorted(g.vertex_set))
     for r in range(1, top + 1):
         for e in entering.get(r - 1, ()):
@@ -427,8 +423,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
             min_val[sub] = min(val[v] for v in members[a])
             if bip[a]:
                 plus = colour[min(members[a])]
-                colouring[sub] = Bipartition(
-                    {v: colour[v] * plus for v in members[a]})
+                colouring[sub] = {v: colour[v] * plus for v in members[a]}
             owner.update(dict.fromkeys(members[a], sub))
         changed = {}
         owners.append(dict(owner))
@@ -436,7 +431,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     for r, level in enumerate(owners, 1):
         for sub in level.values():
             span[sub] = (span.get(sub, (r,))[0], r)
-    return Filtration(top, val, tuple(owners), span, min_val,
+    return Filtration(p, top, val, tuple(owners), span, min_val,
                       colouring, frozenset(tree))
 
 
@@ -451,7 +446,8 @@ def edge_boundary(d: Subgraph) -> frozenset[Edge]:
 
 
 def boundary_valuation(d: Subgraph, p: int) -> Optional[int]:
-    """Smallest valuation over the edge boundary, None for empty boundary."""
+    """Smallest valuation over the edge boundary, None for empty boundary;
+    the reference for `Filtration.boundary_valuation`."""
     vals = [d.parent.edge_valuation(e, p) for e in edge_boundary(d)]
     return min(vals) if vals else None
 
@@ -460,7 +456,8 @@ def boundary_valuation(d: Subgraph, p: int) -> Optional[int]:
 #
 # {"vertices": [{"id": "R", "weight": "27"}, ...], "edges": [["R", "G"], ...]}
 #
-# Weights are decimal strings so arbitrarily large integers survive JSON.
+# Weights are strings of ASCII decimal digits so arbitrarily large
+# integers survive JSON; JSON integers are accepted too.
 
 def graph_to_json(g: WeightedGraph) -> dict:
     return {
@@ -470,7 +467,8 @@ def graph_to_json(g: WeightedGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> WeightedGraph:
-    """Parse a graph document: unique string ids, integer or string weights."""
+    """Parse a graph document: unique string ids, weights that are JSON
+    integers or strings of ASCII decimal digits."""
     try:
         weights: dict[str, int] = {}
         for item in doc["vertices"]:
@@ -479,10 +477,14 @@ def graph_from_json(doc: dict) -> WeightedGraph:
                 raise ValueError(f"vertex id {v!r} is not a string")
             if v in weights:
                 raise ValueError(f"duplicate vertex id {v!r}")
-            if type(item["weight"]) not in (int, str):  # no bool, no float
+            w = item["weight"]
+            if type(w) not in (int, str):  # no bool, no float
                 raise ValueError(f"weight of vertex {v!r} is neither an "
-                                 f"integer nor a string: {item['weight']!r}")
-            weights[v] = int(item["weight"])
+                                 f"integer nor a string: {w!r}")
+            if type(w) is str and not (w.isascii() and w.isdigit()):
+                raise ValueError(f"weight of vertex {v!r} is not a string "
+                                 f"of ASCII decimal digits: {w!r}")
+            weights[v] = int(w)
         edges = [(u, v) for u, v in doc["edges"]]
         for e in edges:
             if not all(isinstance(v, str) for v in e):

@@ -9,12 +9,12 @@ reduced schemes this has a purely combinatorial characterization:
     bipartite and the weight gcd is odd.
 
 A reduced scheme's orientation class is the divided fundamental chain
-of a suitable bipartitioning.  Every input of this rule is read off one
-`graphs.filtration` sweep: the components are the top-level classes, a
-class is reduced at s from its first level on, it is bipartite when
-the sweep kept its colouring, the signs are `Filtration.signs` (at
-s - 1 for the 2-adic case) and the weight gcd is odd when the class's
-minimal valuation is 0.  Non-reduced inputs follow the column
+of a suitable sign map, a dict {vertex: +1 or -1}.  Every input of this
+rule is read off one `graphs.filtration` sweep at p: the components are
+the top-level classes, a class is reduced at s from its first level on,
+the signs are `Filtration.reduced_signs`, the rule forest membership
+uses too, and the weight gcd is odd when the class's minimal valuation
+is 0.  Non-reduced inputs follow the column
 rule: with U @ d0 @ V == S, summand j of H0(Z/p**s) is
 Z/p**min(v_p(d_j), s), and multiplication by p from level s - 1 is onto
 it unless v_p(d_j) >= s (d_j = 0 past the rank).  So the scheme is
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graphs import (
-    Bipartition,
     Filtration,
     Subgraph,
     filtration,
@@ -47,22 +46,22 @@ class OrientationReport:
     method: str
 
 
-def fundamental_chain(d: Subgraph, a: Bipartition,
+def fundamental_chain(d: Subgraph, a: dict[str, int],
                       require_bipartition: bool = True) -> Chain:
-    """Signed weight chain: coefficient of v is a(v) * k_v, zero off V(d).
+    """Signed weight chain: coefficient of v is a[v] * k_v, zero off V(d).
 
     With `require_bipartition` off, `a` only has to assign signs to V(d);
     that form carries the 2-adic extension, where the signs come from a
     bipartitioning of a further reduction rather than of d itself.
     """
-    if any(v not in a.sign or a.sign[v] not in (1, -1) for v in d.vertex_set):
+    if any(a.get(v) not in (1, -1) for v in d.vertex_set):
         raise ValueError("sign map does not cover the subgraph")
-    if require_bipartition and not a.is_valid_for(d):
+    if require_bipartition and any(a[u] == a[v] for u, v in d.edge_set):
         raise ValueError("not a valid bipartition of the subgraph")
-    return Chain(0, {v: a(v) * d.parent.weight[v] for v in d.vertex_set})
+    return Chain(0, {v: a[v] * d.parent.weight[v] for v in d.vertex_set})
 
 
-def divided_fundamental_class(d: Subgraph, a: Bipartition,
+def divided_fundamental_class(d: Subgraph, a: dict[str, int],
                               require_bipartition: bool = True) -> Chain:
     """Fundamental chain divided by the gcd of the weights on V(d)."""
     chain = fundamental_chain(d, a, require_bipartition)
@@ -70,16 +69,15 @@ def divided_fundamental_class(d: Subgraph, a: Bipartition,
     return Chain(0, {v: c // g for v, c in chain.coefficients.items()})
 
 
-def _decide_reduced(filt: Filtration, c: Subgraph, p: int,
+def _decide_reduced(filt: Filtration, c: Subgraph,
                     s: int) -> tuple[Optional[Chain], str]:
+    alpha = filt.reduced_signs(c, s)
     if c in filt.colouring:
-        return divided_fundamental_class(c, filt.signs(c, s)), "bipartite"
-    if p != 2:
-        return None, "odd-prime"
-    alpha = filt.signs(c, s - 1)
+        return divided_fundamental_class(c, alpha), "bipartite"
+    method = "two-adic" if filt.prime == 2 else "odd-prime"
     if alpha is None or filt.min_val[c] != 0:
-        return None, "two-adic"
-    return divided_fundamental_class(c, alpha, require_bipartition=False), "two-adic"
+        return None, method
+    return divided_fundamental_class(c, alpha, require_bipartition=False), method
 
 
 def _decide_from_columns(c: Subgraph, dec: SmithDecomposition, p: int,
@@ -92,22 +90,22 @@ def _decide_from_columns(c: Subgraph, dec: SmithDecomposition, p: int,
     return cls.reduced(p, s), "critical-dimension"
 
 
-def orientation_classes(filt: Filtration, c: Subgraph, p: int,
+def orientation_classes(filt: Filtration, c: Subgraph,
                         levels: Iterable[int]) -> dict[int, tuple[Optional[Chain], str]]:
-    """The orientation class of a class c of `filt` over Z/p**s for each
-    s in `levels`, None where c is not oriented, with the rule that
-    decided it.  c is reduced at s exactly from its first level on, where
-    its edges all have valuation below s; d0(c) is decomposed at most
-    once, for every level below that."""
+    """The orientation class of a class c of `filt` over Z/p**s, p the
+    filtration's prime, for each s in `levels`, None where c is not
+    oriented, with the rule that decided it.  c is reduced at s exactly
+    from its first level on, where its edges all have valuation below s;
+    d0(c) is decomposed at most once, for every level below that."""
     dec = None
     out: dict[int, tuple[Optional[Chain], str]] = {}
     for s in levels:
         if filt.span[c][0] <= s:
-            out[s] = _decide_reduced(filt, c, p, s)
+            out[s] = _decide_reduced(filt, c, s)
         else:
             if dec is None:
                 dec = smith_normal_form(d0_matrix(c))
-            out[s] = _decide_from_columns(c, dec, p, s)
+            out[s] = _decide_from_columns(c, dec, filt.prime, s)
     return out
 
 
@@ -127,7 +125,7 @@ def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:
     if not d.vertex_set:
         return OrientationReport(ring, True, Chain(0, {}), "bipartite")
     filt = filtration(d, p)
-    decided = [orientation_classes(filt, c, p, (s,))[s]
+    decided = [orientation_classes(filt, c, (s,))[s]
                for c in filt.at(filt.top)]
     method = "+".join(sorted({m for _, m in decided}))
     if any(cls is None for cls, _ in decided):

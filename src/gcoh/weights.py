@@ -19,7 +19,6 @@ from .graphs import (
     Subgraph,
     WeightedGraph,
     bipartition,
-    boundary_valuation,
     components,
     filtration,
     full_subgraph,
@@ -116,9 +115,12 @@ def oriented_core(g: WeightedGraph, p: int,
     for v in g.vertices:
         if v in covered:
             continue
-        single = Subgraph(g, frozenset([v]), frozenset())
+        # {v}'s boundary valuation: 0 when an edge of valuation 0 joins v
+        # at level 1, else the last level of the class {v}
+        below = filt.class_of(v, 1)
+        sup = 0 if len(below.vertex_set) > 1 else filt.boundary_valuation(below)
         parts.append(CoreComponent(
-            single, boundary_valuation(single, p),
+            Subgraph(g, frozenset([v]), frozenset()), sup,
             filt.valuation[v], True, False))
     parts.sort(key=lambda c: c.graph.min_vertex())
 
@@ -128,8 +130,8 @@ def oriented_core(g: WeightedGraph, p: int,
             if part.bipartite or part.sup_level is None:
                 continue
             top = part.sup_level - 1
-            special |= {e for e in part.graph.edge_set
-                        if g.edge_valuation(e, 2) == top}
+            special |= {(u, v) for u, v in part.graph.edge_set
+                        if filt.valuation[u] + filt.valuation[v] == top}
     vertex_union = frozenset(v for part in parts for v in part.graph.vertex_set)
     edge_union = frozenset(e for part in parts for e in part.graph.edge_set)
     core = Subgraph(g, vertex_union, edge_union)
@@ -214,13 +216,7 @@ def oriented_torsion_exponent(g: Subgraph, p: int) -> int:
 
 
 def spanning_tree_exponent(tree: Subgraph, p: int) -> int:
-    """The torsion exponent read off a weighted spanning tree: minimal
-    weight valuation plus the sum of (valence - 1) times the valuation
-    over the tree."""
-    vals = {v: p_valuation(tree.parent.weight[v], p) for v in tree.vertex_set}
-    degree = {v: 0 for v in tree.vertex_set}
-    for u, v in tree.edge_set:
-        degree[u] += 1
-        degree[v] += 1
-    return min(vals.values()) + sum((degree[v] - 1) * vals[v]
-                                    for v in tree.vertex_set)
+    """The torsion exponent read off a weighted spanning tree: the
+    p-valuation of its `tree_torsion`, that is, minimal weight valuation
+    plus the sum of (valence - 1) times the valuation over the tree."""
+    return p_valuation(tree_torsion(tree), p)

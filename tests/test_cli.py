@@ -135,9 +135,12 @@ def test_forest_dot_to_an_unwritable_path_exit_2(k3_file, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {dot}: ")
 
 
-@pytest.mark.parametrize("weight", [2.5, 3.0, True, None, [2]])
+@pytest.mark.parametrize("weight", [2.5, 3.0, True, None, [2], "1_000", " 7 ",
+                                    "+7", "\u0663"])
 def test_non_integer_weight_exit_2(tmp_path, capsys, weight):
-    # a JSON float or boolean must not be truncated to an integer weight
+    # a JSON float or boolean must not be truncated to an integer weight,
+    # and a weight string is ASCII decimal digits only, though int()
+    # would take each of the strings here
     path = tmp_path / "g.json"
     path.write_text(json.dumps({
         "vertices": [{"id": "a", "weight": "2"}, {"id": "b", "weight": weight}],

@@ -246,7 +246,7 @@ def test_two_adic_top_orientation_matches_the_reduction():
             sup = f.sup_level[top]
             want = two_adic_bipartition(top, sup)
             assert want is not None
-            assert f.orientation[top].sign == dict(want.sign), (g, top)
+            assert f.orientation[top] == want, (g, top)
             checked.add(sup)
     assert 1 in checked and len(checked) >= 3  # sup == 1 and deeper tops
 

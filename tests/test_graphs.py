@@ -83,6 +83,9 @@ def test_graph_rejects_loops_multiedges_and_bad_weights():
         WeightedGraph({"a": 0, "b": 1}, [("a", "b")])
     with pytest.raises(ValueError):
         WeightedGraph({"a": 1}, [("a", "b")])
+    for weight in (2.5, 3.0, True, "7"):  # no silent int(): 2.5 is not 2
+        with pytest.raises(ValueError, match="weight of 'b' must be an int"):
+            WeightedGraph({"a": 2, "b": weight}, [("a", "b")])
 
 
 def test_components_examples():
@@ -101,14 +104,14 @@ def test_components_examples():
 def test_bipartition_examples():
     edge = WeightedGraph({"u": 1, "v": 1}, [("u", "v")])
     b = bipartition(full_subgraph(edge))
-    assert b is not None and b("u") == 1 and b("v") == -1
+    assert b is not None and b["u"] == 1 and b["v"] == -1
 
     tri = WeightedGraph({v: 1 for v in "abc"}, [("a", "b"), ("b", "c"), ("a", "c")])
     assert bipartition(full_subgraph(tri)) is None
 
     path = WeightedGraph({"u": 2, "v": 3, "w": 2}, [("u", "v"), ("v", "w")])
     b = bipartition(full_subgraph(path))
-    assert (b("u"), b("v"), b("w")) == (1, -1, 1)
+    assert (b["u"], b["v"], b["w"]) == (1, -1, 1)
 
 
 def test_odd_cycle_witness():
@@ -206,9 +209,11 @@ def test_bipartition_or_odd_cycle(g, p):
         for a, c in zip(cyc, cyc[1:] + cyc[:1]):
             assert tuple(sorted((a, c))) in edges
     else:
-        assert b.is_valid_for(sub)
+        assert set(b) == sub.vertex_set
+        assert all(x in (1, -1) for x in b.values())
+        assert all(b[u] != b[v] for u, v in sub.edge_set)
         for comp in components(sub):
-            assert b(comp.min_vertex()) == 1
+            assert b[comp.min_vertex()] == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,11 +303,23 @@ def test_filtration_boundary_valuation_matches_the_edge_scan(gp):
 def test_filtration_signs_match_the_bipartition_of_the_reduction(gp):
     g, p = gp
     filt = filtration(full_subgraph(g), p)
+    assert filt.prime == p
     for c in filt.span:
         for r in range(filt.top + 1):
             reduced = (reduction(c, p, r) if r
                        else Subgraph(g, c.vertex_set, frozenset()))
             assert filt.signs(c, r) == bipartition(reduced), (c, r)
+        # the reduced-scheme rule, over the levels where c is a class
+        first, last = filt.span[c]
+        for s in range(first, last + 1):
+            if bipartition(c) is not None:
+                want = bipartition(c)
+            elif p == 2:
+                want = (bipartition(reduction(c, 2, s - 1)) if s > 1
+                        else dict.fromkeys(c.vertex_set, 1))
+            else:
+                want = None
+            assert filt.reduced_signs(c, s) == want, (c, s)
 
 
 def _tree_path(tree, u, v):
