@@ -15,9 +15,11 @@ change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
 Pivots are entries of minimal absolute value, to keep coefficient
 growth down.  S is diagonal; its divisor chain comes from gcd/lcm on the
-scalars.  The Hermite elimination works on sparse rows with a column
-index, U, V, R and C are built from sparse vectors, and the
-multiply-back products skip zero entries.
+scalars.  Both eliminations work on sparse rows: the Hermite one with a
+column index, the Smith one without (its blocks are small or square,
+where scanning the rows is cheaper than keeping an index).  U, V, R and
+C are built from sparse vectors, and the multiply-back products walk
+only the nonzero entries of their factors.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def identity_matrix(n: int) -> IntMatrix:
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """A @ B, row by row, skipping the zero entries of both factors.
+    """A @ B, row by row, walking only the nonzero entries of both factors.
 
     The multiply-back checks run through here; their factors (edge-vertex
     matrices with two nonzeros a row, transforms close to the identity)
@@ -126,14 +128,15 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
     n = b.cols
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    b_rows = [[(j, row[j]) for j in compress(range(n), row)] for row in b.entries]
+    inner = range(a.cols)
     out = []
     for row in a.entries:
         acc = [0] * n
-        for x, b_row in zip(row, b_rows):
-            if x:
-                for j, y in b_row:
-                    acc[j] += x * y
+        for k in compress(inner, row):
+            x = row[k]
+            for j, y in b_rows[k]:
+                acc[j] += x * y
         out.append(acc)
     return IntMatrix(out, ncols=n)
 
@@ -343,7 +346,10 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
     Column by column, the row with the least absolute entry (the first
     among ties) is the pivot and reduces the rows below it to their least
     remainders until the column is clear under it; colrows[j] indexes the
-    unfinished sparse rows with a nonzero in column j.  R replays the log
+    unfinished sparse rows with a nonzero in column j, and the pass that
+    leaves the remainders also finds the least of them, the next pivot.
+    The steps of one pass touch distinct rows through the same pivot row,
+    so their order in the log does not change R.  R replays the log
     backwards on sparse columns; C is solved back over the nonzeros of H,
     where a pivot alone clears the leading entry of each remainder.
     """
@@ -356,15 +362,19 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
     log: list[tuple[int, int, Optional[int]]] = []  # row dst += c * row src; c None: swap
     t = 0
     for j, col in enumerate(colrows):
-        while col:
-            piv = min([(abs(s[i][j]), i) for i in col])[1]
+        nxt = min([(abs(s[i][j]), i) for i in col], default=None)  # (|entry|, row)
+        while nxt is not None:
+            piv = nxt[1]
             if piv != t:
                 for k in s[t].keys() ^ s[piv].keys():
                     colrows[k] ^= {t, piv}  # the one of the two rows with a nonzero moves
                 s[t], s[piv] = s[piv], s[t]
                 log.append((t, piv, None))
             top, p = s[t], s[t][j]
-            for i in sorted(col)[1:]:  # the least is t: col holds no finished row
+            nxt = (abs(p), t)  # the next pivot: least over t and the nonzero remainders
+            for i in list(col):  # col holds no finished row
+                if i == t:
+                    continue
                 row = s[i]
                 q, rem = divmod(row[j], p)
                 if 2 * abs(rem) > abs(p):
@@ -377,6 +387,8 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
                     else:
                         colrows[k].discard(i)
                 log.append((i, t, -q))
+                if j in row and (x := (abs(row[j]), i)) < nxt:
+                    nxt = x
             if len(col) == 1:  # every remainder was zero: the column is clear under t
                 for k in top:
                     colrows[k].discard(t)
@@ -426,15 +438,17 @@ def _dense(vec: dict[int, int], n: int) -> Vector:
 def _smith(rows: Sequence[Vector], m: int, n: int):
     """(U, S, V) for the m x n matrix with these rows, by min-abs pivoting.
 
-    U is kept by sparse rows and V by sparse columns.  Rows above the
-    current pivot are finished (zero off the diagonal), so column swaps
-    and additions touch only the rows that can change; rows from the
-    pivot down are zero left of it, so row additions start there.
+    S is kept by sparse rows, U by sparse rows and V by sparse columns, so
+    every step costs the nonzeros it touches.  Rows above the current
+    pivot are finished (zero off the diagonal) and rows from the pivot
+    down are zero left of it, so a column swap or step touches only the
+    rows from the pivot down, and a row's entries are all at or right of
+    the pivot column.
     """
-    s = [list(row) for row in rows]
+    s = [{j: row[j] for j in compress(range(n), row)} for row in rows]
     u: list[dict[int, int]] = [{i: 1} for i in range(m)]
     vt: list[dict[int, int]] = [{j: 1} for j in range(n)]
-    low: list[Optional[int]] = [None] * m  # least nonzero |x| of s[i][t:]; None: stale
+    low: list[Optional[int]] = [None] * m  # least |x| of row i's entries; None: stale
     t = 0
     while t < min(m, n):
         # Re-pick the pivot every round: the first entry of least absolute
@@ -442,62 +456,70 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
         # stops there).  Remainders from the quotient steps keep shrinking
         # it, which both guarantees termination and keeps coefficient
         # growth tame.  A row's least entry is recomputed only after a
-        # step changed the row: a row no step touched has s[i][t] == 0, so
-        # moving past column t keeps its nonzero entries.
+        # step changed the row: a row no step touched has no entry in
+        # column t, so moving past column t keeps its nonzero entries.
         pivot = None
         best = None
         for i in range(t, m):
             lo = low[i]
             if lo is None:
-                lo = low[i] = min(filter(None, map(abs, s[i][t:])), default=0)
+                lo = low[i] = min(map(abs, s[i].values()), default=0)
             if lo and (best is None or lo < best):
                 best, pivot = lo, i
                 if lo == 1:
                     break
         if pivot is None:
             break
-        j = t + list(map(abs, s[pivot][t:])).index(best)
+        j = min([k for k, x in s[pivot].items() if abs(x) == best])
         if pivot != t:
             s[t], s[pivot] = s[pivot], s[t]
             u[t], u[pivot] = u[pivot], u[t]
             low[t], low[pivot] = low[pivot], low[t]
         if j != t:
             for row in s[t:]:
-                row[t], row[j] = row[j], row[t]
+                x, y = row.pop(t, 0), row.pop(j, 0)
+                if y:
+                    row[t] = y
+                if x:
+                    row[j] = x
             vt[t], vt[j] = vt[j], vt[t]
 
         top, u_top = s[t], u[t]
         p = top[t]
-        top_t = top[t:]
-        dirty = False
+        live = [top]  # rows a column step changes: nonzero in column t
         for i in range(t + 1, m):
-            x = s[i][t]
+            row = s[i]
+            x = row.get(t)
             if x:
                 c = -(x // p)
-                s[i][t:] = [a + c * b for a, b in zip(s[i][t:], top_t)]
+                _add_scaled(row, c, top.items())
                 _add_scaled(u[i], c, u_top.items())
                 low[i] = None
-                dirty = dirty or s[i][t] != 0
-        live = [row for row in s[t:] if row[t]]  # rows a column step changes
+                if t in row:
+                    live.append(row)
+        dirty = len(live) > 1
         v_top = vt[t].items()
-        for j in range(t + 1, n):
-            x = top[j]
-            if x:
-                c = -(x // p)
-                for row in live:
-                    row[j] += c * row[t]
-                _add_scaled(vt[j], c, v_top)
-                dirty = dirty or top[j] != 0
+        for j, x in [(j, x) for j, x in top.items() if j != t]:
+            c = -(x // p)
+            for row in live:
+                y = row.get(j, 0) + c * row[t]
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            _add_scaled(vt[j], c, v_top)
+            dirty = dirty or j in top
         if dirty:
             low[t] = None  # the rows of `live` other than top were stepped
             continue  # smaller remainders exist; re-pick the pivot
 
         if p < 0:
-            s[t] = [-x for x in top]
+            s[t] = {t: -p}
             u[t] = {k: -x for k, x in u_top.items()}
         t += 1
 
-    return (IntMatrix([_dense(row, m) for row in u], ncols=m), IntMatrix(s, ncols=n),
+    return (IntMatrix([_dense(row, m) for row in u], ncols=m),
+            IntMatrix([_dense(row, n) for row in s], ncols=n),
             IntMatrix(zip(*(_dense(col, n) for col in vt)), ncols=n))
 
 

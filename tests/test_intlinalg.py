@@ -643,3 +643,132 @@ def test_snf_is_independent_of_the_hash_seed():
                               timeout=120, check=True, text=True).stdout
                for seed in ("0", "1")]
     assert len(digests[0]) == 65 and digests[0] == digests[1]
+
+
+# --- sparse rounds against the dense elimination they replaced ---------------
+
+def dense_smith(rows, m: int, n: int):
+    """The elimination on dense S rows, kept as the reference for `_smith`:
+    the same pivots, so the same U, S and V."""
+    s = [list(row) for row in rows]
+    u = [{i: 1} for i in range(m)]
+    vt = [{j: 1} for j in range(n)]
+    low = [None] * m
+    t = 0
+    while t < min(m, n):
+        pivot = None
+        best = None
+        for i in range(t, m):
+            lo = low[i]
+            if lo is None:
+                lo = low[i] = min(filter(None, map(abs, s[i][t:])), default=0)
+            if lo and (best is None or lo < best):
+                best, pivot = lo, i
+                if lo == 1:
+                    break
+        if pivot is None:
+            break
+        j = t + list(map(abs, s[pivot][t:])).index(best)
+        if pivot != t:
+            s[t], s[pivot] = s[pivot], s[t]
+            u[t], u[pivot] = u[pivot], u[t]
+            low[t], low[pivot] = low[pivot], low[t]
+        if j != t:
+            for row in s[t:]:
+                row[t], row[j] = row[j], row[t]
+            vt[t], vt[j] = vt[j], vt[t]
+        top, u_top = s[t], u[t]
+        p = top[t]
+        top_t = top[t:]
+        dirty = False
+        for i in range(t + 1, m):
+            x = s[i][t]
+            if x:
+                c = -(x // p)
+                s[i][t:] = [a + c * b for a, b in zip(s[i][t:], top_t)]
+                intlinalg._add_scaled(u[i], c, u_top.items())
+                low[i] = None
+                dirty = dirty or s[i][t] != 0
+        live = [row for row in s[t:] if row[t]]
+        v_top = vt[t].items()
+        for j in range(t + 1, n):
+            x = top[j]
+            if x:
+                c = -(x // p)
+                for row in live:
+                    row[j] += c * row[t]
+                intlinalg._add_scaled(vt[j], c, v_top)
+                dirty = dirty or top[j] != 0
+        if dirty:
+            low[t] = None
+            continue
+        if p < 0:
+            s[t] = [-x for x in top]
+            u[t] = {k: -x for k, x in u_top.items()}
+        t += 1
+    return (IntMatrix([intlinalg._dense(row, m) for row in u], ncols=m),
+            IntMatrix(s, ncols=n),
+            IntMatrix(zip(*(intlinalg._dense(col, n) for col in vt)), ncols=n))
+
+
+ZERO_HEAVY = (0,) * 24 + (1, 2, 3, 4, 6, 9, -1, -2, -3, -4, -6, -9)
+
+
+def test_sparse_rounds_take_the_dense_pivots():
+    rng = random.Random(18)
+    shapes = set()
+    for _ in range(3000):
+        m, n = rng.randint(0, 14), rng.randint(0, 10)
+        rows = [tuple(rng.choice(ZERO_HEAVY) for _ in range(n)) for _ in range(m)]
+        assert intlinalg._smith(rows, m, n) == dense_smith(rows, m, n)
+        shapes.add((m > 0, n > 0))
+    assert len(shapes) == 4  # 0-row and 0-column shapes were drawn
+
+
+def test_matmul_matches_triple_sum_on_seeded_shapes():
+    rng = random.Random(19)
+    shapes = [(0, 3, 4), (3, 0, 4), (4, 3, 0), (0, 0, 0), (1, 1, 1)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
+    for m, k, n in shapes:
+        bits = rng.choice((4, 300, 700))
+
+        def draw(r, c):
+            return matrix([[rng.choice((0, 0, 1)) * rng.randint(-2 ** bits, 2 ** bits)
+                            for _ in range(c)] for _ in range(r)], ncols=c)
+
+        a, b = draw(m, k), draw(k, n)
+        naive = [[sum(a[i, l] * b[l, j] for l in range(k)) for j in range(n)]
+                 for i in range(m)]
+        out = matmul(a, b)
+        assert (out.rows, out.cols) == (m, n)
+        assert out == matrix(naive, ncols=n)
+
+
+def bumped_at(m: IntMatrix, i: int, j: int) -> IntMatrix:
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += 1
+    return matrix(rows, ncols=m.cols)
+
+
+def test_check_smith_fires_on_every_tampered_entry():
+    # A has no zero row and no zero column, so each single-entry change of
+    # U, S, V, H, C or R moves one of the products it must multiply back to
+    a = d0_matrix(full_subgraph(sparse_graph(random.Random(3), 24, 3)))
+    assert all(any(row) for row in a.entries) and all(map(any, a.columns()))
+    rng = random.Random(20)
+    full, compressed = smith_normal_form(a), compressed_smith(a)
+    assert full.hermite is None and compressed.hermite is not None
+    for dec in (full, compressed):
+        check_smith(a, dec)
+        fields = [("Smith decomposition", f, getattr(dec, f),
+                   lambda f, m: replace(dec, **{f: m})) for f in ("u", "s", "v")]
+        if dec.hermite is not None:
+            fields += [("Hermite block", f, getattr(dec.hermite, f),
+                        lambda f, m: replace(dec, hermite=dec.hermite._replace(**{f: m})))
+                       for f in ("h", "c", "r")]
+        for message, field, m, tampered in fields:
+            cells = [(i, j) for i in range(m.rows) for j in range(m.cols)]
+            for nonzero in (False, True):
+                i, j = rng.choice([ij for ij in cells if bool(m[ij]) == nonzero])
+                with pytest.raises(AssertionError, match=message):
+                    check_smith(a, tampered(field, bumped_at(m, i, j)))

@@ -43,6 +43,25 @@ def test_tree_torsion_rejects_non_trees():
         tree_torsion(tri)
 
 
+@pytest.mark.parametrize("weights, edges, tree", [
+    # n - 1 edges, but a cycle and an isolated vertex
+    ({"a": 1, "b": 1, "c": 1, "d": 1}, [("a", "b"), ("b", "c"), ("a", "c")], False),
+    # a path missing an edge: acyclic, two components
+    ({"a": 2, "b": 3, "c": 5, "d": 7}, [("a", "b"), ("c", "d")], False),
+    ({"a": 2, "b": 3, "c": 5, "d": 7}, [("a", "b"), ("b", "c"), ("c", "d")], True),
+    ({"v": 9}, [], True),
+    ({"u": 2, "v": 4}, [], False),
+])
+def test_tree_torsion_checks_the_tree_by_its_edges(weights, edges, tree):
+    g = full_subgraph(WeightedGraph(weights, edges))
+    if tree:
+        _, h1 = cohomology_groups(g)
+        assert tree_torsion(g) == h1.torsion_order
+    else:
+        with pytest.raises(ValueError, match="connected acyclic subgraph"):
+            tree_torsion(g)
+
+
 def random_tree(rng, max_n, max_w):
     n = rng.randint(1, max_n)
     names = [f"v{i}" for i in range(n)]
