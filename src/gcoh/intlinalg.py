@@ -15,11 +15,13 @@ change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
 Pivots are entries of minimal absolute value, to keep coefficient
 growth down.  S is diagonal; its divisor chain comes from gcd/lcm on the
-scalars.  Both eliminations work on sparse rows: the Hermite one with a
-column index, the Smith one without (its blocks are small or square,
-where scanning the rows is cheaper than keeping an index).  U, V, R and
-C are built from sparse vectors, and the multiply-back products walk
-only the nonzero entries of their factors.
+scalars.  Inside the SNF a row is a dict {col: value} of its nonzeros:
+A is read into such rows once, the column order relabels their keys,
+and both eliminations run on them without changing their input, the
+Hermite one with a column index and the Smith one without (its blocks
+are small or square, where scanning the rows is cheaper than keeping an
+index).  H, U, V, R and C are made dense once each, at the end, and the
+multiply-back products walk only the nonzero entries of their factors.
 """
 
 from __future__ import annotations
@@ -43,58 +45,50 @@ class IntMatrix:
     Entries must be ints already; the public builder `matrix` converts.
     """
 
-    __slots__ = ("entries", "nrows", "ncols")
+    __slots__ = ("entries", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable[int]], ncols: Optional[int] = None):
         self.entries: tuple[Vector, ...] = tuple(map(tuple, entries))
-        self.nrows = len(self.entries)
+        self.rows = len(self.entries)
         if self.entries:
             widths = {len(r) for r in self.entries}
             if len(widths) != 1:
                 raise ValueError("ragged matrix")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
+            self.cols = widths.pop()
+            if ncols is not None and ncols != self.cols:
                 raise ValueError("declared column count does not match entries")
         else:
-            self.ncols = ncols if ncols is not None else 0
-
-    @property
-    def rows(self) -> int:
-        return self.nrows
-
-    @property
-    def cols(self) -> int:
-        return self.ncols
+            self.cols = ncols if ncols is not None else 0
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix)
-                and self.nrows == other.nrows and self.ncols == other.ncols
+                and self.rows == other.rows and self.cols == other.cols
                 and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.entries))
+        return hash((self.rows, self.cols, self.entries))
 
     def column(self, j: int) -> Vector:
-        if not 0 <= j < self.ncols:
+        if not 0 <= j < self.cols:
             raise IndexError(j)
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
+        return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
     def transpose(self) -> "IntMatrix":
-        rows = ([self.entries[i][j] for i in range(self.nrows)]
-                for j in range(self.ncols))
-        return IntMatrix(rows, ncols=self.nrows)
+        rows = ([self.entries[i][j] for i in range(self.rows)]
+                for j in range(self.cols))
+        return IntMatrix(rows, ncols=self.rows)
 
     def __repr__(self) -> str:
-        return f"IntMatrix({self.nrows}x{self.ncols}, {self.entries!r})"
+        return f"IntMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
 def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None) -> IntMatrix:
@@ -278,20 +272,21 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     B is A, or its row Hermite block H when A has at least
     COMPRESS_MIN_GAP more rows than columns; there the elimination runs
     on A P for the column order P of `_min_degree_order`, H keeps A's
-    column order and V = P V'.  Row operations accumulate in U, column
-    operations in V, and the result passes `check_smith` before it is
-    returned.
+    column order and V = P V'.  A's rows are read once, as sparse rows
+    that P relabels; H is made dense once.  U and V accumulate the row and
+    column operations, and the result passes `check_smith` before return.
     """
-    if a.rows - a.cols >= COMPRESS_MIN_GAP:
-        order = _min_degree_order(a.entries, a.cols)
-        h, c, r = _hermite_rows([[row[j] for j in order] for row in a.entries], a.cols)
-        u, s, v = _smith(h.entries, h.rows, h.cols)
-        back = sorted(range(a.cols), key=order.__getitem__)  # order's inverse
-        h = IntMatrix(([row[k] for k in back] for row in h.entries), ncols=a.cols)
-        v = IntMatrix((v.entries[k] for k in back), ncols=a.cols)
+    rows, n = [_sparse(row) for row in a.entries], a.cols
+    if a.rows - n >= COMPRESS_MIN_GAP:
+        order = _min_degree_order(rows, n)
+        back = sorted(range(n), key=order.__getitem__)  # order's inverse
+        h, c, r = _hermite_rows([{back[j]: x for j, x in row.items()} for row in rows], n)
+        u, s, v = _smith(h, len(h), n)
+        h = IntMatrix([_dense({order[k]: x for k, x in row.items()}, n) for row in h], ncols=n)
+        v = IntMatrix((v.entries[k] for k in back), ncols=n)
         dec = SmithDecomposition(u, s, v, HermiteBlock(h, c, r))
     else:
-        dec = SmithDecomposition(*_smith(a.entries, a.rows, a.cols))
+        dec = SmithDecomposition(*_smith(rows, a.rows, n))
     check_smith(a, dec)
     return dec
 
@@ -309,8 +304,8 @@ def check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
         raise AssertionError("Smith decomposition failed to multiply back")
 
 
-def _min_degree_order(rows: Sequence[Vector], n: int) -> list[int]:
-    """The n columns in greedy minimum-degree order of the nonzero pattern.
+def _min_degree_order(rows: Sequence[dict[int, int]], n: int) -> list[int]:
+    """The n columns in greedy minimum-degree order of the sparse rows' pattern.
 
     Two columns are adjacent when they share a row; for d0 that is the
     graph.  The column of least degree goes next, the lowest index among
@@ -319,7 +314,7 @@ def _min_degree_order(rows: Sequence[Vector], n: int) -> list[int]:
     """
     adj: list[set[int]] = [set() for _ in range(n)]
     for row in rows:
-        support = list(compress(range(n), row))
+        support = list(row)
         for j in support:
             adj[j].update(support)
             adj[j].discard(j)
@@ -340,8 +335,9 @@ def _min_degree_order(rows: Sequence[Vector], n: int) -> list[int]:
     return order
 
 
-def _hermite_rows(rows: Sequence[Vector], n: int):
-    """(H, C, R): an echelon block H of the rows, rows == C @ H, H == R @ rows.
+def _hermite_rows(rows: Sequence[dict[int, int]], n: int):
+    """(H, C, R) with rows == C @ H and H == R @ rows, the sparse rows left
+    as they are: H is an echelon block, kept as its sparse rows.
 
     Column by column, the row with the least absolute entry (the first
     among ties) is the pivot and reduces the rows below it to their least
@@ -353,8 +349,7 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
     backwards on sparse columns; C is solved back over the nonzeros of H,
     where a pivot alone clears the leading entry of each remainder.
     """
-    given = [{j: row[j] for j in compress(range(n), row)} for row in rows]
-    s = [dict(row) for row in given]
+    s = [dict(row) for row in rows]
     colrows: list[set[int]] = [set() for _ in range(n)]
     for i, row in enumerate(s):
         for j in row:
@@ -400,20 +395,20 @@ def _hermite_rows(rows: Sequence[Vector], n: int):
             r_cols[dst], r_cols[src] = r_cols[src], r_cols[dst]
         else:
             _add_scaled(r_cols[src], c, r_cols[dst].items())
-    del s[t:], colrows, log  # freed before the dense results are built; s[:t] is H
+    del s[t:], colrows, log  # freed before C and R are built; s is H
     pivots = {}  # pivot column -> (row of H, pivot entry, the row's other nonzeros)
     for k, row in enumerate(s):
         (j, lead), *tail = sorted(row.items())
         pivots[j] = (k, lead, tail)
     c_rows = []
-    for rest in given:  # emptied as C is solved
-        c = [0] * t
+    for row in rows:
+        rest, c = dict(row), [0] * t  # rest is emptied as C is solved
         while rest:
             k, lead, tail = pivots[j := min(rest)]
             q = c[k] = rest.pop(j) // lead
             _add_scaled(rest, -q, tail)
-        c_rows.append(tuple(c))
-    return (IntMatrix([_dense(row, n) for row in s], ncols=n), IntMatrix(c_rows, ncols=t),
+        c_rows.append(c)
+    return (s, IntMatrix(c_rows, ncols=t),
             IntMatrix(zip(*(_dense(col, t) for col in r_cols)), ncols=len(rows)))
 
 
@@ -427,6 +422,11 @@ def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> 
             dst.pop(k, None)
 
 
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    """The dense row as a sparse vector {col: value} of its nonzeros."""
+    return {j: row[j] for j in compress(range(len(row)), row)}
+
+
 def _dense(vec: dict[int, int], n: int) -> Vector:
     """The sparse vector as a length-n tuple."""
     out = [0] * n
@@ -435,8 +435,8 @@ def _dense(vec: dict[int, int], n: int) -> Vector:
     return tuple(out)
 
 
-def _smith(rows: Sequence[Vector], m: int, n: int):
-    """(U, S, V) for the m x n matrix with these rows, by min-abs pivoting.
+def _smith(rows: Sequence[dict[int, int]], m: int, n: int):
+    """(U, S, V) for the m x n matrix of these sparse rows, left as they are.
 
     S is kept by sparse rows, U by sparse rows and V by sparse columns, so
     every step costs the nonzeros it touches.  Rows above the current
@@ -445,7 +445,7 @@ def _smith(rows: Sequence[Vector], m: int, n: int):
     rows from the pivot down, and a row's entries are all at or right of
     the pivot column.
     """
-    s = [{j: row[j] for j in compress(range(n), row)} for row in rows]
+    s = [dict(row) for row in rows]
     u: list[dict[int, int]] = [{i: 1} for i in range(m)]
     vt: list[dict[int, int]] = [{j: 1} for j in range(n)]
     low: list[Optional[int]] = [None] * m  # least |x| of row i's entries; None: stale

@@ -420,11 +420,11 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
 
     Disconnected graphs multiply their components' expressions.  Graphs
     with more vertices than the cap (default 10; GCOH_MAX_SUBGRAPHS
-    overrides, and must hold a non-negative integer) are refused: the
+    overrides, and must hold ASCII decimal digits) are refused: the
     enumeration is exponential.
     """
     env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_VERTEX_CAP)
-    if not env.isdecimal():
+    if not (env.isascii() and env.isdigit()):
         raise ValueError(f"{CAP_ENV_VAR} must be a non-negative integer, "
                          f"got {env!r}")
     limit = int(env)

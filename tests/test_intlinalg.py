@@ -563,8 +563,9 @@ def test_snf_matches_the_forest_at_benchmark_scale(n, seed):
         assert a.rows - h1.rank == n - bipartite
         if n == 200 and p == 3:
             # the elimination in the original column order: same divisors
-            block = intlinalg._hermite_rows(a.entries, a.cols)[0]
-            unordered = intlinalg._smith(block.entries, block.rows, block.cols)
+            rows = [intlinalg._sparse(row) for row in a.entries]
+            block = intlinalg._hermite_rows(rows, a.cols)[0]
+            unordered = intlinalg._smith(block, len(block), a.cols)
             want = intlinalg.SmithDecomposition(*unordered).divisors
             assert h1 == AbelianGroup(a.rows - len(want),
                                       tuple(d for d in want if d > 1))
@@ -575,7 +576,8 @@ def test_compressed_transforms_are_unimodular(seed):
     # check_smith proves U @ H @ V == S, not that U and V are invertible
     rng = random.Random(seed)
     a = d0_matrix(full_subgraph(sparse_graph(rng, rng.randint(40, 60), 3)))
-    assert intlinalg._min_degree_order(a.entries, a.cols) != list(range(a.cols))
+    rows = [intlinalg._sparse(row) for row in a.entries]
+    assert intlinalg._min_degree_order(rows, a.cols) != list(range(a.cols))
     dec = compressed_smith(a)
     assert dec.hermite is not None
     assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
@@ -720,7 +722,26 @@ def test_sparse_rounds_take_the_dense_pivots():
     for _ in range(3000):
         m, n = rng.randint(0, 14), rng.randint(0, 10)
         rows = [tuple(rng.choice(ZERO_HEAVY) for _ in range(n)) for _ in range(m)]
-        assert intlinalg._smith(rows, m, n) == dense_smith(rows, m, n)
+        sparse = [intlinalg._sparse(row) for row in rows]
+        assert intlinalg._smith(sparse, m, n) == dense_smith(rows, m, n)
+        shapes.add((m > 0, n > 0))
+    assert len(shapes) == 4  # 0-row and 0-column shapes were drawn
+
+
+def test_eliminations_leave_their_input_rows_unchanged():
+    rng = random.Random(21)
+    shapes = set()
+    for _ in range(600):
+        m, n = rng.randint(0, 14), rng.randint(0, 10)
+        rows = [intlinalg._sparse([rng.choice(ZERO_HEAVY) for _ in range(n)])
+                for _ in range(m)]
+        given = repr(rows)
+        block = intlinalg._hermite_rows(rows, n)[0]
+        assert repr(rows) == given
+        for s in (rows, block):
+            before = repr(s)
+            intlinalg._smith(s, len(s), n)
+            assert repr(s) == before
         shapes.add((m > 0, n > 0))
     assert len(shapes) == 4  # 0-row and 0-column shapes were drawn
 
