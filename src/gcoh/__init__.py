@@ -37,13 +37,13 @@ from .cohomology import (
     critical_cohomology_dim,
     d0_edge_matrix,
     d0_matrix,
-    generation_check,
     torsion_order_p,
 )
 from .orientation import (
     OrientationReport,
     divided_fundamental_class,
     fundamental_chain,
+    generation_check,
     is_orientable,
     is_orientation_class,
 )

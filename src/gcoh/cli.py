@@ -151,7 +151,7 @@ def cmd_tropical(args) -> int:
 
 def cmd_core(args) -> int:
     g = _load(args.graph)
-    dec = oriented_core(g, args.prime)
+    dec = oriented_core(build_forest(g, args.prime))
     _emit({
         "prime": args.prime,
         "core_vertices": list(dec.core.vertices),

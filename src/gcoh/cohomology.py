@@ -4,7 +4,8 @@ The complex lives in degrees 0 and 1: degree 0 is spanned by vertices,
 degree 1 by edges, and the differential sends a vertex v to the sum of
 its incident edges e(v,w) weighted by the opposite endpoint's weight k_w.
 H^0 is the kernel (always free), H^1 the cokernel, computed exactly via
-Smith normal form.
+Smith normal form.  `orientation` and its `generation_check` build on
+this module's critical columns; nothing here imports them.
 """
 
 from __future__ import annotations
@@ -12,25 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .graphs import (
-    Subgraph,
-    WeightedGraph,
-    filtration,
-    full_subgraph,
-    p_valuation,
-    require_prime,
-)
+from .graphs import Subgraph, p_valuation, require_prime
 from .intlinalg import (
     AbelianGroup,
     IntMatrix,
     SmithDecomposition,
     cokernel_structure,
-    kernel_mod,
-    matrix_from_columns,
     smith_normal_form,
 )
-
-GENERATION_S_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -132,52 +122,3 @@ def critical_cohomology_dim(g: Subgraph, p: int, s: int) -> int:
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
     return len(critical_columns(smith_normal_form(d0_matrix(g)), p, s))
-
-
-def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ...]]:
-    """p**d * (orientation class of D over Z/p**(s-d)) as vectors on the
-    vertices, nonzero mod p**s, per class D of the filtration with
-    boundary valuation minus minimal weight valuation >= s - d.  Each
-    class's levels share one decomposition of its d0."""
-    from .orientation import orientation_classes
-
-    verts = full.vertices
-    ps = p ** s
-    candidates: list[tuple[int, ...]] = []
-    filt = filtration(full, p)
-    for delta in sorted(filt.span, key=lambda d: (d.vertices, d.edges)):
-        r_delta = filt.boundary_valuation(delta)  # None means empty boundary
-        m_delta = filt.min_val[delta]
-        levels = [s - d for d in range(s)
-                  if r_delta is None or r_delta - m_delta >= s - d]
-        classes = orientation_classes(filt, delta, levels)
-        for t in levels:
-            cls = classes[t][0]
-            if cls is None:
-                continue
-            scaled = tuple(x * p ** (s - t) % ps for x in cls.vector(verts))
-            if any(scaled):
-                candidates.append(scaled)
-    return candidates
-
-
-def generation_check(g: WeightedGraph, p: int, s: int) -> bool:
-    """Do scaled divided fundamental classes of reduction components span
-    the mod-p**s cocycles?
-
-    Candidates are p**d * (divided fundamental class of D) over d in
-    [0, s) and components D of reductions that are Z/p**(s-d)-oriented
-    with boundary valuation minus minimal weight valuation >= s - d.
-    Returning False signals a bug: the underlying theorem asserts truth.
-    """
-    require_prime(p)
-    if s < 1:
-        raise ValueError("modulus exponent must be >= 1")
-    if s > GENERATION_S_CAP:
-        raise ValueError(f"generation_check capped at s <= {GENERATION_S_CAP}")
-    full = full_subgraph(g)
-    a = d0_matrix(full)
-    candidates = _generation_candidates(full, p, s)
-    dec = smith_normal_form(matrix_from_columns(candidates, len(full.vertices)))
-    return all(dec.solve(gen, (p, s)) is not None
-               for gen in kernel_mod(a, p, s))

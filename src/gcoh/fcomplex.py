@@ -17,7 +17,7 @@ cohomology, but without them the comparison map would not be a chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import Subgraph, WeightedGraph, components, full_subgraph, p_valuation
 from .cohomology import d0_matrix
@@ -65,6 +65,17 @@ def _lower_level(forest: FundamentalForest, d: Subgraph) -> int:
     return forest.filtration.span[d][0] - 1
 
 
+def _columns(n: int, cols: Iterable[Iterable[tuple[int, int]]]) -> IntMatrix:
+    """Matrix with n rows, one iterable of (row, coefficient) terms per
+    column; terms on the same row add up."""
+    cols = list(cols)
+    rows = [[0] * len(cols) for _ in range(n)]
+    for j, terms in enumerate(cols):
+        for i, c in terms:
+            rows[i][j] += c
+    return IntMatrix(rows, ncols=len(cols))
+
+
 def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
     bip = set(forest.bipartite_components)
     rel_graphs = tuple(forest.phi)
@@ -77,30 +88,23 @@ def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:
     min_val = forest.filtration.min_val
     p = forest.prime
 
-    cols_zero = []
-    for kind, d in gens_zero:
-        col = [0] * len(gens_one)
+    def zero_terms(kind: str, d: Subgraph) -> list[tuple[int, int]]:
         sup = forest.sup_level[d]
-        if kind == REL0:
-            if sup is not None:
-                col[one_at[d]] += p ** (sup - _lower_level(forest, d))
-            for child in forest.phi[d]:
-                col[one_at[child]] -= 1
-        else:
-            if sup is not None:
-                col[one_at[d]] += p ** (sup - min_val[d])
-        cols_zero.append(col)
-    d_zero = matrix_from_columns(cols_zero, len(gens_one))
+        rel = kind == REL0
+        terms = [(one_at[child], -1) for child in forest.phi[d]] if rel else []
+        if sup is not None:
+            base = _lower_level(forest, d) if rel else min_val[d]
+            terms.append((one_at[d], p ** (sup - base)))
+        return terms
 
-    cols_neg = []
-    for d in rel_graphs:
-        col = [0] * len(gens_zero)
-        col[zero_at[(CLS0, d)]] += 1
-        col[zero_at[(REL0, d)]] -= p ** (_lower_level(forest, d) - min_val[d])
-        for child in forest.phi[d]:
-            col[zero_at[(CLS0, child)]] -= p ** (min_val[child] - min_val[d])
-        cols_neg.append(col)
-    d_neg = matrix_from_columns(cols_neg, len(gens_zero))
+    d_zero = _columns(len(gens_one),
+                      [zero_terms(kind, d) for kind, d in gens_zero])
+    d_neg = _columns(len(gens_zero), (
+        [(zero_at[(CLS0, d)], 1),
+         (zero_at[(REL0, d)], -p ** (_lower_level(forest, d) - min_val[d]))]
+        + [(zero_at[(CLS0, child)], -p ** (min_val[child] - min_val[d]))
+           for child in forest.phi[d]]
+        for d in rel_graphs))
 
     if not matmul(d_zero, d_neg).is_zero():
         raise ChainMapError("fundamental complex differentials do not square to zero")
@@ -163,14 +167,11 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
     verts = gp.vertices
     edges = gp.edges
 
-    cols0 = []
-    for kind, d in fc.gens_zero:
-        if kind == REL0:
-            cols0.append([0] * len(verts))
-            continue
-        pm = p ** forest.filtration.min_val[d]
-        cols0.append([x // pm for x in _fundamental_vector(forest, gp, d)])
-    degree0 = matrix_from_columns(cols0, len(verts))
+    min_val = forest.filtration.min_val
+    degree0 = matrix_from_columns(
+        [[0] * len(verts) if kind == REL0 else
+         [x // p ** min_val[d] for x in _fundamental_vector(forest, gp, d)]
+         for kind, d in fc.gens_zero], len(verts))
 
     cols1 = []
     for d in fc.gens_one:
@@ -178,13 +179,11 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
         sup = forest.sup_level[d]
         assert sup is not None
         ps = p ** sup
-        col = []
         for e, c in zip(edges, boundary):
             if c % ps:
                 raise ChainMapError(
                     f"boundary of {d} not divisible by p^{sup} on edge {e}")
-            col.append(c // ps)
-        cols1.append(col)
+        cols1.append([c // ps for c in boundary])
     degree1 = matrix_from_columns(cols1, len(edges))
 
     if matmul(ambient_d0, degree0) != matmul(degree1, fc.d_zero):
@@ -229,11 +228,11 @@ class UnsupportedRestriction(ValueError):
     """The restriction's image needs generators the target complex lacks."""
 
 
-def restrict(forest: FundamentalForest, d: Subgraph,
-             source: Optional[FundamentalComplex] = None) -> Restriction:
+def restrict(source: FundamentalComplex, d: Subgraph) -> Restriction:
     """Induced map from the complex of the ambient graph to the complex of
     the subgraph (with induced weights), verified to be a chain map.
 
+    d is a subgraph of `source.forest`'s graph, at that forest's prime.
     The formulas are the same at every prime, p = 2 included.  Known
     limitation, recorded with the build: for subgraphs that cut an
     infinite chain into pieces with different minimum valuations they do
@@ -243,71 +242,51 @@ def restrict(forest: FundamentalForest, d: Subgraph,
     the full graph, its oriented core and a minimal-valuation vertex at
     every configured prime and reports either error as a failure.
     """
+    forest = source.forest
     if d.parent is not forest.graph:
         raise ValueError("subgraph does not belong to the forest's graph")
-    fc_big = source if source is not None else fundamental_complex(forest)
-    dg = d.as_graph()
-    fc_small = fundamental_complex(build_forest(dg, forest.prime))
-    small = fc_small.forest
-    p = forest.prime
+    dg, p = d.as_graph(), forest.prime
+    target = fundamental_complex(build_forest(dg, p))
+    small = target.forest
 
-    small_all = set(small.subgraphs) | set(small.extras)
     # each generator's intersection with d, split into components and
     # checked once; gens_one go first, which decides what a refusal names
     pieces: dict[Subgraph, list[Subgraph]] = {}
-    for omega in fc_big.gens_one + tuple(g for _, g in fc_big.gens_zero):
-        if omega in pieces:
-            continue
+    for omega in dict.fromkeys(source.gens_one
+                               + tuple(g for _, g in source.gens_zero)):
         pieces[omega] = components(Subgraph(
             dg, omega.vertex_set & d.vertex_set, omega.edge_set & d.edge_set))
         for psi in pieces[omega]:
-            if psi not in small_all:
+            if (CLS0, psi) not in target.zero_at:
                 raise UnsupportedRestriction(
                     f"component {psi} of the restriction is not a generator")
 
-    n_one = len(fc_small.gens_one)
-    cols_one = []
-    for omega in fc_big.gens_one:
-        col = [0] * n_one
-        r_big = forest.sup_level[omega]
-        for psi in pieces[omega]:
-            r_small = small.sup_level[psi]
-            if r_small is None:
-                continue  # class divided out in the target
-            col[fc_small.one_index(psi)] += p ** (r_small - r_big)
-        cols_one.append(col)
-    map_one = matrix_from_columns(cols_one, n_one)
+    small_rel = {psi: i for i, psi in enumerate(target.gens_neg)}
 
-    n_zero = len(fc_small.gens_zero)
-    small_rel = {psi: i for i, psi in enumerate(fc_small.gens_neg)}
-    cols_zero = []
-    for kind, omega in fc_big.gens_zero:
-        col = [0] * n_zero
+    def zero_terms(kind: str, omega: Subgraph):
         for psi in pieces[omega]:
             if kind == CLS0:
-                col[fc_small.zero_index(CLS0, psi)] += 1
-            else:
-                if psi not in small_rel:
-                    continue  # no relator on the target side
+                yield target.zero_index(CLS0, psi), 1
+            elif psi in small_rel:  # else no relator on the target side
                 shift = _lower_level(small, psi) - _lower_level(forest, omega)
-                if shift < 0:
-                    continue  # target chain reaches deeper; no integral image
-                col[fc_small.zero_index(REL0, psi)] += p ** shift
-        cols_zero.append(col)
-    map_zero = matrix_from_columns(cols_zero, n_zero)
+                if shift >= 0:  # else the target chain reaches deeper
+                    yield target.zero_index(REL0, psi), p ** shift
 
-    n_neg = len(fc_small.gens_neg)
-    cols_neg = []
-    for omega in fc_big.gens_neg:
-        col = [0] * n_neg
-        for psi in pieces[omega]:
-            if psi in small_rel:
-                col[small_rel[psi]] += 1
-        cols_neg.append(col)
-    map_neg = matrix_from_columns(cols_neg, n_neg)
+    # a class divided out in the target (sup level None) maps to nothing
+    map_one = _columns(len(target.gens_one), (
+        [(target.one_index(psi),
+          p ** (small.sup_level[psi] - forest.sup_level[omega]))
+         for psi in pieces[omega] if small.sup_level[psi] is not None]
+        for omega in source.gens_one))
+    map_zero = _columns(len(target.gens_zero),
+                        (zero_terms(kind, omega)
+                         for kind, omega in source.gens_zero))
+    map_neg = _columns(len(target.gens_neg), (
+        [(small_rel[psi], 1) for psi in pieces[omega] if psi in small_rel]
+        for omega in source.gens_neg))
 
-    if matmul(fc_small.d_neg, map_neg) != matmul(map_zero, fc_big.d_neg):
+    if matmul(target.d_neg, map_neg) != matmul(map_zero, source.d_neg):
         raise ChainMapError("restriction fails the degree--1 square")
-    if matmul(fc_small.d_zero, map_zero) != matmul(map_one, fc_big.d_zero):
+    if matmul(target.d_zero, map_zero) != matmul(map_one, source.d_zero):
         raise ChainMapError("restriction fails the degree-0 square")
-    return Restriction(fc_big, fc_small, d, map_neg, map_zero, map_one)
+    return Restriction(source, target, d, map_neg, map_zero, map_one)

@@ -53,7 +53,7 @@ class ForestNode:
     sup_level: Optional[int]
 
     def sort_key(self):
-        return (self.level, self.graph.vertices, self.graph.edges)
+        return (self.level, *self.graph.sort_key())
 
     def label(self) -> str:
         return f"({{{','.join(self.graph.vertices)}}},{self.level})"
@@ -142,7 +142,7 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
         for r in rs:
             node_at[(delta, r)] = ForestNode(delta, r, m, sup)
     nodes = tuple(sorted(node_at.values(), key=ForestNode.sort_key))
-    subgraphs = tuple(sorted(levels, key=lambda d: (d.vertices, d.edges)))
+    subgraphs = tuple(sorted(levels, key=Subgraph.sort_key))
 
     # descent: one level down through the anchor; nodes come in level
     # order, so the node below is already mapped
@@ -225,9 +225,8 @@ def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
                     f"cover vertex {v} has valuation {mv} but boundary {bv}")
             extras.add(comp)
             children.append(comp)
-        phi[delta] = tuple(
-            sorted(children, key=lambda c: (c.vertices, c.edges)))
-    return phi, tuple(sorted(extras, key=lambda c: (c.vertices, c.edges)))
+        phi[delta] = tuple(sorted(children, key=Subgraph.sort_key))
+    return phi, tuple(sorted(extras, key=Subgraph.sort_key))
 
 
 def _assign_orientations(filt: Filtration, maximal: list[Subgraph],

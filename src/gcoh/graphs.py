@@ -147,6 +147,10 @@ class Subgraph:
     def key(self) -> tuple[frozenset[str], frozenset[Edge]]:
         return (self.vertex_set, self.edge_set)
 
+    def sort_key(self) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+        """Canonical order; it fixes the fundamental complex's columns."""
+        return (self.vertices, self.edges)
+
     def min_vertex(self) -> str:
         return min(self.vertex_set)
 

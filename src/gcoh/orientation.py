@@ -19,7 +19,9 @@ rule: with U @ d0 @ V == S, summand j of H0(Z/p**s) is
 Z/p**min(v_p(d_j), s), and multiplication by p from level s - 1 is onto
 it unless v_p(d_j) >= s (d_j = 0 past the rank).  So the scheme is
 oriented exactly when one column j is critical in that sense, and then
-column j of V mod p**s is the orientation class.
+column j of V mod p**s is the orientation class.  `generation_check`
+asks whether scaled classes of the filtration's classes span the
+mod-p**s cocycles.
 """
 
 from __future__ import annotations
@@ -30,12 +32,17 @@ from typing import Iterable, Optional
 from .graphs import (
     Filtration,
     Subgraph,
+    WeightedGraph,
     filtration,
+    full_subgraph,
     is_connected,
     require_prime,
 )
 from .cohomology import Chain, critical_columns, d0_matrix
-from .intlinalg import SmithDecomposition, kernel_mod, mat_vec, smith_normal_form
+from .intlinalg import (SmithDecomposition, kernel_mod, mat_vec,
+                        matrix_from_columns, smith_normal_form)
+
+GENERATION_S_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,52 @@ def orientation_classes(filt: Filtration, c: Subgraph,
                 dec = smith_normal_form(d0_matrix(c))
             out[s] = _decide_from_columns(c, dec, filt.prime, s)
     return out
+
+
+def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ...]]:
+    """p**d * (orientation class of D over Z/p**(s-d)) as vectors on the
+    vertices, nonzero mod p**s, per class D of the filtration with
+    boundary valuation minus minimal weight valuation >= s - d.  Each
+    class's levels share one decomposition of its d0."""
+    verts = full.vertices
+    ps = p ** s
+    candidates: list[tuple[int, ...]] = []
+    filt = filtration(full, p)
+    for delta in sorted(filt.span, key=Subgraph.sort_key):
+        r_delta = filt.boundary_valuation(delta)  # None means empty boundary
+        m_delta = filt.min_val[delta]
+        levels = [s - d for d in range(s)
+                  if r_delta is None or r_delta - m_delta >= s - d]
+        classes = orientation_classes(filt, delta, levels)
+        for t in levels:
+            cls = classes[t][0]
+            if cls is None:
+                continue
+            scaled = tuple(x * p ** (s - t) % ps for x in cls.vector(verts))
+            if any(scaled):
+                candidates.append(scaled)
+    return candidates
+
+
+def generation_check(g: WeightedGraph, p: int, s: int) -> bool:
+    """Do scaled divided fundamental classes of reduction components span
+    the mod-p**s cocycles?
+
+    Candidates are p**d * (divided fundamental class of D) over d in
+    [0, s) and components D of reductions that are Z/p**(s-d)-oriented
+    with boundary valuation minus minimal weight valuation >= s - d.
+    Returning False signals a bug: the underlying theorem asserts truth.
+    """
+    require_prime(p)
+    if s < 1:
+        raise ValueError("modulus exponent must be >= 1")
+    if s > GENERATION_S_CAP:
+        raise ValueError(f"generation_check capped at s <= {GENERATION_S_CAP}")
+    full = full_subgraph(g)
+    candidates = _generation_candidates(full, p, s)
+    dec = smith_normal_form(matrix_from_columns(candidates, len(full.vertices)))
+    return all(dec.solve(gen, (p, s)) is not None
+               for gen in kernel_mod(d0_matrix(full), p, s))
 
 
 def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:

@@ -48,7 +48,6 @@ from .graphs import (
 from .cohomology import (
     cohomology_groups,
     critical_cohomology_dim,
-    generation_check,
     torsion_order_p,
 )
 from .forest import build_forest, torsion_structure
@@ -71,7 +70,7 @@ from .intlinalg import (
     matrix,
     smith_normal_form,
 )
-from .orientation import is_orientable
+from .orientation import generation_check, is_orientable
 from .tropical import eval_expr, tval, z_complete, z_gamma
 from .weights import (
     core_torsion_relation,
@@ -452,17 +451,15 @@ def check_restrict(cfg, rng, count):
         forest = build_forest(g, p)
         fc = fundamental_complex(forest)
         try:
-            restrict(forest, full_subgraph(g), source=fc)
-            core = oriented_core(g, p, forest)
-            j1 = restrict(forest, core.core, source=fc)
+            restrict(fc, full_subgraph(g))
+            j1 = restrict(fc, oriented_core(forest).core)
             inner = j1.target.forest.graph
             # anchor on a minimal-valuation vertex: off the minimum the
             # restriction formulas are not a chain map (see build notes)
             v = min(inner.vertices,
                     key=lambda w: (p_valuation(inner.weight[w], p), w))
-            j2 = restrict(j1.target.forest,
-                          subgraph_of(inner, [v], []), source=j1.target)
-            direct = restrict(forest, subgraph_of(g, [v], []), source=fc)
+            j2 = restrict(j1.target, subgraph_of(inner, [v], []))
+            direct = restrict(fc, subgraph_of(g, [v], []))
             ok = j2.compose(j1) == (direct.map_neg, direct.map_zero,
                                     direct.map_one)
         except (ChainMapError, UnsupportedRestriction):

@@ -112,17 +112,15 @@ class CoreDecomposition:
     per_component: tuple[CoreComponent, ...]
 
 
-def oriented_core(g: WeightedGraph, p: int,
-                  forest: Optional[FundamentalForest] = None) -> CoreDecomposition:
-    """Disjoint union of the maximal fundamental-forest subgraphs, padded
-    with one-vertex components so every vertex of g is covered.
+def oriented_core(forest: FundamentalForest) -> CoreDecomposition:
+    """Disjoint union of the forest's maximal subgraphs, padded with
+    one-vertex components so every vertex of the forest's graph g is
+    covered.  The graph and the prime p are the forest's.
 
     At p = 2 each non-bipartite component carries its set of
     top-valuation edges (removing them leaves a bipartite graph).
     """
-    require_prime(p)
-    if forest is None:
-        forest = build_forest(g, p)
+    g, p = forest.graph, forest.prime
     parts: list[CoreComponent] = []
     covered: set[str] = set()
     filt = forest.filtration
@@ -174,7 +172,7 @@ def core_torsion_relation(g: WeightedGraph, p: int) -> Optional[int]:
     if (len(filt.at(filt.top)) != 1 or forest.bipartite_components
             or not forest.nodes):
         return None
-    dec = oriented_core(g, p, forest)
+    dec = oriented_core(forest)
     total = torsion_order_p(dec.core, p)
     for part in dec.per_component:
         if not part.bipartite:

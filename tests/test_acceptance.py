@@ -26,7 +26,6 @@ from gcoh.graphs import (
 from gcoh.cohomology import (
     cohomology_groups,
     d0_matrix,
-    generation_check,
     torsion_order_p,
 )
 from gcoh.forest import build_forest, torsion_structure
@@ -38,6 +37,7 @@ from gcoh.fcomplex import (
     restrict,
 )
 from gcoh.intlinalg import direct_sum, factorize, smith_normal_form
+from gcoh.orientation import generation_check
 from gcoh.tropical import eval_expr, tval, z_complete, z_gamma
 from gcoh.verify import random_bipartite_connected, random_connected, random_graph
 from gcoh.weights import (
@@ -74,7 +74,7 @@ def test_criterion_1_worked_example():
     labels = {n.label() for n in forest.nodes}
     ok = ok and labels == {"({G},1)", "({B,G},2)", "({B,G},3)", "({B,G,R},4)"}
 
-    core = oriented_core(g, 3, forest)
+    core = oriented_core(forest)
     ok = ok and core.core.edges == (("B", "G"), ("G", "R"))
 
     z = z_gamma(g)
@@ -287,15 +287,14 @@ def test_criterion_8_structural_suite():
         forest = build_forest(g, p)
         fc = fundamental_complex(forest)
         try:
-            restrict(forest, full_subgraph(g), source=fc)
-            core = oriented_core(g, p, forest)
-            j1 = restrict(forest, core.core, source=fc)
+            restrict(fc, full_subgraph(g))
+            core = oriented_core(forest)
+            j1 = restrict(fc, core.core)
             inner = j1.target.forest.graph
             v = min(inner.vertices,
                     key=lambda w: (p_valuation(inner.weight[w], p), w))
-            j2 = restrict(j1.target.forest, subgraph_of(inner, [v], []),
-                          source=j1.target)
-            direct = restrict(forest, subgraph_of(g, [v], []), source=fc)
+            j2 = restrict(j1.target, subgraph_of(inner, [v], []))
+            direct = restrict(fc, subgraph_of(g, [v], []))
             if j2.compose(j1) != (direct.map_neg, direct.map_zero,
                                   direct.map_one):
                 failures.append(("restrict_compose", g, p))

@@ -639,9 +639,9 @@ def test_restrict_functoriality_runs_at_every_prime(monkeypatch):
     real = gcoh.verify.restrict
     primes = set()
 
-    def spy(forest, d, source=None):
-        primes.add(forest.prime)
-        return real(forest, d, source=source)
+    def spy(source, d):
+        primes.add(source.forest.prime)
+        return real(source, d)
 
     monkeypatch.setattr(gcoh.verify, "restrict", spy)
     cfg = VerificationConfig(instance_count=400, seed=5)
@@ -653,7 +653,7 @@ def test_unsupported_restriction_is_a_failure(monkeypatch):
     import gcoh.verify
     from gcoh.fcomplex import UnsupportedRestriction
 
-    def unsupported(forest, d, source=None):
+    def unsupported(source, d):
         raise UnsupportedRestriction("component is not a generator")
 
     monkeypatch.setattr(gcoh.verify, "restrict", unsupported)

@@ -20,9 +20,9 @@ from gcoh.cohomology import (
     critical_cohomology_dim,
     d0_edge_matrix,
     d0_matrix,
-    generation_check,
     torsion_order_p,
 )
+from gcoh.orientation import generation_check
 
 
 def k3():
@@ -315,7 +315,7 @@ def test_generation_check_decomposes_the_candidates_once(monkeypatch):
         solved.append(dec)
         return real_solve(dec, b, modulus)
 
-    for module in (gcoh.intlinalg, gcoh.cohomology):
+    for module in (gcoh.intlinalg, gcoh.cohomology, gcoh.orientation):
         monkeypatch.setattr(module, "smith_normal_form", counted)
     monkeypatch.setattr(gcoh.intlinalg.SmithDecomposition, "solve",
                         counted_solve)
@@ -386,7 +386,7 @@ def test_generation_candidates_take_one_snf_per_class(monkeypatch):
                             if r_delta is None or r_delta - m_delta >= s - d)
         calls.clear()
         monkeypatch.setattr(gcoh.orientation, "smith_normal_form", counted)
-        got = gcoh.cohomology._generation_candidates(full, p, s)
+        got = gcoh.orientation._generation_candidates(full, p, s)
         monkeypatch.setattr(gcoh.orientation, "smith_normal_form", real)
         assert got == want, (g, p, s)
         assert len(calls) == expected, (g, p, s)

@@ -40,7 +40,7 @@ def test_results_are_frozen():
     fc = k3_complex()
     g = fc.forest.graph
     results = [(fc.forest, "nodes"), (fc, "gens_one"), (chi(fc), "degree0"),
-               (restrict(fc.forest, full_subgraph(g), source=fc), "map_one")]
+               (restrict(fc, full_subgraph(g)), "map_one")]
     for result, name in results:
         with pytest.raises(FrozenInstanceError):
             setattr(result, name, ())
@@ -235,7 +235,7 @@ def test_chi_image_is_full_p_torsion_odd_primes():
 def test_restrict_identity():
     g = k3()
     f = build_forest(g, 3)
-    r = restrict(f, full_subgraph(g))
+    r = restrict(fundamental_complex(f), full_subgraph(g))
     # value-equal generators on both sides: the matrices are permutations
     for m in (r.map_neg, r.map_zero, r.map_one):
         assert m.rows == m.cols
@@ -249,7 +249,7 @@ def test_restrict_single_vertex_example():
     f = build_forest(g, 3)
     fc = fundamental_complex(f)
     d = subgraph_of(g, ["G"], [])
-    r = restrict(f, d, source=fc)
+    r = restrict(fc, d)
     small = r.target
     gv = small.forest.subgraphs[0]
     for kind, omega in fc.gens_zero:
@@ -264,7 +264,7 @@ def test_restrict_drop_edge_example():
     f = build_forest(g, 3)
     fc = fundamental_complex(f)
     d = subgraph_of(g, ["R", "G", "B"], [("R", "G"), ("G", "B")])
-    r = restrict(f, d, source=fc)
+    r = restrict(fc, d)
     path_big = next(x for x in f.subgraphs if len(x.vertex_set) == 3)
     path_small = next(x for x in r.target.forest.subgraphs
                       if len(x.vertex_set) == 3)
@@ -280,11 +280,11 @@ def test_restrict_composition_on_chains():
     f = build_forest(g, 3)
     fc = fundamental_complex(f)
     mid = subgraph_of(g, ["R", "G", "B"], [("R", "G"), ("G", "B")])
-    j1 = restrict(f, mid, source=fc)
+    j1 = restrict(fc, mid)
     inner_graph = j1.target.forest.graph
     small = subgraph_of(inner_graph, ["G"], [])
-    j2 = restrict(j1.target.forest, small, source=j1.target)
-    direct = restrict(f, subgraph_of(g, ["G"], []), source=fc)
+    j2 = restrict(j1.target, small)
+    direct = restrict(fc, subgraph_of(g, ["G"], []))
     composed = j2.compose(j1)
     for got, want in zip(composed,
                          (direct.map_neg, direct.map_zero, direct.map_one)):
@@ -299,14 +299,13 @@ def test_restrict_functoriality_at_p2_randomized():
         g = random_connected(rng, 6, 2, 3)
         f = build_forest(g, 2)
         fc = fundamental_complex(f)
-        restrict(f, full_subgraph(g), source=fc)
-        j1 = restrict(f, oriented_core(g, 2, f).core, source=fc)
+        restrict(fc, full_subgraph(g))
+        j1 = restrict(fc, oriented_core(f).core)
         inner = j1.target.forest.graph
         v = min(inner.vertices,
                 key=lambda w: (p_valuation(inner.weight[w], 2), w))
-        j2 = restrict(j1.target.forest, subgraph_of(inner, [v], []),
-                      source=j1.target)
-        direct = restrict(f, subgraph_of(g, [v], []), source=fc)
+        j2 = restrict(j1.target, subgraph_of(inner, [v], []))
+        direct = restrict(fc, subgraph_of(g, [v], []))
         assert j2.compose(j1) == (direct.map_neg, direct.map_zero,
                                   direct.map_one)
 
@@ -319,4 +318,11 @@ def test_restrict_raises_on_known_defective_case():
     f = build_forest(g, 3)
     d = subgraph_of(g, ["a", "b", "c"], [("a", "b")])
     with pytest.raises(ChainMapError):
-        restrict(f, d)
+        restrict(fundamental_complex(f), d)
+
+
+def test_restrict_refuses_a_subgraph_of_another_graph():
+    # a value-equal copy of the graph is still another graph
+    fc = k3_complex()
+    with pytest.raises(ValueError, match="does not belong"):
+        restrict(fc, full_subgraph(k3()))

@@ -150,20 +150,20 @@ def test_hbe_equals_c2_valuation_odd_primes_randomized():
 
 
 def test_oriented_core_examples():
-    dec = oriented_core(k3(), 3)
+    dec = oriented_core(build_forest(k3(), 3))
     assert tuple(dec.core.vertices) == ("B", "G", "R")
     assert dec.core.edges == (("B", "G"), ("G", "R"))
     assert dec.special_edges == frozenset()
 
     tri = WeightedGraph({v: 1 for v in "uvw"},
                         [("u", "v"), ("u", "w"), ("v", "w")])
-    dec = oriented_core(tri, 3)
+    dec = oriented_core(build_forest(tri, 3))
     assert dec.core.edges == ()
     assert all(not c.from_forest for c in dec.per_component)
 
     square = WeightedGraph({v: 3 for v in "abcd"},
                            [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    dec = oriented_core(square, 3)
+    dec = oriented_core(build_forest(square, 3))
     assert dec.core.edge_set == frozenset(square.edges)
 
 
@@ -172,7 +172,7 @@ def test_oriented_core_special_edges_two_adic():
     # non-bipartite core component are distinguished
     g = WeightedGraph({"c": 1, "x": 2, "y": 2, "z": 2},
                       [("c", "x"), ("x", "y"), ("x", "z"), ("y", "z")])
-    dec = oriented_core(g, 2)
+    dec = oriented_core(build_forest(g, 2))
     non_bip = [c for c in dec.per_component if not c.bipartite]
     assert len(non_bip) == 1 and non_bip[0].graph.vertex_set == frozenset("cxyz")
     assert dec.special_edges == frozenset(
@@ -192,7 +192,7 @@ def test_core_membership_inequalities():
             g = random_graph(rng, 9, 1, connected=True)
             g = WeightedGraph({v: p ** rng.randint(0, 3) for v in g.vertices},
                               g.edges)
-            dec = oriented_core(g, p)
+            dec = oriented_core(build_forest(g, p))
             for part in dec.per_component:
                 bound = boundary_valuation(part.graph, p)
                 if not part.from_forest:
