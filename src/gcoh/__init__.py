@@ -32,7 +32,6 @@ from .intlinalg import (
     solve_mod,
 )
 from .cohomology import (
-    Chain,
     cohomology_groups,
     critical_cohomology_dim,
     d0_edge_matrix,

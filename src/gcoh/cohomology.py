@@ -10,9 +10,6 @@ this module's critical columns; nothing here imports them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
-
 from .graphs import Subgraph, p_valuation, require_prime
 from .intlinalg import (
     AbelianGroup,
@@ -21,40 +18,6 @@ from .intlinalg import (
     cokernel_structure,
     smith_normal_form,
 )
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Coefficient vector on vertices (degree 0) or edges (degree 1).
-
-    `modulus` is None for integer coefficients or (p, s) for Z/p**s, in
-    which case coefficients are kept reduced into [0, p**s).
-    """
-
-    degree: int
-    coefficients: Mapping
-    modulus: Optional[tuple[int, int]] = None
-
-    def __post_init__(self):
-        if self.degree not in (0, 1):
-            raise ValueError("chain degree must be 0 or 1")
-        if self.modulus is not None:
-            p, s = self.modulus
-            ps = p ** s
-            if any(not 0 <= c < ps for c in self.coefficients.values()):
-                raise ValueError("coefficients not reduced modulo p**s")
-
-    def coefficient(self, label) -> int:
-        return self.coefficients.get(label, 0)
-
-    def vector(self, labels) -> tuple[int, ...]:
-        return tuple(self.coefficient(l) for l in labels)
-
-    def reduced(self, p: int, s: int) -> "Chain":
-        ps = p ** s
-        return Chain(self.degree,
-                     {l: c % ps for l, c in self.coefficients.items() if c % ps},
-                     (p, s))
 
 
 def _edge_rows(g: Subgraph, entries) -> IntMatrix:

@@ -489,10 +489,13 @@ def graph_from_json(doc: dict) -> WeightedGraph:
                 raise ValueError(f"weight of vertex {v!r} is not a string "
                                  f"of ASCII decimal digits: {w!r}")
             weights[v] = int(w)
-        edges = [(u, v) for u, v in doc["edges"]]
-        for e in edges:
+        edges = []
+        for e in doc["edges"]:
+            if type(e) is not list or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a list of two vertex ids")
             if not all(isinstance(v, str) for v in e):
-                raise ValueError(f"edge endpoint in {list(e)!r} is not a string")
+                raise ValueError(f"edge endpoint in {e!r} is not a string")
+            edges.append(tuple(e))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     return WeightedGraph(weights, edges)

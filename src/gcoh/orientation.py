@@ -8,8 +8,10 @@ reduced schemes this has a purely combinatorial characterization:
   * p = 2: oriented iff bipartite, or the next reduction step is
     bipartite and the weight gcd is odd.
 
-A reduced scheme's orientation class is the divided fundamental chain
-of a suitable sign map, a dict {vertex: +1 or -1}.  Every input of this
+An orientation class is a degree-0 cochain: a plain dict {vertex:
+coefficient}, like the sign maps it is built from, with coefficient 0 off
+its keys.  A reduced scheme's class is the divided fundamental chain of
+a suitable sign map, a dict {vertex: +1 or -1}.  Every input of this
 rule is read off one `graphs.filtration` sweep at p: the components are
 the top-level classes, a class is reduced at s from its first level on,
 the signs are `Filtration.reduced_signs`, the rule forest membership
@@ -19,9 +21,9 @@ rule: with U @ d0 @ V == S, summand j of H0(Z/p**s) is
 Z/p**min(v_p(d_j), s), and multiplication by p from level s - 1 is onto
 it unless v_p(d_j) >= s (d_j = 0 past the rank).  So the scheme is
 oriented exactly when one column j is critical in that sense, and then
-column j of V mod p**s is the orientation class.  `generation_check`
-asks whether scaled classes of the filtration's classes span the
-mod-p**s cocycles.
+column j of V mod p**s (its nonzero residues) is the orientation
+class.  `generation_check` asks whether scaled classes of the
+filtration's classes span the mod-p**s cocycles.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .graphs import (
     is_connected,
     require_prime,
 )
-from .cohomology import Chain, critical_columns, d0_matrix
+from .cohomology import critical_columns, d0_matrix
 from .intlinalg import (SmithDecomposition, kernel_mod, mat_vec,
                         matrix_from_columns, smith_normal_form)
 
@@ -47,14 +49,13 @@ GENERATION_S_CAP = 4
 
 @dataclass(frozen=True)
 class OrientationReport:
-    ring: str
     orientable: bool
-    orientation_class: Optional[Chain]
+    orientation_class: Optional[dict[str, int]]
     method: str
 
 
 def fundamental_chain(d: Subgraph, a: dict[str, int],
-                      require_bipartition: bool = True) -> Chain:
+                      require_bipartition: bool = True) -> dict[str, int]:
     """Signed weight chain: coefficient of v is a[v] * k_v, zero off V(d).
 
     With `require_bipartition` off, `a` only has to assign signs to V(d);
@@ -65,19 +66,19 @@ def fundamental_chain(d: Subgraph, a: dict[str, int],
         raise ValueError("sign map does not cover the subgraph")
     if require_bipartition and any(a[u] == a[v] for u, v in d.edge_set):
         raise ValueError("not a valid bipartition of the subgraph")
-    return Chain(0, {v: a[v] * d.parent.weight[v] for v in d.vertex_set})
+    return {v: a[v] * d.parent.weight[v] for v in d.vertex_set}
 
 
 def divided_fundamental_class(d: Subgraph, a: dict[str, int],
-                              require_bipartition: bool = True) -> Chain:
+                              require_bipartition: bool = True) -> dict[str, int]:
     """Fundamental chain divided by the gcd of the weights on V(d)."""
     chain = fundamental_chain(d, a, require_bipartition)
     g = d.weight_gcd()
-    return Chain(0, {v: c // g for v, c in chain.coefficients.items()})
+    return {v: c // g for v, c in chain.items()}
 
 
 def _decide_reduced(filt: Filtration, c: Subgraph,
-                    s: int) -> tuple[Optional[Chain], str]:
+                    s: int) -> tuple[Optional[dict[str, int]], str]:
     alpha = filt.reduced_signs(c, s)
     if c in filt.colouring:
         return divided_fundamental_class(c, alpha), "bipartite"
@@ -88,24 +89,25 @@ def _decide_reduced(filt: Filtration, c: Subgraph,
 
 
 def _decide_from_columns(c: Subgraph, dec: SmithDecomposition, p: int,
-                         s: int) -> tuple[Optional[Chain], str]:
+                         s: int) -> tuple[Optional[dict[str, int]], str]:
     """The column rule on a decomposition of d0(c)."""
     critical = critical_columns(dec, p, s)
     if len(critical) != 1:
         return None, "critical-dimension"
-    cls = Chain(0, dict(zip(c.vertices, dec.v.column(critical[0]))))
-    return cls.reduced(p, s), "critical-dimension"
+    ps, col = p ** s, dec.v.column(critical[0])
+    cls = {v: x % ps for v, x in zip(c.vertices, col) if x % ps}
+    return cls, "critical-dimension"
 
 
 def orientation_classes(filt: Filtration, c: Subgraph,
-                        levels: Iterable[int]) -> dict[int, tuple[Optional[Chain], str]]:
+                        levels: Iterable[int]) -> dict[int, tuple[Optional[dict], str]]:
     """The orientation class of a class c of `filt` over Z/p**s, p the
     filtration's prime, for each s in `levels`, None where c is not
     oriented, with the rule that decided it.  c is reduced at s exactly
     from its first level on, where its edges all have valuation below s;
     d0(c) is decomposed at most once, for every level below that."""
     dec = None
-    out: dict[int, tuple[Optional[Chain], str]] = {}
+    out: dict[int, tuple[Optional[dict], str]] = {}
     for s in levels:
         if filt.span[c][0] <= s:
             out[s] = _decide_reduced(filt, c, s)
@@ -135,7 +137,7 @@ def _generation_candidates(full: Subgraph, p: int, s: int) -> list[tuple[int, ..
             cls = classes[t][0]
             if cls is None:
                 continue
-            scaled = tuple(x * p ** (s - t) % ps for x in cls.vector(verts))
+            scaled = tuple(cls.get(v, 0) * p ** (s - t) % ps for v in verts)
             if any(scaled):
                 candidates.append(scaled)
     return candidates
@@ -174,20 +176,19 @@ def is_orientable(d: Subgraph, p: int, s: int) -> OrientationReport:
     require_prime(p)
     if s < 1:
         raise ValueError("modulus exponent must be >= 1")
-    ring = f"mod({p}^{s})"
     if not d.vertex_set:
-        return OrientationReport(ring, True, Chain(0, {}), "bipartite")
+        return OrientationReport(True, {}, "bipartite")
     filt = filtration(d, p)
     decided = [orientation_classes(filt, c, (s,))[s]
                for c in filt.at(filt.top)]
     method = "+".join(sorted({m for _, m in decided}))
     if any(cls is None for cls, _ in decided):
-        return OrientationReport(ring, False, None, method)
-    merged = {v: x for cls, _ in decided for v, x in cls.coefficients.items()}
-    return OrientationReport(ring, True, Chain(0, merged), method)
+        return OrientationReport(False, None, method)
+    merged = {v: x for cls, _ in decided for v, x in cls.items()}
+    return OrientationReport(True, merged, method)
 
 
-def is_orientation_class(z: Chain, d: Subgraph, p: int, s: int) -> bool:
+def is_orientation_class(z: dict[str, int], d: Subgraph, p: int, s: int) -> bool:
     """Test the two defining conditions for a connected subgraph:
 
     the class has full order p**s, and every cocycle agrees with one of
@@ -196,11 +197,8 @@ def is_orientation_class(z: Chain, d: Subgraph, p: int, s: int) -> bool:
     require_prime(p)
     if not is_connected(d):
         raise ValueError("orientation classes are tested on connected subgraphs")
-    if z.degree != 0:
-        raise ValueError("expected a degree-0 chain")
     ps = p ** s
-    zred = z if z.modulus == (p, s) else z.reduced(p, s)
-    zv = zred.vector(d.vertices)
+    zv = [z.get(v, 0) % ps for v in d.vertices]
     d0 = d0_matrix(d)
     if any(c % ps for c in mat_vec(d0, zv)):
         raise ValueError("chain is not a cocycle mod p**s")

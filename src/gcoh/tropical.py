@@ -572,44 +572,33 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+def parse(text: str) -> TropicalExpr:
+    """Read `render`'s notation back; malformed text raises ValueError."""
+    tokens = _tokenize(text)[::-1]  # a stack: the next token is last
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected!r}, got {tok!r}")
-        self.pos += 1
+    def take(*expected: str) -> str:
+        tok = tokens.pop() if tokens else None
+        if tok is None or (expected and tok not in expected):
+            want = " or ".join(expected) or "a token"
+            raise ValueError(f"expected {want}, got {tok!r}")
         return tok
 
-    def atom(self) -> TropicalExpr:
-        tok = self.take()
+    def atom() -> TropicalExpr:
+        tok = take()
         if tok == "max(":
-            child = self.expression()
-            self.take(",")
-            zero = self.take()
-            if zero != "0":
-                raise ValueError("clamp must be against 0")
-            self.take(")")
+            child = atom()
+            take(",")
+            take("0")  # the clamp is against 0
+            take(")")
             return ClampAtZero(child)
         if tok == "(":
-            first = self.expression()
-            op = self.peek()
+            parts = [atom()]
+            op = sep = take(")", PLUS_SIGN, TIMES_SIGN, DIV_SIGN)
+            while sep != ")":
+                parts.append(atom())
+                sep = take(op, ")")
             if op == ")":
-                self.take(")")
-                return first
-            if op not in (PLUS_SIGN, TIMES_SIGN, DIV_SIGN):
-                raise ValueError(f"unexpected token {op!r}")
-            parts = [first]
-            while self.peek() == op:
-                self.take(op)
-                parts.append(self.expression())
-            self.take(")")
+                return parts[0]
             if op == PLUS_SIGN:
                 return plus(parts)
             if op == TIMES_SIGN:
@@ -625,13 +614,7 @@ class _Parser:
             raise ValueError(f"unexpected token {tok!r}")
         return Var(tok)
 
-    def expression(self) -> TropicalExpr:
-        return self.atom()
-
-
-def parse(text: str) -> TropicalExpr:
-    parser = _Parser(_tokenize(text))
-    expr = parser.expression()
-    if parser.peek() is not None:
-        raise ValueError(f"trailing tokens at {parser.pos}")
+    expr = atom()
+    if tokens:
+        raise ValueError(f"trailing tokens from {tokens[-1]!r}")
     return expr

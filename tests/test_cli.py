@@ -114,6 +114,63 @@ def test_non_string_vertex_id_exit_2(tmp_path, capsys):
     assert "is not a string" in err
 
 
+@pytest.mark.parametrize("edge", ["RG", {"R": 1, "G": 2}, ["R"],
+                                  ["R", "G", "B"], "R"])
+def test_edge_that_is_not_a_pair_of_ids_exit_2(tmp_path, capsys, edge):
+    # a string or an object would unpack into two endpoints if not refused
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(dict(K3, edges=[edge])))
+    code, out, err = run_cli(capsys, "cohomology", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def _decimal(text):
+    """int(text) for any length, in chunks below Python's default limit
+    of 4300 digits for a string conversion."""
+    n = 0
+    for i in range(0, len(text), 4000):
+        n = n * 10 ** len(text[i:i + 4000]) + int(text[i:i + 4000])
+    return n
+
+
+def test_torsion_report_past_the_int_digit_limit(tmp_path, capsys):
+    # every weight has 4001 digits; the order 5**8000 has 5592
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": v, "weight": str(10 ** 4000)} for v in "abc"],
+        "edges": [["a", "b"], ["b", "c"]]}))
+    code, out, _ = run_cli(capsys, "torsion", str(path), "--prime", "5")
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["p_torsion_order"]) == 5592
+    assert _decimal(doc["p_torsion_order"]) == 5 ** 8000
+    assert doc["forest_matches_divisors"] is True
+
+
+def test_weight_past_the_int_digit_limit_is_read(tmp_path, capsys):
+    # a JSON integer literal of 5001 digits, on both ends of one edge
+    big = "1" + "0" * 5000
+    path = tmp_path / "big.json"
+    path.write_text('{"vertices": [{"id": "u", "weight": %s}, '
+                    '{"id": "v", "weight": "%s"}], "edges": [["u", "v"]]}'
+                    % (big, big))
+    code, out, _ = run_cli(capsys, "cohomology", str(path))
+    assert code == 0
+    assert json.loads(out)["h1"] == {"rank": 0, "divisors": [big]}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int digit limit")
+def test_main_restores_the_int_digit_limit(k3_file, tmp_path, capsys):
+    before = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "cohomology", k3_file)[0] == 0
+    assert sys.get_int_max_str_digits() == before
+    assert run_cli(capsys, "cohomology", str(tmp_path / "missing.json"))[0] == 2
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_forest_report_and_dot(k3_file, tmp_path, capsys):
     dot = tmp_path / "forest.dot"
     code, out, _ = run_cli(capsys, "forest", k3_file,

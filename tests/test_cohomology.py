@@ -344,8 +344,8 @@ def reference_generation_candidates(full, p, s):
             report = is_orientable(delta, p, s - d)
             if not report.orientable or report.orientation_class is None:
                 continue
-            scaled = tuple(x * p ** d % ps
-                           for x in report.orientation_class.vector(verts))
+            scaled = tuple(report.orientation_class.get(v, 0) * p ** d % ps
+                           for v in verts)
             if any(scaled):
                 out.append(scaled)
     return out

@@ -697,6 +697,15 @@ def test_render_refuses_unwritable_vertex_ids():
     assert render(Times((Var("max"), Var("a-1")))) == "(max ⊙ a-1)"
 
 
+@pytest.mark.parametrize("text", [
+    "", "(", "(a", "(a ⊕", "(a ⊕ b", "max(a, 1)", "max(a", "(a ⊕ b ⊙ c)",
+    "a b", "(a ⊘ b ⊘ c)", ")", "?"])
+def test_parse_refuses_malformed_text(text):
+    # running out of tokens mid-expression is a ValueError, not an IndexError
+    with pytest.raises(ValueError):
+        parse(text)
+
+
 # --- the maximum as a negated minimum -----------------------------------------
 
 @settings(max_examples=200, deadline=None)
