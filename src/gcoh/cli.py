@@ -201,15 +201,22 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+def _integer(text: str) -> int:
+    """ASCII decimal digits with at most one leading minus; `int` alone
+    would also read `1_3`, ` 3`, `+3` and other scripts' digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _primes_list(text: str) -> list[int]:
     """Comma-separated primes; a refusal keeps its reason in the usage
     error."""
-    out = []
+    out = [_integer(part) for part in text.split(",")]
     try:
-        for part in text.split(","):
-            p = int(part)
+        for p in out:
             require_prime(p)
-            out.append(p)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return out
@@ -230,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forest", help="fundamental forest at a prime")
     p.add_argument("graph")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_integer, required=True)
     p.add_argument("--dot", help="write a Graphviz rendering here")
     p.set_defaults(func=cmd_forest)
 
     p = sub.add_parser("torsion", help="p-torsion, divisors vs forest")
     p.add_argument("graph")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_integer, required=True)
     p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("tropical", help="min-plus torsion-exponent function")
@@ -248,22 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("core", help="oriented core decomposition")
     p.add_argument("graph")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_integer, required=True)
     p.set_defaults(func=cmd_core)
 
     p = sub.add_parser("spanning-tree", help="weighted spanning tree (odd p)")
     p.add_argument("graph")
-    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--prime", type=_integer, required=True)
     p.set_defaults(func=cmd_spanning_tree)
 
     defaults = VerificationConfig()
     p = sub.add_parser("verify", help="randomized oracle cross-checks")
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--instances", type=int, default=defaults.instance_count)
-    p.add_argument("--max-vertices", type=int, default=defaults.max_vertices)
-    p.add_argument("--max-valuation", type=int, default=defaults.max_valuation)
+    p.add_argument("--seed", type=_integer, default=defaults.seed)
+    p.add_argument("--instances", type=_integer, default=defaults.instance_count)
+    p.add_argument("--max-vertices", type=_integer, default=defaults.max_vertices)
+    p.add_argument("--max-valuation", type=_integer, default=defaults.max_valuation)
     p.add_argument("--primes", type=_primes_list, default=list(defaults.primes))
-    p.add_argument("--parallelism", type=int, default=defaults.parallelism)
+    p.add_argument("--parallelism", type=_integer, default=defaults.parallelism)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -17,7 +17,7 @@ cohomology, but without them the comparison map would not be a chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .graphs import Subgraph, WeightedGraph, components, full_subgraph, p_valuation
 from .cohomology import d0_matrix
@@ -31,10 +31,8 @@ from .intlinalg import (
     matrix_from_columns,
 )
 
-REL_NEG = "rel-1"
 REL0 = "rel0"
 CLS0 = "cls0"
-CLS1 = "cls1"
 
 
 class ChainMapError(AssertionError):
@@ -43,21 +41,17 @@ class ChainMapError(AssertionError):
 
 @dataclass(frozen=True)
 class FundamentalComplex:
+    """`zero_at` and `one_at` give each generator's position; a class
+    divided out (an infinite tail) has no degree-1 generator in `one_at`."""
+
     forest: FundamentalForest
     gens_neg: tuple[Subgraph, ...]
     gens_zero: tuple[tuple[str, Subgraph], ...]
     gens_one: tuple[Subgraph, ...]
     d_neg: IntMatrix   # degree -1 -> 0
     d_zero: IntMatrix  # degree 0 -> 1
-    # generator -> position in gens_zero and gens_one
     zero_at: dict[tuple[str, Subgraph], int] = field(repr=False, compare=False)
     one_at: dict[Subgraph, int] = field(repr=False, compare=False)
-
-    def zero_index(self, kind: str, d: Subgraph) -> int:
-        return self.zero_at[(kind, d)]
-
-    def one_index(self, d: Subgraph) -> Optional[int]:
-        return self.one_at.get(d)  # None: class is divided out (infinite tail)
 
 
 def _lower_level(forest: FundamentalForest, d: Subgraph) -> int:
@@ -266,15 +260,15 @@ def restrict(source: FundamentalComplex, d: Subgraph) -> Restriction:
     def zero_terms(kind: str, omega: Subgraph):
         for psi in pieces[omega]:
             if kind == CLS0:
-                yield target.zero_index(CLS0, psi), 1
+                yield target.zero_at[(CLS0, psi)], 1
             elif psi in small_rel:  # else no relator on the target side
                 shift = _lower_level(small, psi) - _lower_level(forest, omega)
                 if shift >= 0:  # else the target chain reaches deeper
-                    yield target.zero_index(REL0, psi), p ** shift
+                    yield target.zero_at[(REL0, psi)], p ** shift
 
     # a class divided out in the target (sup level None) maps to nothing
     map_one = _columns(len(target.gens_one), (
-        [(target.one_index(psi),
+        [(target.one_at[psi],
           p ** (small.sup_level[psi] - forest.sup_level[omega]))
          for psi in pieces[omega] if small.sup_level[psi] is not None]
         for omega in source.gens_one))

@@ -29,7 +29,7 @@ is one frozen value, constructed once from these tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (
     Filtration,
@@ -41,16 +41,13 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class ForestNode:
-    """One pair (subgraph, level); `min_val` and `sup_level` are the
-    subgraph's minimal weight valuation and its largest level (None for
-    the infinite tail of a bipartite component)."""
+class ForestNode(NamedTuple):
+    """One pair (class, level), a plain value: its minimal valuation is
+    `forest.filtration.min_val[graph]`, its largest level
+    `forest.sup_level[graph]` (None for the infinite tail)."""
 
     graph: Subgraph
     level: int
-    min_val: int
-    sup_level: Optional[int]
 
     def sort_key(self):
         return (self.level, *self.graph.sort_key())
@@ -70,8 +67,8 @@ class FundamentalForest:
                        the fundamental complex; they carry no nodes)
       sup_level        subgraph or extra -> largest level, None for a tail
       phi              non-minimal subgraph -> its level-down cover
-      descent          one-level-down map, defined off the minimal nodes
-      minimal_nodes    nodes at level = min_val + 1
+      descent          one-level-down map, defined off the minimal nodes,
+                       those at level min_val + 1
       counted_minimal  minimal nodes of finite chains
       counted_nodes    nodes on finite chains (they count the torsion)
       peak_map         counted minimal node -> highest node of its chain
@@ -90,7 +87,6 @@ class FundamentalForest:
     sup_level: dict[Subgraph, Optional[int]]
     phi: dict[Subgraph, tuple[Subgraph, ...]]
     descent: dict[ForestNode, ForestNode]
-    minimal_nodes: tuple[ForestNode, ...]
     counted_minimal: tuple[ForestNode, ...]
     counted_nodes: tuple[ForestNode, ...]
     peak_map: dict[ForestNode, ForestNode]
@@ -99,14 +95,10 @@ class FundamentalForest:
     orientation: dict[Subgraph, dict[str, int]]
     bipartite_components: tuple[Subgraph, ...]
     maximal: tuple[Subgraph, ...]
-    _node_at: dict[tuple[Subgraph, int], ForestNode]
 
     @property
     def prime(self) -> int:
         return self.filtration.prime
-
-    def node_at(self, graph: Subgraph, level: int) -> ForestNode:
-        return self._node_at[(graph, level)]
 
 
 def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
@@ -133,15 +125,14 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     tails = set(bipartite_components)
     sup_level: dict[Subgraph, Optional[int]] = {}
     anchor: dict[Subgraph, str] = {}  # smallest vertex of least valuation
-    node_at: dict[tuple[Subgraph, int], ForestNode] = {}
     for delta, rs in levels.items():
         m = filt.min_val[delta]
-        sup = sup_level[delta] = None if delta in tails else rs[-1]
+        sup_level[delta] = None if delta in tails else rs[-1]
         anchor[delta] = min(v for v in delta.vertex_set
                             if filt.valuation[v] == m)
-        for r in rs:
-            node_at[(delta, r)] = ForestNode(delta, r, m, sup)
-    nodes = tuple(sorted(node_at.values(), key=ForestNode.sort_key))
+    nodes = tuple(sorted((ForestNode(delta, r)
+                          for delta, rs in levels.items() for r in rs),
+                         key=ForestNode.sort_key))
     subgraphs = tuple(sorted(levels, key=Subgraph.sort_key))
 
     # descent: one level down through the anchor; nodes come in level
@@ -150,18 +141,20 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     to_minimal: dict[ForestNode, ForestNode] = {}
     witness: dict[Subgraph, str] = {}
     for node in nodes:
-        if node.level == node.min_val + 1:
+        if node.level == filt.min_val[node.graph] + 1:
             to_minimal[node] = node
             witness[node.graph] = anchor[node.graph]
             continue
         below = filt.class_of(anchor[node.graph], node.level - 1)
-        descent[node] = node_at[(below, node.level - 1)]
+        if node.level - 1 not in levels.get(below, ()):
+            raise AssertionError(f"descent from {node.label()} leaves the forest")
+        descent[node] = ForestNode(below, node.level - 1)
         to_minimal[node] = to_minimal[descent[node]]
 
-    minimal_nodes = tuple(n for n in nodes if n.level == n.min_val + 1)
-    excluded = {to_minimal[node_at[(c, levels[c][0])]]
+    excluded = {to_minimal[ForestNode(c, levels[c][0])]
                 for c in bipartite_components}
-    counted_minimal = tuple(n for n in minimal_nodes if n not in excluded)
+    counted_minimal = tuple(n for n in nodes if n not in excluded
+                            and n.level == filt.min_val[n.graph] + 1)
     counted_nodes = tuple(n for n in nodes if to_minimal[n] not in excluded)
 
     chains: dict[ForestNode, list[ForestNode]] = {}
@@ -185,8 +178,8 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     orientation = _assign_orientations(filt, maximal, sup_level, phi)
     return FundamentalForest(
         g, filt, nodes, subgraphs, extras, sup_level, phi, descent,
-        minimal_nodes, counted_minimal, counted_nodes, peak_map, peak_nodes,
-        witness, orientation, bipartite_components, tuple(maximal), node_at)
+        counted_minimal, counted_nodes, peak_map, peak_nodes, witness,
+        orientation, bipartite_components, tuple(maximal))
 
 
 def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
@@ -269,7 +262,7 @@ def torsion_structure(forest: FundamentalForest) -> list[int]:
     One exponent per counted chain: its peak level minus its minimum
     valuation.  Sorted ascending.
     """
-    return sorted(peak.level - a.min_val
+    return sorted(peak.level - forest.filtration.min_val[a.graph]
                   for a, peak in forest.peak_map.items())
 
 
@@ -288,8 +281,8 @@ def forest_to_dot(forest: FundamentalForest) -> str:
         lines.append(
             f'  tail{len(tails)} [label="({{{vs}}},r>{forest.filtration.top})'
             f' ad infinitum", shape=box];')
-        top_node = forest.node_at(comp, forest.filtration.top)
-        lines.append(f'  {names[top_node]} -> tail{len(tails)} [style=dotted];')
+        top_node = names[ForestNode(comp, forest.filtration.top)]
+        lines.append(f'  {top_node} -> tail{len(tails)} [style=dotted];')
     for node, target in forest.descent.items():
         lines.append(
             f'  {names[node]} -> {names[target]} [color=red, label="s"];')

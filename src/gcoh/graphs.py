@@ -144,9 +144,6 @@ class Subgraph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(self.edge_set))
 
-    def key(self) -> tuple[frozenset[str], frozenset[Edge]]:
-        return (self.vertex_set, self.edge_set)
-
     def sort_key(self) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
         """Canonical order; it fixes the fundamental complex's columns."""
         return (self.vertices, self.edges)

@@ -202,11 +202,14 @@ def is_orientation_class(z: dict[str, int], d: Subgraph, p: int, s: int) -> bool
     d0 = d0_matrix(d)
     if any(c % ps for c in mat_vec(d0, zv)):
         raise ValueError("chain is not a cocycle mod p**s")
-    if all(x % p == 0 for x in zv):
+    i = next((i for i, x in enumerate(zv) if x % p), None)
+    if i is None:
         return False  # order below p**s
+    inv = pow(zv[i], -1, p)
     for gen in kernel_mod(d0, p, s):
-        # p**(s-1) * (gen - n*z) = 0 mod p**s iff gen = n*z mod p
-        if not any(all((a - n * b) % p == 0 for a, b in zip(gen, zv))
-                   for n in range(p)):
+        # p**(s-1) * (gen - n*z) = 0 mod p**s iff gen = n*z mod p; z_i is
+        # a unit mod p, so n = gen_i / z_i is the only candidate
+        n = gen[i] * inv
+        if any((a - n * b) % p for a, b in zip(gen, zv)):
             return False
     return True

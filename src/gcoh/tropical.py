@@ -154,11 +154,15 @@ def tropical_max(children: Sequence[TropicalExpr]) -> TropicalExpr:
     return Quotient(UNIT, plus(Quotient(UNIT, x) for x in children))
 
 
-def _int_value(x: Union[int, TropicalValue, None]) -> Optional[int]:
-    """An assigned value as a Python int, None for infinity."""
+def _int_value(name: str, x: Union[int, TropicalValue, None]) -> Optional[int]:
+    """The value assigned to `name` as a Python int, None for infinity;
+    a value of any other type (a bool, a float, a string) is refused."""
     if isinstance(x, TropicalValue):
         return x.value if x.finite else None
-    return None if x is None else int(x)
+    if x is None or (isinstance(x, int) and not isinstance(x, bool)):
+        return x
+    raise ValueError(f"value of {name!r} must be an integer, a TropicalValue "
+                     f"or None, not {x!r}")
 
 
 _MISS = object()
@@ -196,7 +200,7 @@ def eval_expr(e: TropicalExpr,
         elif kind is Var:
             if node.name not in assignment:
                 raise KeyError(f"unbound variable {node.name!r}")
-            out = _int_value(assignment[node.name])
+            out = _int_value(node.name, assignment[node.name])
         elif kind is Quotient:
             num, den = value(node.numerator), value(node.denominator)
             if den is None:
@@ -608,13 +612,17 @@ def parse(text: str) -> TropicalExpr:
             return Quotient(parts[0], parts[1])
         if tok == "inf":
             return Const(INF)
-        if tok.lstrip("-").isdigit():
+        digits = tok[1:] if tok.startswith("-") else tok
+        if digits.isascii() and digits.isdigit():
             return Const(tval(int(tok)))
         if not _nameable(tok):
             raise ValueError(f"unexpected token {tok!r}")
         return Var(tok)
 
-    expr = atom()
+    try:
+        expr = atom()
+    except RecursionError:
+        raise ValueError("expression nested too deeply to parse") from None
     if tokens:
         raise ValueError(f"trailing tokens from {tokens[-1]!r}")
     return expr

@@ -226,6 +226,23 @@ def test_prime_above_the_primality_bound_exit_2(k3_file, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["1_3", "٣", "３", " 3", "+3"])
+def test_integer_options_read_ascii_digits_only(k3_file, capsys, text):
+    # int() reads each of these as 13 or 3
+    for argv in (["torsion", k3_file, "--prime", text],
+                 ["verify", "--seed", text],
+                 ["verify", "--instances", text],
+                 ["verify", "--max-vertices", text],
+                 ["verify", "--max-valuation", text],
+                 ["verify", "--parallelism", text],
+                 ["verify", "--primes", f"3,{text}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "", argv
+        assert f"not an integer: {text!r}" in out.err, argv
+
+
 def test_torsion_report(k3_file, capsys):
     code, out, _ = run_cli(capsys, "torsion", k3_file, "--prime", "3")
     doc = json.loads(out)

@@ -12,6 +12,7 @@ from gcoh.graphs import (
 from gcoh.cohomology import cohomology_groups
 from gcoh.forest import build_forest, forest_to_dot, torsion_structure
 from gcoh.orientation import is_orientable
+from gcoh.verify import random_connected
 
 
 def k3():
@@ -48,12 +49,13 @@ def test_forest_descent_chain_k3():
     while chain[-1] in f.descent:
         chain.append(f.descent[chain[-1]])
     assert [n.level for n in chain] == [4, 3, 2, 1]
-    assert chain[-1] in set(f.minimal_nodes)
+    min_val = f.filtration.min_val
+    assert chain[-1].level == min_val[chain[-1].graph] + 1  # a minimal node
     # descent drops the level by one, stays inside, and keeps the minimum
     for above, below in zip(chain, chain[1:]):
         assert below.level == above.level - 1
         assert below.graph.vertex_set <= above.graph.vertex_set
-        assert below.min_val == above.min_val
+        assert min_val[below.graph] == min_val[above.graph]
 
 
 def test_forest_trivial_for_unit_triangle():
@@ -131,27 +133,16 @@ def test_descent_invariants_randomized():
         p = rng.choice([2, 3, 5])
         g = random_connected(rng, 6, p, 3)
         f = build_forest(g, p)
+        min_val = f.filtration.min_val
         for node, below in f.descent.items():
             assert below.level == node.level - 1
             assert below.graph.vertex_set <= node.graph.vertex_set
             assert below.graph.edge_set <= node.graph.edge_set
-            assert below.min_val == node.min_val
+            assert min_val[below.graph] == min_val[node.graph]
         for node in f.nodes:
-            assert node.min_val < node.level
-            assert node.sup_level is None or node.level <= node.sup_level
-
-
-def random_connected(rng, max_n, p, max_a):
-    n = rng.randint(1, max_n)
-    names = [f"v{i}" for i in range(n)]
-    weights = {v: p ** rng.randint(0, max_a) for v in names}
-    edges = []
-    for i in range(1, n):
-        j = rng.randrange(i)
-        edges.append((names[j], names[i]))
-    extra = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
-             if (names[i], names[j]) not in edges and rng.random() < 0.3]
-    return WeightedGraph(weights, edges + extra)
+            sup = f.sup_level[node.graph]
+            assert min_val[node.graph] < node.level
+            assert sup is None or node.level <= sup
 
 
 def test_oracle_equivalence_randomized_odd_primes():
@@ -209,12 +200,12 @@ def test_membership_matches_critical_dimension():
         g = WeightedGraph({v: base.weight[v] * rng.choice(units)
                            for v in base.vertices}, base.edges)
         f = build_forest(g, p)
-        nodes = {(n.graph.key(), n.level) for n in f.nodes}
+        nodes = set(f.nodes)
         for r in range(1, f.filtration.top + 1):
             for comp in components(reduce_graph(g, p, r)):
                 m = comp.min_valuation(p)
                 want = m < r and is_orientable(comp, p, r - m).orientable
-                assert ((comp.key(), r) in nodes) == want, (g, p, comp, r)
+                assert ((comp, r) in nodes) == want, (g, p, comp, r)
                 checked += 1
     assert checked > 200
 

@@ -271,7 +271,7 @@ def test_filtration_matches_reduction_components(gp):
     occurs: dict = {}
     for r in range(1, top + 1):
         want = components(reduce_graph(g, p, r))
-        assert [c.key() for c in filt.at(r)] == [c.key() for c in want]
+        assert list(filt.at(r)) == want
         for c in filt.at(r):
             assert (c in filt.colouring) == (bipartition(c) is not None)
             assert filt.min_val[c] == c.min_valuation(p)

@@ -114,6 +114,23 @@ def test_is_orientation_class_examples():
     assert is_orientation_class({}, e, 2, 2) is False
 
 
+def test_is_orientation_class_at_a_large_prime():
+    # the multiple of the class is solved for at one unit coordinate, so
+    # the cost does not grow with p
+    p = 2 ** 61 - 1
+    square = full_subgraph(WeightedGraph(
+        {"a": 1, "b": p, "c": 1, "d": p},
+        [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]))
+    z = divided_fundamental_class(square, bipartition(square))
+    assert is_orientation_class({v: 2 * c for v, c in z.items()},
+                                square, p, 2) is True
+    # d0 vanishes mod p**2 here, and the cocycle that is 1 on v is not a
+    # multiple of the one that is 1 on u
+    edge = full_subgraph(WeightedGraph({"u": p ** 2, "v": p ** 2},
+                                       [("u", "v")]))
+    assert is_orientation_class({"u": 1}, edge, p, 2) is False
+
+
 def test_is_orientation_class_rejects_non_cocycle():
     e = full_subgraph(WeightedGraph({"u": 4, "v": 6}, [("u", "v")]))
     with pytest.raises(ValueError):

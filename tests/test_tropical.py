@@ -89,6 +89,17 @@ def test_eval_unbound_variable_refused():
         eval_expr(Var("zz"), {"a": 1})
 
 
+@pytest.mark.parametrize("value", [2.7, 2.0, True, False, "5"])
+def test_eval_refuses_values_that_are_not_integers(value):
+    # int() would read these as 2, 2, 1, 0 and 5
+    expr = parse("(a ⊕ inf)")
+    with pytest.raises(ValueError, match="'a'"):
+        eval_expr(expr, {"a": value})
+    assert eval_expr(expr, {"a": 2}) == tval(2)
+    assert eval_expr(expr, {"a": tval(2)}) == tval(2)
+    assert eval_expr(expr, {"a": None}) == INF
+
+
 def test_g_delta_k3_examples():
     g = k3()
     assignment = {"R": 3, "G": 0, "B": 1}
@@ -699,9 +710,12 @@ def test_render_refuses_unwritable_vertex_ids():
 
 @pytest.mark.parametrize("text", [
     "", "(", "(a", "(a ⊕", "(a ⊕ b", "max(a, 1)", "max(a", "(a ⊕ b ⊙ c)",
-    "a b", "(a ⊘ b ⊘ c)", ")", "?"])
+    "a b", "(a ⊘ b ⊘ c)", ")", "?", "٣", "３", "-٣", "(a ⊕ ３)",
+    pytest.param("(" * 1200 + "a" + ")" * 1200, id="nested-1200")])
 def test_parse_refuses_malformed_text(text):
-    # running out of tokens mid-expression is a ValueError, not an IndexError
+    # running out of tokens mid-expression is a ValueError, not an IndexError;
+    # numbers are ASCII digits, and text nested too deeply for the recursive
+    # descent is refused, not a RecursionError
     with pytest.raises(ValueError):
         parse(text)
 
