@@ -6,7 +6,9 @@ non-minimal subgraph, degree -1 one relator per non-minimal subgraph.
 The differentials encode how chains in the forest telescope; the first
 cohomology of this small complex is exactly the p-torsion of the graph's
 first cohomology, and the comparison map `chi` realizes it inside the
-ambient cochain complex by divided fundamental chains.
+ambient cochain complex by divided fundamental chains.  Their signs are
+one consistent choice: every subgraph takes the signs of the top above
+it, the restriction of the forest's one sign map `forest.signs`.
 
 Cover terms in the differentials run over the full vertex-spanning cover
 (forest.phi), which includes the degenerate single-vertex extras.  Those
@@ -140,9 +142,9 @@ class ComparisonMap:
 
 def _fundamental_vector(forest: FundamentalForest, gp: WeightedGraph,
                         d: Subgraph) -> list[int]:
-    """Fundamental chain of d on the vertices of gp, zero off V(d)."""
-    alpha = forest.orientation[d]
-    return [alpha[v] * gp.weight[v] if v in d.vertex_set else 0
+    """Fundamental chain of d on the vertices of gp, zero off V(d), signed
+    by `forest.signs`."""
+    return [forest.signs[v] * gp.weight[v] if v in d.vertex_set else 0
             for v in gp.vertices]
 
 

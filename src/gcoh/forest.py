@@ -22,8 +22,11 @@ vertex's class one level down; a subgraph is maximal when the class
 above its top level is not a node; a class's boundary valuation is its
 last level.  Membership and the signs of every top are one rule,
 `Filtration.reduced_signs`: a bipartite class takes its colouring, at
-p = 2 a non-bipartite one the colourings one level down.  The forest
-is one frozen value, constructed once from these tables.
+p = 2 a non-bipartite one the colourings one level down.  The tops are
+disjoint, so their signs make one map, `signs`; every subgraph lies
+under a top, and its orientation is the restriction of that map, which
+makes the choice consistent.  The forest is one frozen value,
+constructed once from these tables.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class FundamentalForest:
       peak_map         counted minimal node -> highest node of its chain
       peak_nodes       images of peak_map
       witness          minimal subgraph -> a vertex realizing min_val
-      orientation      subgraph -> sign map, induced from the chain tops
+      signs            vertex under a top -> its top's sign; a subgraph's
+                       orientation is the restriction to its vertices
       maximal          subgraphs whose top node has no node above it
       filtration       the sweep behind all of the above (prime, span...)
     """
@@ -92,7 +96,7 @@ class FundamentalForest:
     peak_map: dict[ForestNode, ForestNode]
     peak_nodes: tuple[ForestNode, ...]
     witness: dict[Subgraph, str]
-    orientation: dict[Subgraph, dict[str, int]]
+    signs: dict[str, int]
     bipartite_components: tuple[Subgraph, ...]
     maximal: tuple[Subgraph, ...]
 
@@ -164,22 +168,34 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
                 for a in counted_minimal}
     peak_nodes = tuple(sorted(peak_map.values(), key=ForestNode.sort_key))
 
+    # the tops are disjoint, so their signs make one map; a tail, which is
+    # bipartite, is signed at the top level
     maximal = []
+    signs: dict[str, int] = {}
     for delta in subgraphs:
         sup = sup_level[delta]
         if (sup is None or sup >= top
                 or sup + 1 not in levels.get(
                     filt.class_of(delta.min_vertex(), sup + 1), ())):
             maximal.append(delta)
+            alpha = filt.reduced_signs(delta, top if sup is None else sup)
+            if alpha is None:
+                raise AssertionError(f"unorientable top {delta}")
+            if not signs.keys().isdisjoint(alpha):
+                raise AssertionError(f"top {delta} overlaps another top")
+            signs.update(alpha)
 
     phi, extras = _build_phi(filt, levels, subgraphs)
     for comp in extras:
         sup_level[comp] = filt.valuation[comp.min_vertex()]  # r == m
-    orientation = _assign_orientations(filt, maximal, sup_level, phi)
+    # every subgraph and extra lies under a top and takes its signs
+    unsigned = [d for d in sup_level if not d.vertex_set <= signs.keys()]
+    if unsigned:
+        raise AssertionError(f"subgraphs outside every top: {unsigned}")
     return FundamentalForest(
         g, filt, nodes, subgraphs, extras, sup_level, phi, descent,
         counted_minimal, counted_nodes, peak_map, peak_nodes, witness,
-        orientation, bipartite_components, tuple(maximal))
+        signs, bipartite_components, tuple(maximal))
 
 
 def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
@@ -220,40 +236,6 @@ def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
             children.append(comp)
         phi[delta] = tuple(sorted(children, key=Subgraph.sort_key))
     return phi, tuple(sorted(extras, key=Subgraph.sort_key))
-
-
-def _assign_orientations(filt: Filtration, maximal: list[Subgraph],
-                         sup_level: dict[Subgraph, Optional[int]],
-                         phi: dict[Subgraph, tuple[Subgraph, ...]],
-                         ) -> dict[Subgraph, dict[str, int]]:
-    """Choose sign maps consistently: orient each forest-maximal subgraph,
-    then restrict downwards through the covers; every subgraph and extra
-    (the keys of `sup_level`) must end up with one.
-
-    Every top is signed by `Filtration.reduced_signs` at its largest
-    level (a tail, which is bipartite, at the top level): a bipartite top
-    by its own colouring, a p = 2 top by the colourings one level down.
-    """
-    orientation: dict[Subgraph, dict[str, int]] = {}
-    queue = []
-    for top_graph in maximal:
-        sup = sup_level[top_graph]
-        alpha = filt.reduced_signs(top_graph, filt.top if sup is None else sup)
-        if alpha is None:
-            raise AssertionError("unorientable top subgraph")
-        orientation[top_graph] = alpha
-        queue.append(top_graph)
-    while queue:
-        delta = queue.pop()
-        alpha = orientation[delta]
-        for child in phi.get(delta, ()):
-            if child not in orientation:
-                orientation[child] = {v: alpha[v] for v in child.vertex_set}
-                queue.append(child)
-    missing = [d for d in sup_level if d not in orientation]
-    if missing:
-        raise AssertionError(f"subgraphs without an orientation: {missing}")
-    return orientation
 
 
 def torsion_structure(forest: FundamentalForest) -> list[int]:

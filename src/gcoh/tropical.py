@@ -44,10 +44,17 @@ CAP_ENV_VAR = "GCOH_MAX_SUBGRAPHS"
 
 @dataclass(frozen=True)
 class TropicalValue:
-    """An integer or the absorbing infinity (the min-plus zero)."""
+    """An integer or the absorbing infinity (the min-plus zero).  A finite
+    value must be an `int` (bools excluded), else ValueError."""
 
     finite: bool
     value: int = 0
+
+    def __post_init__(self):
+        if self.finite and (type(self.value) is bool
+                            or not isinstance(self.value, int)):
+            raise ValueError(f"a finite TropicalValue holds an integer, "
+                             f"not {self.value!r}")
 
     def __repr__(self) -> str:
         return str(self.value) if self.finite else "inf"
@@ -57,11 +64,14 @@ INF = TropicalValue(False)
 
 
 def tval(x: Union[int, TropicalValue, None]) -> TropicalValue:
+    """x as a TropicalValue, None as infinity; like `TropicalValue`, any
+    other value that is not an `int` (a bool, a float, a string) raises
+    ValueError."""
     if isinstance(x, TropicalValue):
         return x
     if x is None:
         return INF
-    return TropicalValue(True, int(x))
+    return TropicalValue(True, x)
 
 
 def t_plus(a: TropicalValue, b: TropicalValue) -> TropicalValue:
@@ -175,7 +185,9 @@ def eval_expr(e: TropicalExpr,
     Values are Python ints with None for infinity; only the result is a
     `TropicalValue`.  Expressions built here share subtrees aggressively
     (every edge monomial of a graph is one object), so results are
-    memoized per node identity for the duration of the call.
+    memoized per node identity for the duration of the call.  Nesting
+    too deep for Python's recursion limit raises ValueError, as in
+    `parse`.
     """
     cache: dict[int, Optional[int]] = {}
     cached = cache.get
@@ -220,7 +232,10 @@ def eval_expr(e: TropicalExpr,
         out = cached(id(node), _MISS)
         return go(node) if out is _MISS else out
 
-    return tval(value(e))
+    try:
+        return tval(value(e))
+    except RecursionError:
+        raise ValueError("expression nested too deeply to evaluate") from None
 
 
 def eval_gcd_product(e: TropicalExpr, assignment: Mapping[str, int]) -> int:
@@ -423,11 +438,12 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
     single edge come out as min(a, b) = the gcd valuation, as it must.
 
     Disconnected graphs multiply their components' expressions.  Graphs
-    with more vertices than the cap (default 10; GCOH_MAX_SUBGRAPHS
-    overrides, and must hold ASCII decimal digits) are refused: the
-    enumeration is exponential.
+    with more vertices than the cap (default 10, also when
+    GCOH_MAX_SUBGRAPHS is unset or empty; otherwise the variable must
+    hold ASCII decimal digits only) are refused: the enumeration is
+    exponential.
     """
-    env = os.environ.get(CAP_ENV_VAR, "").strip() or str(DEFAULT_VERTEX_CAP)
+    env = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_VERTEX_CAP)
     if not (env.isascii() and env.isdigit()):
         raise ValueError(f"{CAP_ENV_VAR} must be a non-negative integer, "
                          f"got {env!r}")

@@ -122,15 +122,13 @@ def oriented_core(forest: FundamentalForest) -> CoreDecomposition:
     """
     g, p = forest.graph, forest.prime
     parts: list[CoreComponent] = []
-    covered: set[str] = set()
     filt = forest.filtration
     for delta in forest.maximal:
         parts.append(CoreComponent(delta, forest.sup_level[delta],
                                    filt.min_val[delta],
                                    delta in filt.colouring, True))
-        covered |= delta.vertex_set
     for v in g.vertices:
-        if v in covered:
+        if v in forest.signs:
             continue
         # {v}'s boundary valuation: 0 when an edge of valuation 0 joins v
         # at level 1, else the last level of the class {v}

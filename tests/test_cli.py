@@ -366,7 +366,7 @@ def test_tropical_cap_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-@pytest.mark.parametrize("cap", ["abc", "-1", "\u0663", "\uff13"])
+@pytest.mark.parametrize("cap", ["abc", "-1", "\u0663", "\uff13", " 5 ", "5\n", " "])
 def test_tropical_malformed_cap_exit_2(k3_file, capsys, monkeypatch, cap):
     monkeypatch.setenv("GCOH_MAX_SUBGRAPHS", cap)
     code, out, err = run_cli(capsys, "tropical", k3_file)

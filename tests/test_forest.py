@@ -237,7 +237,7 @@ def test_two_adic_top_orientation_matches_the_reduction():
             sup = f.sup_level[top]
             want = two_adic_bipartition(top, sup)
             assert want is not None
-            assert f.orientation[top] == want, (g, top)
+            assert {v: f.signs[v] for v in top.vertex_set} == want, (g, top)
             checked.add(sup)
     assert 1 in checked and len(checked) >= 3  # sup == 1 and deeper tops
 
@@ -256,9 +256,53 @@ def test_bipartite_top_orientation_is_its_bipartition():
         f = build_forest(g, p)
         for top in f.maximal:
             if top in f.filtration.colouring:
-                assert f.orientation[top] == bipartition(top), (g, p, top)
+                assert ({v: f.signs[v] for v in top.vertex_set}
+                        == bipartition(top)), (g, p, top)
                 checked += 1
     assert checked >= 60
+
+
+def orientations_down_the_covers(f):
+    """Reference orientations: sign each top by the filtration's rule at
+    its largest level, then restrict each subgraph's signs to the
+    subgraphs and extras in its cover, walking down `f.phi`."""
+    filt = f.filtration
+    orientation, queue = {}, []
+    for top in f.maximal:
+        sup = f.sup_level[top]
+        orientation[top] = filt.reduced_signs(
+            top, filt.top if sup is None else sup)
+        queue.append(top)
+    while queue:
+        delta = queue.pop()
+        alpha = orientation[delta]
+        for child in f.phi.get(delta, ()):
+            if child not in orientation:
+                orientation[child] = {v: alpha[v] for v in child.vertex_set}
+                queue.append(child)
+    return orientation
+
+
+def test_signs_restrict_to_the_orientations_down_the_covers():
+    # One sign per vertex under a top: every subgraph's and extra's
+    # orientation, its restriction, is what the walk down the covers gives.
+    rng = random.Random(28)
+    extras = two_adic_tops = 0
+    for i in range(300):
+        p = (2, 3, 5)[i % 3]
+        base = random_connected(rng, 9, p, 4)
+        units = [u for u in range(1, 12) if u % p]
+        g = WeightedGraph({v: base.weight[v] * rng.choice(units)
+                           for v in base.vertices}, base.edges)
+        f = build_forest(g, p)
+        want = orientations_down_the_covers(f)
+        assert want.keys() == f.sup_level.keys(), (g, p)
+        for d, alpha in want.items():
+            assert {v: f.signs[v] for v in d.vertex_set} == alpha, (g, p, d)
+        extras += len(f.extras)
+        two_adic_tops += sum(p == 2 and top not in f.filtration.colouring
+                             for top in f.maximal)
+    assert extras >= 100 and two_adic_tops >= 20  # not vacuous
 
 
 def test_dot_export_shape():

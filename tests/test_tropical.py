@@ -29,6 +29,7 @@ from gcoh.tropical import (
     Plus,
     Quotient,
     Times,
+    TropicalValue,
     Var,
     _candidate_subgraphs,
     _factor,
@@ -98,6 +99,33 @@ def test_eval_refuses_values_that_are_not_integers(value):
     assert eval_expr(expr, {"a": 2}) == tval(2)
     assert eval_expr(expr, {"a": tval(2)}) == tval(2)
     assert eval_expr(expr, {"a": None}) == INF
+    # tval and TropicalValue follow the same rule
+    with pytest.raises(ValueError):
+        tval(value)
+    with pytest.raises(ValueError):
+        TropicalValue(True, value)
+
+
+def _nested(depth, wrap):
+    e = Var("a")
+    for _ in range(depth):
+        e = wrap(e)
+    return e
+
+
+@pytest.mark.parametrize("expr, want", [
+    pytest.param(parse("max(" * 600 + "a" + ", 0)" * 600), 0, id="parsed-600"),
+    pytest.param(_nested(5000, ClampAtZero), 0, id="clamp-5000"),
+    pytest.param(_nested(5000, lambda e: Times((Var("a"), e))), -15003,
+                 id="times-5000")])
+def test_eval_of_deep_nesting_is_its_value_or_a_value_error(expr, want):
+    # text that parse accepts evaluates or is refused, never a RecursionError
+    try:
+        got = eval_expr(expr, {"a": -3})
+    except ValueError as err:
+        assert "nested too deeply" in str(err)
+    else:
+        assert got == tval(want)
 
 
 def test_g_delta_k3_examples():
