@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .graphs import (
@@ -154,14 +155,21 @@ def times(children: Iterable[TropicalExpr]) -> TropicalExpr:
     return Times(kids)
 
 
+def _negated_min(negations: Iterable[TropicalExpr]) -> TropicalExpr:
+    """The maximum of x_1..x_k from their negations 0 ⊘ x_i, as the
+    negated minimum max(x_1..x_k) = -min(-x_1..-x_k):
+    0 ⊘ ((0 ⊘ x_1) ⊕ ... ⊕ (0 ⊘ x_k))."""
+    return Quotient(UNIT, plus(negations))
+
+
 def tropical_max(children: Sequence[TropicalExpr]) -> TropicalExpr:
-    """Maximum as a negated minimum, max(x_1..x_k) = -min(-x_1..-x_k):
-    0 ⊘ ((0 ⊘ x_1) ⊕ ... ⊕ (0 ⊘ x_k)), one node per term."""
+    """Maximum as a negated minimum (see `_negated_min`), one node per
+    term; a single term is its own maximum."""
     if not children:
         raise ValueError("maximum of nothing")
     if len(children) == 1:
         return children[0]
-    return Quotient(UNIT, plus(Quotient(UNIT, x) for x in children))
+    return _negated_min(Quotient(UNIT, x) for x in children)
 
 
 def _int_value(name: str, x: Union[int, TropicalValue, None]) -> Optional[int]:
@@ -184,10 +192,11 @@ def eval_expr(e: TropicalExpr,
 
     Values are Python ints with None for infinity; only the result is a
     `TropicalValue`.  Expressions built here share subtrees aggressively
-    (every edge monomial of a graph is one object), so results are
-    memoized per node identity for the duration of the call.  Nesting
-    too deep for Python's recursion limit raises ValueError, as in
-    `parse`.
+    (every edge monomial, edge negation and vertex minimum of a graph is
+    one object), so results are memoized per node identity for the
+    duration of the call.  Each nesting level takes one stack frame, as
+    in `parse`; nesting too deep for Python's recursion limit raises
+    ValueError, as in `parse`.
     """
     cache: dict[int, Optional[int]] = {}
     cached = cache.get
@@ -214,12 +223,19 @@ def eval_expr(e: TropicalExpr,
                 raise KeyError(f"unbound variable {node.name!r}")
             out = _int_value(node.name, assignment[node.name])
         elif kind is Quotient:
-            num, den = value(node.numerator), value(node.denominator)
+            num = cached(id(node.numerator), _MISS)
+            if num is _MISS:
+                num = go(node.numerator)
+            den = cached(id(node.denominator), _MISS)
+            if den is _MISS:
+                den = go(node.denominator)
             if den is None:
                 raise ZeroDivisionError("tropical division by infinity")
             out = None if num is None else num - den
         elif kind is ClampAtZero:
-            x = value(node.child)
+            x = cached(id(node.child), _MISS)
+            if x is _MISS:
+                x = go(node.child)
             out = None if x is None else max(x, 0)
         elif kind is Const:
             out = node.value.value if node.value.finite else None
@@ -228,12 +244,8 @@ def eval_expr(e: TropicalExpr,
         cache[id(node)] = out
         return out
 
-    def value(node: TropicalExpr) -> Optional[int]:
-        out = cached(id(node), _MISS)
-        return go(node) if out is _MISS else out
-
     try:
-        return tval(value(e))
+        return tval(go(e))
     except RecursionError:
         raise ValueError("expression nested too deeply to evaluate") from None
 
@@ -279,13 +291,22 @@ def variables(e: TropicalExpr) -> set[str]:
 
 # --- graph-attached expressions ----------------------------------------------
 
-def _factor(vset, eset, boundary, mono, varcache) -> TropicalExpr:
-    """One factor, built from shared monomial/variable nodes."""
+def _factor(eset, boundary, mono, neg, vertex_min, vertex_neg) -> TropicalExpr:
+    """One factor, max(0, min boundary ⊘ max(internal edges, vertex
+    minimum)), built from shared nodes: the edge monomials `mono`, their
+    negations `neg` (0 ⊘ mono[e]), and the vertex set's minimum and its
+    negation.  With no internal edges the maximum is the vertex minimum
+    itself."""
     upper = plus(mono[e] for e in sorted(boundary))
-    internal = [mono[e] for e in sorted(eset)]
-    vertex_min = plus(varcache[v] for v in sorted(vset))
-    lower = tropical_max(internal + [vertex_min])
+    lower = (_negated_min([neg[e] for e in sorted(eset)] + [vertex_neg])
+             if eset else vertex_min)
     return ClampAtZero(Quotient(upper, lower))
+
+
+def _vertex_min(vset, var) -> tuple[TropicalExpr, TropicalExpr]:
+    """A vertex set's minimum and its negation."""
+    low = plus(var[v] for v in sorted(vset))
+    return low, Quotient(UNIT, low)
 
 
 def g_delta(d: Subgraph) -> TropicalExpr:
@@ -303,8 +324,10 @@ def g_delta(d: Subgraph) -> TropicalExpr:
         raise ValueError("factor requires a proper subgraph (nonempty boundary)")
     mono = {e: Times((Var(e[0]), Var(e[1])))
             for e in set(boundary) | set(d.edge_set)}
+    neg = {e: Quotient(UNIT, m) for e, m in mono.items()}
     varcache = {v: Var(v) for v in d.vertex_set}
-    return _factor(d.vertex_set, d.edge_set, boundary, mono, varcache)
+    return _factor(d.edge_set, boundary, mono, neg,
+                   *_vertex_min(d.vertex_set, varcache))
 
 
 class EnumerationCapExceeded(ValueError):
@@ -455,10 +478,16 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
     comps = components(full_subgraph(g))
     if len(comps) > 1:
         return times(z_gamma(c.as_graph()) for c in comps)
-    mono = {e: Times((Var(e[0]), Var(e[1]))) for e in g.edges}
     varcache = {v: Var(v) for v in g.vertices}
-    product = times(_factor(vs, es, boundary, mono, varcache)
-                    for vs, es, boundary in _candidate_subgraphs(g))
+    mono = {e: Times((varcache[e[0]], varcache[e[1]])) for e in g.edges}
+    neg = {e: Quotient(UNIT, m) for e, m in mono.items()}
+    factors = []
+    # the candidates arrive grouped by vertex set
+    for vs, group in groupby(_candidate_subgraphs(g), key=itemgetter(0)):
+        low = _vertex_min(vs, varcache)
+        factors += (_factor(es, boundary, mono, neg, *low)
+                    for _, es, boundary in group)
+    product = times(factors)
     if g.edges and bipartition(full_subgraph(g)) is not None:
         chain_gap = Quotient(
             tropical_max([mono[e] for e in g.edges]),
@@ -507,10 +536,10 @@ def render(e: TropicalExpr) -> str:
     """Fully parenthesized min-plus notation; `parse` reverses it.
 
     One pass appends fragments to a list that is joined once.  Leaves
-    and nodes whose children all have text already (edge monomials,
-    say) are written once per object and reused wherever they are
-    shared.  Raises ValueError on a variable name that would not parse
-    back as itself.
+    and sums, products and quotients whose children all have text
+    already (edge monomials and their negations, say) are written once
+    per object and reused wherever they are shared.  Raises ValueError
+    on a variable name that would not parse back as itself.
     """
     memo: dict[int, str] = {}
     written = memo.get
@@ -558,7 +587,13 @@ def render(e: TropicalExpr) -> str:
             stack.append(kids[0])
             out.append("(")
         elif kind is Quotient:
-            stack += [")", node.denominator, f" {DIV_SIGN} ", node.numerator]
+            num, den = node.numerator, node.denominator
+            a, b = written(id(num)) or leaf(num), written(id(den)) or leaf(den)
+            if a is not None and b is not None:
+                text = memo[id(node)] = f"({a} {DIV_SIGN} {b})"
+                out.append(text)
+                continue
+            stack += [")", den, f" {DIV_SIGN} ", num]
             out.append("(")
         elif kind is ClampAtZero:
             stack += [", 0)", node.child]

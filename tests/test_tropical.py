@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from functools import cache
@@ -30,9 +31,11 @@ from gcoh.tropical import (
     Quotient,
     Times,
     TropicalValue,
+    UNIT,
     Var,
     _candidate_subgraphs,
     _factor,
+    _vertex_min,
     elementary_symmetric,
     eval_expr,
     eval_gcd_product,
@@ -126,6 +129,12 @@ def test_eval_of_deep_nesting_is_its_value_or_a_value_error(expr, want):
         assert "nested too deeply" in str(err)
     else:
         assert got == tval(want)
+
+
+def test_eval_reaches_the_nesting_parse_reads():
+    # one stack frame per level in both, so what parses evaluates
+    expr = parse("max(" * 950 + "a" + ", 0)" * 950)
+    assert eval_expr(expr, {"a": 3}) == tval(3)
 
 
 def test_g_delta_k3_examples():
@@ -340,8 +349,10 @@ def reference_product(g, keep):
     if len(comps) > 1:
         return times(reference_product(c.as_graph(), keep) for c in comps)
     mono = {e: Times((Var(e[0]), Var(e[1]))) for e in g.edges}
+    neg = {e: Quotient(UNIT, m) for e, m in mono.items()}
     varcache = {v: Var(v) for v in g.vertices}
-    product = times(_factor(vs, es, boundary, mono, varcache)
+    product = times(_factor(es, boundary, mono, neg,
+                            *_vertex_min(vs, varcache))
                     for vs, es, boundary in reference_candidates(g)
                     if keep(vs, es, boundary))
     if g.edges and bipartition(full_subgraph(g)) is not None:
@@ -762,6 +773,37 @@ def test_rendered_max_grows_linearly():
     text = render(tropical_max([Var(f"x{i}") for i in range(40)]))
     assert len(text) <= 500
     assert text.startswith("(0 ⊘ ((0 ⊘ x0) ⊕ (0 ⊘ x1) ⊕ ")
+
+
+def distinct_nodes(e):
+    seen, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if isinstance(node, (Plus, Times)):
+                stack += node.children
+            elif isinstance(node, Quotient):
+                stack += [node.numerator, node.denominator]
+            elif isinstance(node, ClampAtZero):
+                stack.append(node.child)
+    return len(seen)
+
+
+def test_z_gamma_builds_each_negation_and_vertex_minimum_once():
+    # 11,226 distinct nodes on the first bench base when every factor
+    # built its own edge negations and vertex minimum
+    g, _ = bench_bases()[0]
+    assert distinct_nodes(z_gamma(g)) <= 11226 // 2
+
+
+def test_bench_base_reports_are_pinned():
+    digest = hashlib.sha256()
+    for g, val in bench_bases():
+        z = z_gamma(g)
+        digest.update(f"{render(z)}\n{eval_expr(z, val)!r}\n".encode())
+    assert digest.hexdigest() == (
+        "b9845e1ff365667e7010385ad7d01eb28a0ab439a9709f63abaa605500650a04")
 
 
 def test_rendered_z_gamma_parses_back_to_its_value():
