@@ -28,10 +28,9 @@ def _edge_rows(g: Subgraph, entries) -> IntMatrix:
     weight = g.parent.weight
     rows = []
     for u, v in g.edges:
-        row = [0] * len(verts)
-        row[col[u]], row[col[v]] = entries(weight[u], weight[v])
-        rows.append(row)
-    return IntMatrix(rows, ncols=len(verts))
+        x, y = entries(weight[u], weight[v])
+        rows.append({col[u]: x, col[v]: y})
+    return IntMatrix(rows, len(verts))
 
 
 def d0_matrix(g: Subgraph) -> IntMatrix:

@@ -63,13 +63,13 @@ def _lower_level(forest: FundamentalForest, d: Subgraph) -> int:
 
 def _columns(n: int, cols: Iterable[Iterable[tuple[int, int]]]) -> IntMatrix:
     """Matrix with n rows, one iterable of (row, coefficient) terms per
-    column; terms on the same row add up."""
+    column; terms on the same row add up, and a sum of zero is dropped."""
     cols = list(cols)
-    rows = [[0] * len(cols) for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     for j, terms in enumerate(cols):
         for i, c in terms:
-            rows[i][j] += c
-    return IntMatrix(rows, ncols=len(cols))
+            rows[i][j] = rows[i].get(j, 0) + c
+    return IntMatrix([{j: x for j, x in row.items() if x} for row in rows], len(cols))
 
 
 def fundamental_complex(forest: FundamentalForest) -> FundamentalComplex:

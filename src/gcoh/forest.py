@@ -248,21 +248,25 @@ def torsion_structure(forest: FundamentalForest) -> list[int]:
                   for a, peak in forest.peak_map.items())
 
 
+def _dot_string(text: str) -> str:
+    """text as a DOT quoted string, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def forest_to_dot(forest: FundamentalForest) -> str:
     """Graphviz rendering: one node per pair, red descent edges, and one
-    annotated node per infinite tail."""
+    annotated node per infinite tail; labels are escaped DOT strings."""
     lines = ["digraph forest {", '  rankdir=BT;']
     names: dict[ForestNode, str] = {}
     for i, node in enumerate(forest.nodes):
         names[node] = f"n{i}"
-        lines.append(f'  n{i} [label="{node.label()}"];')
+        lines.append(f'  n{i} [label={_dot_string(node.label())}];')
     tails = []
     for comp in forest.bipartite_components:
         vs = ",".join(comp.vertices)
         tails.append(comp)
-        lines.append(
-            f'  tail{len(tails)} [label="({{{vs}}},r>{forest.filtration.top})'
-            f' ad infinitum", shape=box];')
+        label = _dot_string(f"({{{vs}}},r>{forest.filtration.top}) ad infinitum")
+        lines.append(f'  tail{len(tails)} [label={label}, shape=box];')
         top_node = names[ForestNode(comp, forest.filtration.top)]
         lines.append(f'  {top_node} -> tail{len(tails)} [style=dotted];')
     for node, target in forest.descent.items():

@@ -300,9 +300,10 @@ class Filtration(NamedTuple):
 
     `owner[r - 1]` maps each vertex to its level-r class; a class that
     does not change from one level to the next is the same object at
-    both.  Per class: `span` (first and last level, so readers visit a
-    class once over its levels), `min_val` (smallest vertex valuation)
-    and, exactly for a bipartite class, `colouring`: the sweep's
+    both, and a level no edge enters shares the map of the level below.
+    Per class: `span` (first and last level, so readers visit a class
+    once over its levels), `min_val` (smallest vertex valuation) and,
+    exactly for a bipartite class, `colouring`: the sweep's
     2-colouring as a dict of signs, the smallest vertex +1.  `tree`
     holds the edges that merged two classes, the unique minimum spanning
     forest under the strict order (valuation, edge).  `reduced_signs` is
@@ -396,9 +397,10 @@ def filtration(g: Subgraph, p: int) -> Filtration:
 
     owner: dict[str, Subgraph] = {}
     owners, tree = [], []
+    span: dict[Subgraph, tuple[int, int]] = {}
     min_val: dict[Subgraph, int] = {}
     colouring: dict[Subgraph, dict[str, int]] = {}
-    changed = dict.fromkeys(sorted(g.vertex_set))
+    changed = dict.fromkeys(sorted(g.vertex_set))  # roots whose class changes
     for r in range(1, top + 1):
         for e in entering.get(r - 1, ()):
             u, w = e
@@ -415,23 +417,27 @@ def filtration(g: Subgraph, p: int) -> Filtration:
                 members[a] += members.pop(b)
                 edges[a] += edges.pop(b)
                 bip[a] = bip[a] and bip.pop(b)
-                changed.pop(b, None)
+                changed[b] = None
                 tree.append(e)
             edges[a].append(e)
             changed[a] = None
+        below = owner
+        if changed:  # else no edge entered: the level shares the map below
+            owner = dict(owner)
         for a in changed:
+            if a in below:  # a's class at the level below ends there
+                span[below[a]] = (span[below[a]][0], r - 1)
+            if a not in members:  # merged into another class
+                continue
             sub = Subgraph(g.parent, frozenset(members[a]), frozenset(edges[a]))
+            span[sub] = (r, top)
             min_val[sub] = min(val[v] for v in members[a])
             if bip[a]:
                 plus = colour[min(members[a])]
                 colouring[sub] = {v: colour[v] * plus for v in members[a]}
             owner.update(dict.fromkeys(members[a], sub))
         changed = {}
-        owners.append(dict(owner))
-    span: dict[Subgraph, tuple[int, int]] = {}
-    for r, level in enumerate(owners, 1):
-        for sub in level.values():
-            span[sub] = (span.get(sub, (r,))[0], r)
+        owners.append(owner)
     return Filtration(p, top, val, tuple(owners), span, min_val,
                       colouring, frozenset(tree))
 

@@ -2,7 +2,9 @@
 
 This is the oracle everything else is checked against, so every Smith
 decomposition is checked exactly before it is returned (`check_smith`).
-`IntMatrix` is dense, entries are Python ints (arbitrary precision).
+An `IntMatrix` is its sparse rows, dicts {col: value} of the nonzero
+entries, which are Python ints (arbitrary precision); it is dense only
+when `matrix` reads it and when `entries` writes it out.
 
 One shape rule decides the path.  A matrix with at least
 COMPRESS_MIN_GAP more rows than columns has its columns put in greedy
@@ -15,20 +17,18 @@ change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
 Pivots are entries of minimal absolute value, to keep coefficient
 growth down.  S is diagonal; its divisor chain comes from gcd/lcm on the
-scalars.  Inside the SNF a row is a dict {col: value} of its nonzeros:
-A is read into such rows once, the column order relabels their keys,
-and both eliminations run on them without changing their input, the
-Hermite one with a column index and the Smith one without (its blocks
-are small or square, where scanning the rows is cheaper than keeping an
-index).  H, U, V, R and C are made dense once each, at the end, and the
-multiply-back products walk only the nonzero entries of their factors.
+scalars.  The SNF takes A's rows as they are, the column order
+relabels their keys, and both eliminations run on dict rows without
+changing their input, the Hermite one with a column index and the Smith
+one without (its blocks are small or square, where scanning the rows is
+cheaper than keeping an index).  H, U, S, V, R and C are the rows they
+built, and the multiply-back products walk only their nonzero entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -38,107 +38,114 @@ Vector = tuple[int, ...]
 
 
 class IntMatrix:
-    """Integer matrix with explicit shape.
+    """Integer matrix with explicit shape, held as its sparse rows.
 
-    The shape is stored explicitly so zero-row and zero-column matrices
-    (edgeless graphs, empty generator lists) behave like any other.
-    Entries must be ints already; the public builder `matrix` converts.
+    `data[i]` is row i as a dict {col: value} of its nonzero entries.  No
+    zero is ever stored, so equal matrices have equal rows and hashes.
+    The explicit shape lets zero-row and zero-column matrices (edgeless
+    graphs, empty generator lists) behave like any other.  The rows are
+    taken as given and must not change afterwards.  `matrix` is the one
+    dense reader, `entries` the one dense writer.
     """
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("data", "rows", "cols")
 
-    def __init__(self, entries: Iterable[Iterable[int]], ncols: Optional[int] = None):
-        self.entries: tuple[Vector, ...] = tuple(map(tuple, entries))
-        self.rows = len(self.entries)
-        if self.entries:
-            widths = {len(r) for r in self.entries}
-            if len(widths) != 1:
-                raise ValueError("ragged matrix")
-            self.cols = widths.pop()
-            if ncols is not None and ncols != self.cols:
-                raise ValueError("declared column count does not match entries")
-        else:
-            self.cols = ncols if ncols is not None else 0
+    def __init__(self, data: list[dict[int, int]], ncols: int):
+        self.data = data
+        self.rows = len(data)
+        self.cols = ncols
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as dense tuples."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.cols)) for row in self.data)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.entries[ij[0]][ij[1]]
+        i, j = ij
+        if not 0 <= j < self.cols:
+            raise IndexError(ij)
+        return self.data[i].get(j, 0)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols,
+                     tuple(frozenset(row.items()) for row in self.data)))
 
     def column(self, j: int) -> Vector:
         if not 0 <= j < self.cols:
             raise IndexError(j)
-        return tuple(row[j] for row in self.entries)
+        return tuple(row.get(j, 0) for row in self.data)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.data)
 
     def transpose(self) -> "IntMatrix":
-        rows = ([self.entries[i][j] for i in range(self.rows)]
-                for j in range(self.cols))
-        return IntMatrix(rows, ncols=self.rows)
+        cols: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                cols[j][i] = x
+        return IntMatrix(cols, self.rows)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols}, {self.entries!r})"
 
 
 def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None) -> IntMatrix:
-    return IntMatrix((map(int, row) for row in rows), ncols=ncols)
+    """The matrix of these dense rows, entries converted with int()."""
+    dense = [list(map(int, row)) for row in rows]
+    widths = {len(row) for row in dense} or {ncols or 0}
+    if len(widths) > 1:
+        raise ValueError("ragged matrix")
+    if ncols is not None and widths != {ncols}:
+        raise ValueError("declared column count does not match entries")
+    return IntMatrix([{j: x for j, x in enumerate(row) if x} for row in dense], widths.pop())
 
 
 def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
-    for c in cols:
-        if len(c) != nrows:
-            raise ValueError("column length does not match row count")
-    rows = ([c[i] for c in cols] for i in range(nrows))
-    return IntMatrix(rows, ncols=len(cols))
+    """The matrix of these dense columns, each of length nrows."""
+    return matrix(cols, ncols=nrows).transpose()
 
 
 def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(((0,) * cols for _ in range(rows)), ncols=cols)
+    return IntMatrix([{} for _ in range(rows)], cols)
 
 
 def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix((tuple(1 if i == j else 0 for j in range(n))
-                      for i in range(n)), ncols=n)
+    return IntMatrix([{i: 1} for i in range(n)], n)
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """A @ B, row by row, walking only the nonzero entries of both factors.
+    """A @ B, row by row over the nonzero entries of both factors.
 
     The multiply-back checks run through here; their factors (edge-vertex
     matrices with two nonzeros a row, transforms close to the identity)
     are mostly zero, so the cost follows the nonzeros, not the shape.
+    Entries that cancel to zero are dropped.
     """
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    n = b.cols
-    b_rows = [[(j, row[j]) for j in compress(range(n), row)] for row in b.entries]
-    inner = range(a.cols)
+    b_rows = b.data
     out = []
-    for row in a.entries:
-        acc = [0] * n
-        for k in compress(inner, row):
-            x = row[k]
-            for j, y in b_rows[k]:
-                acc[j] += x * y
-        out.append(acc)
-    return IntMatrix(out, ncols=n)
+    for row in a.data:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in b_rows[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, z in acc.items() if z})
+    return IntMatrix(out, b.cols)
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int]) -> Vector:
     if len(v) != a.cols:
         raise ValueError("vector length does not match column count")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a.entries)
+    return tuple(sum(x * v[j] for j, x in row.items()) for row in a.data)
 
 
 def determinant(a: IntMatrix) -> int:
@@ -198,11 +205,8 @@ class SmithDecomposition:
 
     @property
     def diagonal(self) -> tuple[int, ...]:
-        n = min(self.s.rows, self.s.cols)
-        diag = [self.s[i, i] for i in range(n)]
-        while diag and diag[-1] == 0:
-            diag.pop()
-        return tuple(diag)
+        # S's nonzero rows come first, row i holding d_i in column i
+        return tuple(row[i] for i, row in enumerate(self.s.data) if row)
 
     @property
     def divisors(self) -> tuple[int, ...]:
@@ -272,18 +276,18 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     B is A, or its row Hermite block H when A has at least
     COMPRESS_MIN_GAP more rows than columns; there the elimination runs
     on A P for the column order P of `_min_degree_order`, H keeps A's
-    column order and V = P V'.  A's rows are read once, as sparse rows
-    that P relabels; H is made dense once.  U and V accumulate the row and
-    column operations, and the result passes `check_smith` before return.
+    column order and V = P V'.  A's sparse rows are read as they are and
+    P relabels their keys.  U and V accumulate the row and column
+    operations, and the result passes `check_smith` before return.
     """
-    rows, n = [_sparse(row) for row in a.entries], a.cols
+    rows, n = a.data, a.cols
     if a.rows - n >= COMPRESS_MIN_GAP:
         order = _min_degree_order(rows, n)
         back = sorted(range(n), key=order.__getitem__)  # order's inverse
         h, c, r = _hermite_rows([{back[j]: x for j, x in row.items()} for row in rows], n)
         u, s, v = _smith(h, len(h), n)
-        h = IntMatrix([_dense({order[k]: x for k, x in row.items()}, n) for row in h], ncols=n)
-        v = IntMatrix((v.entries[k] for k in back), ncols=n)
+        h = IntMatrix([{order[k]: x for k, x in row.items()} for row in h], n)
+        v = IntMatrix([v.data[k] for k in back], n)
         dec = SmithDecomposition(u, s, v, HermiteBlock(h, c, r))
     else:
         dec = SmithDecomposition(*_smith(rows, a.rows, n))
@@ -402,14 +406,13 @@ def _hermite_rows(rows: Sequence[dict[int, int]], n: int):
         pivots[j] = (k, lead, tail)
     c_rows = []
     for row in rows:
-        rest, c = dict(row), [0] * t  # rest is emptied as C is solved
+        rest, c = dict(row), {}  # rest is emptied as C is solved
         while rest:
             k, lead, tail = pivots[j := min(rest)]
             q = c[k] = rest.pop(j) // lead
             _add_scaled(rest, -q, tail)
         c_rows.append(c)
-    return (s, IntMatrix(c_rows, ncols=t),
-            IntMatrix(zip(*(_dense(col, t) for col in r_cols)), ncols=len(rows)))
+    return s, IntMatrix(c_rows, t), IntMatrix(r_cols, t).transpose()
 
 
 def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> None:
@@ -420,19 +423,6 @@ def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> 
             dst[k] = y
         else:
             dst.pop(k, None)
-
-
-def _sparse(row: Sequence[int]) -> dict[int, int]:
-    """The dense row as a sparse vector {col: value} of its nonzeros."""
-    return {j: row[j] for j in compress(range(len(row)), row)}
-
-
-def _dense(vec: dict[int, int], n: int) -> Vector:
-    """The sparse vector as a length-n tuple."""
-    out = [0] * n
-    for k, x in vec.items():
-        out[k] = x
-    return tuple(out)
 
 
 def _smith(rows: Sequence[dict[int, int]], m: int, n: int):
@@ -518,9 +508,7 @@ def _smith(rows: Sequence[dict[int, int]], m: int, n: int):
             u[t] = {k: -x for k, x in u_top.items()}
         t += 1
 
-    return (IntMatrix([_dense(row, m) for row in u], ncols=m),
-            IntMatrix([_dense(row, n) for row in s], ncols=n),
-            IntMatrix(zip(*(_dense(col, n) for col in vt)), ncols=n))
+    return IntMatrix(u, m), IntMatrix(s, n), IntMatrix(vt, n).transpose()
 
 
 @dataclass(frozen=True)
@@ -648,9 +636,8 @@ def span_exponent_mod(vectors: Sequence[Sequence[int]], n: int,
                       p: int, s: int) -> int:
     """e such that the Z/p**s span of the vectors in (Z/p**s)^n has order p**e."""
     ps = p ** s
-    rows = [tuple(v) for v in vectors]
-    rows += [tuple(ps if i == j else 0 for i in range(n)) for j in range(n)]
-    dec = smith_normal_form(IntMatrix(rows, ncols=n))
+    rows = matrix(vectors, ncols=n).data + [{j: ps} for j in range(n)]
+    dec = smith_normal_form(IntMatrix(rows, n))
     index = prod(dec.diagonal)  # |Z^n / span|; a power of p by construction
     return n * s - p_valuation(index, p)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 from gcoh.graphs import (
     Subgraph,
@@ -314,3 +315,32 @@ def test_dot_export_shape():
     g = WeightedGraph({"u": 4, "v": 6}, [("u", "v")])
     dot2 = forest_to_dot(build_forest(g, 2))
     assert "ad infinitum" in dot2
+
+
+DOT_STRING = r'"((?:[^"\\]|\\.)*)"'  # a DOT quoted string: \" and \\ escaped
+
+
+def test_dot_labels_are_escaped_strings():
+    # ids may hold any character; a quote or a trailing backslash must not
+    # end the label early
+    g = WeightedGraph({'a"b': 3, "c": 1, "d\\": 9, 'e"\\"': 27},
+                      [('a"b', "c"), ("c", "d\\"), ("d\\", 'e"\\"')])
+    f = build_forest(g, 3)
+    assert f.bipartite_components and f.nodes
+    node = re.compile(rf"  n(\d+) \[label={DOT_STRING}\];")
+    tail = re.compile(rf"  tail\d+ \[label={DOT_STRING}, shape=box\];")
+    labels = 0
+    for line in forest_to_dot(f).splitlines():
+        if "label=" not in line or 'label="s"]' in line:
+            continue
+        m = node.fullmatch(line)
+        if m:
+            want = f.nodes[int(m[1])].label()
+        else:
+            m = tail.fullmatch(line)
+            assert m, line
+            comp, = f.bipartite_components
+            want = f"({{{','.join(comp.vertices)}}},r>{f.filtration.top}) ad infinitum"
+        assert re.sub(r"\\(.)", r"\1", m[m.lastindex]) == want
+        labels += 1
+    assert labels == len(f.nodes) + 1

@@ -285,6 +285,20 @@ def test_filtration_matches_reduction_components(gp):
                for v in g.vertices)
 
 
+def test_filtration_levels_without_an_entering_edge_share_one_map():
+    # an isolated vertex of valuation 40 takes the filtration to level 41;
+    # the levels above the last edge must not each copy the vertex map
+    weights = {f"v{i}": 3 ** (i % 3) for i in range(8)}
+    g = WeightedGraph({**weights, "z": 3 ** 40},
+                      [(f"v{i}", f"v{i + 1}") for i in range(7)])
+    filt = filtration(full_subgraph(g), 3)
+    assert filt.top == 41
+    valuations = {g.edge_valuation(e, 3) for e in g.edges}
+    assert len({id(m) for m in filt.owner}) <= len(valuations) + 1
+    heavy = filt.class_of("z", 1)
+    assert filt.span[heavy] == (1, 41) and filt.class_of("z", 41) is heavy
+
+
 @settings(max_examples=80, deadline=None)
 @given(valued_graphs())
 @example(EDGELESS)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcoh import intlinalg
+from gcoh import fcomplex, intlinalg
 from gcoh.cohomology import cohomology_groups, critical_columns, d0_matrix
 from gcoh.forest import build_forest, torsion_structure
 from gcoh.graphs import (
@@ -40,6 +40,7 @@ from gcoh.intlinalg import (
     span_exponent_mod,
     zero_matrix,
 )
+from gcoh.verify import random_connected
 
 
 def minors_gcd(a: IntMatrix, k: int) -> int:
@@ -563,8 +564,7 @@ def test_snf_matches_the_forest_at_benchmark_scale(n, seed):
         assert a.rows - h1.rank == n - bipartite
         if n == 200 and p == 3:
             # the elimination in the original column order: same divisors
-            rows = [intlinalg._sparse(row) for row in a.entries]
-            block = intlinalg._hermite_rows(rows, a.cols)[0]
+            block = intlinalg._hermite_rows(a.data, a.cols)[0]
             unordered = intlinalg._smith(block, len(block), a.cols)
             want = intlinalg.SmithDecomposition(*unordered).divisors
             assert h1 == AbelianGroup(a.rows - len(want),
@@ -576,8 +576,7 @@ def test_compressed_transforms_are_unimodular(seed):
     # check_smith proves U @ H @ V == S, not that U and V are invertible
     rng = random.Random(seed)
     a = d0_matrix(full_subgraph(sparse_graph(rng, rng.randint(40, 60), 3)))
-    rows = [intlinalg._sparse(row) for row in a.entries]
-    assert intlinalg._min_degree_order(rows, a.cols) != list(range(a.cols))
+    assert intlinalg._min_degree_order(a.data, a.cols) != list(range(a.cols))
     dec = compressed_smith(a)
     assert dec.hermite is not None
     assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
@@ -708,9 +707,7 @@ def dense_smith(rows, m: int, n: int):
             s[t] = [-x for x in top]
             u[t] = {k: -x for k, x in u_top.items()}
         t += 1
-    return (IntMatrix([intlinalg._dense(row, m) for row in u], ncols=m),
-            IntMatrix(s, ncols=n),
-            IntMatrix(zip(*(intlinalg._dense(col, n) for col in vt)), ncols=n))
+    return (IntMatrix(u, m), matrix(s, ncols=n), IntMatrix(vt, n).transpose())
 
 
 ZERO_HEAVY = (0,) * 24 + (1, 2, 3, 4, 6, 9, -1, -2, -3, -4, -6, -9)
@@ -722,7 +719,7 @@ def test_sparse_rounds_take_the_dense_pivots():
     for _ in range(3000):
         m, n = rng.randint(0, 14), rng.randint(0, 10)
         rows = [tuple(rng.choice(ZERO_HEAVY) for _ in range(n)) for _ in range(m)]
-        sparse = [intlinalg._sparse(row) for row in rows]
+        sparse = matrix(rows, ncols=n).data
         assert intlinalg._smith(sparse, m, n) == dense_smith(rows, m, n)
         shapes.add((m > 0, n > 0))
     assert len(shapes) == 4  # 0-row and 0-column shapes were drawn
@@ -733,8 +730,8 @@ def test_eliminations_leave_their_input_rows_unchanged():
     shapes = set()
     for _ in range(600):
         m, n = rng.randint(0, 14), rng.randint(0, 10)
-        rows = [intlinalg._sparse([rng.choice(ZERO_HEAVY) for _ in range(n)])
-                for _ in range(m)]
+        rows = matrix([[rng.choice(ZERO_HEAVY) for _ in range(n)] for _ in range(m)],
+                      ncols=n).data
         given = repr(rows)
         block = intlinalg._hermite_rows(rows, n)[0]
         assert repr(rows) == given
@@ -793,3 +790,55 @@ def test_check_smith_fires_on_every_tampered_entry():
                 i, j = rng.choice([ij for ij in cells if bool(m[ij]) == nonzero])
                 with pytest.raises(AssertionError, match=message):
                     check_smith(a, tampered(field, bumped_at(m, i, j)))
+
+
+# --- a matrix is its nonzeros ------------------------------------------------
+
+def stores_no_zero(m: IntMatrix) -> bool:
+    """Every stored entry is nonzero and inside the shape."""
+    return (len(m.data) == m.rows
+            and all(x and 0 <= j < m.cols for row in m.data for j, x in row.items()))
+
+
+def test_no_matrix_stores_a_zero():
+    # equality and hashing compare the stored rows, so they hold only if
+    # no builder keeps a zero, a sum that cancels included
+    rng = random.Random(22)
+
+    def draw(r, c):
+        return matrix([[rng.choice(ZERO_HEAVY) for _ in range(c)] for _ in range(r)], ncols=c)
+
+    def stacked(x, y):
+        return matrix([*x.entries, *y.entries], ncols=x.cols)
+
+    def combined(x, y, f):
+        return matrix([map(f, rx, ry) for rx, ry in zip(x.entries, y.entries)], ncols=x.cols)
+
+    built, blocks = [], 0
+    for _ in range(300):
+        m, k, n = rng.randint(0, 12), rng.randint(0, 8), rng.randint(0, 8)
+        a, b, c = draw(m, k), draw(k, n), draw(k, n)
+        twice = matrix([row * 2 for row in a.entries], ncols=2 * k)  # [A | A]
+        # [A | A] @ [B ; -B] == 0 and [A | A] @ [B ; C - B] == A @ C
+        zero = matmul(twice, stacked(b, combined(b, b, lambda x, _: -x)))
+        assert zero == zero_matrix(m, n) and zero.is_zero()
+        assert hash(zero) == hash(zero_matrix(m, n))
+        ac = matmul(twice, stacked(b, combined(c, b, int.__sub__)))
+        assert ac == matmul(a, c) and hash(ac) == hash(matmul(a, c))
+        built += [a, a.transpose(), zero, ac]
+        for dec in (smith_normal_form(a), compressed_smith(a)):
+            built += [dec.u, dec.s, dec.v, *(dec.hermite or ())]
+            blocks += dec.hermite is not None
+    for _ in range(60):
+        g = random_connected(rng, 7, 3, 3)
+        a = d0_matrix(full_subgraph(g))
+        fc = fcomplex.fundamental_complex(build_forest(g, 3))
+        built += [a, fc.d_neg, fc.d_zero]
+        for dec in (smith_normal_form(a), compressed_smith(a)):
+            built += [dec.u, dec.s, dec.v, *(dec.hermite or ())]
+            blocks += dec.hermite is not None
+    # the fundamental complex's column builder adds terms on one row
+    built.append(fcomplex._columns(2, [[(0, 3), (1, 1), (0, -3)], []]))
+    assert built[-1] == matrix([[0, 0], [1, 0]])
+    assert blocks >= 100  # the compressed path ran, so H, C and R were built
+    assert all(map(stores_no_zero, built))
