@@ -67,12 +67,14 @@ def cmd_cohomology(args) -> int:
 def cmd_forest(args) -> int:
     g = _load(args.graph)
     forest = build_forest(g, args.prime)
+    nodes = forest.nodes
+    peaks = set(forest.peak_map.values())
     doc = {
         "prime": args.prime,
-        "nodes": [n.label() for n in forest.nodes],
-        "node_count": len(forest.nodes),
-        "counted_minimal": [n.label() for n in forest.counted_minimal],
-        "peaks": [n.label() for n in forest.peak_nodes],
+        "nodes": [n.label() for n in nodes],
+        "node_count": len(nodes),
+        "counted_minimal": [n.label() for n in forest.peak_map],
+        "peaks": [n.label() for n in nodes if n in peaks],
         "torsion_exponents": torsion_structure(forest),
         "infinite_tails": [
             "{" + ",".join(c.vertices) + "}"

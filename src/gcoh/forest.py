@@ -16,17 +16,18 @@ largest level that matters.
 
 Everything is read off one `graphs.filtration` sweep: the reduction
 components with their level intervals, minimal valuations and the
-sweep's 2-colourings, which the bipartite ones alone have.  Node levels
-are read per class, over its interval; descent and covers look up a
-vertex's class one level down; a subgraph is maximal when the class
-above its top level is not a node; a class's boundary valuation is its
-last level.  Membership and the signs of every top are one rule,
+sweep's 2-colourings, which the bipartite ones alone have.  A class's
+node levels are one range, computed from its interval; descent stays in
+a class down to its first node level and leaves it once, to the class of
+a vertex one level down, as covers do; a subgraph is maximal when the
+class above its top level is not a node; a class's boundary valuation is
+its last level.  Membership and the signs of every top are one rule,
 `Filtration.reduced_signs`: a bipartite class takes its colouring, at
 p = 2 a non-bipartite one the colourings one level down.  The tops are
 disjoint, so their signs make one map, `signs`; every subgraph lies
 under a top, and its orientation is the restriction of that map, which
-makes the choice consistent.  The forest is one frozen value,
-constructed once from these tables.
+makes the choice consistent.  The forest is one frozen value that stores
+one entry per class; the (class, level) node views are built when read.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class ForestNode(NamedTuple):
     graph: Subgraph
     level: int
 
-    def sort_key(self):
-        return (self.level, *self.graph.sort_key())
-
     def label(self) -> str:
         return f"({{{','.join(self.graph.vertices)}}},{self.level})"
 
@@ -62,20 +60,20 @@ class ForestNode(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class FundamentalForest:
     """Forest structure at a prime, built once by `build_forest`; see the
-    module docstring.  Equality is identity.  Attributes of note:
-      nodes            all materialized nodes
-      subgraphs        distinct node subgraphs
+    module docstring.  Equality is identity.  It stores no node: `nodes`,
+    `counted_nodes` (level, then subgraph order) and the descent `down`
+    are built when read from what it stores per class.  Attributes:
+      subgraphs        distinct node subgraphs, in `Subgraph.sort_key` order
+      levels           node subgraph -> the range of its node levels
       extras           single-vertex cover graphs that fail the minimal
                        valuation condition (needed to span vertex sets in
                        the fundamental complex; they carry no nodes)
       sup_level        subgraph or extra -> largest level, None for a tail
       phi              non-minimal subgraph -> its level-down cover
-      descent          one-level-down map, defined off the minimal nodes,
-                       those at level min_val + 1
-      counted_minimal  minimal nodes of finite chains
-      counted_nodes    nodes on finite chains (they count the torsion)
-      peak_map         counted minimal node -> highest node of its chain
-      peak_nodes       images of peak_map
+      below            subgraph whose first node is not minimal -> the
+                       subgraph that node descends to
+      counted          subgraphs on finite chains (they count the torsion)
+      peak_map         minimal node of a finite chain -> its highest node
       witness          minimal subgraph -> a vertex realizing min_val
       signs            vertex under a top -> its top's sign; a subgraph's
                        orientation is the restriction to its vertices
@@ -85,16 +83,14 @@ class FundamentalForest:
 
     graph: WeightedGraph
     filtration: Filtration
-    nodes: tuple[ForestNode, ...]
     subgraphs: tuple[Subgraph, ...]
+    levels: dict[Subgraph, range]
     extras: tuple[Subgraph, ...]
     sup_level: dict[Subgraph, Optional[int]]
     phi: dict[Subgraph, tuple[Subgraph, ...]]
-    descent: dict[ForestNode, ForestNode]
-    counted_minimal: tuple[ForestNode, ...]
-    counted_nodes: tuple[ForestNode, ...]
+    below: dict[Subgraph, Subgraph]
+    counted: frozenset[Subgraph]
     peak_map: dict[ForestNode, ForestNode]
-    peak_nodes: tuple[ForestNode, ...]
     witness: dict[Subgraph, str]
     signs: dict[str, int]
     bipartite_components: tuple[Subgraph, ...]
@@ -103,6 +99,22 @@ class FundamentalForest:
     @property
     def prime(self) -> int:
         return self.filtration.prime
+
+    @property
+    def nodes(self) -> tuple[ForestNode, ...]:
+        return tuple(sorted((ForestNode(c, r) for c in self.subgraphs
+                             for r in self.levels[c]), key=lambda n: n.level))
+
+    @property
+    def counted_nodes(self) -> tuple[ForestNode, ...]:
+        return tuple(n for n in self.nodes if n.graph in self.counted)
+
+    def down(self, node: ForestNode) -> Optional[ForestNode]:
+        """The node one level below `node`, None for a minimal node."""
+        c, r = node
+        if r > self.levels[c][0]:
+            return ForestNode(c, r - 1)
+        return ForestNode(self.below[c], r - 1) if c in self.below else None
 
 
 def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
@@ -113,60 +125,48 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     # A class is a node at level r when its minimal valuation m is below
     # r and it is oriented over Z/p**(r - m), as comp / p**m is at r - m:
     # d0(comp) = p**m * d0(comp / p**m).  The divided scheme is reduced,
-    # its weight gcd prime to p, so `reduced_signs` decides it, no SNF.
-    levels: dict[Subgraph, range] = {}  # each class's node levels
+    # its weight gcd prime to p, so `reduced_signs` decides it, no SNF: a
+    # bipartite class keeps its colouring to its last level, a p = 2 one
+    # is signed at its first level alone, by the classes inside it.
+    levels: dict[Subgraph, range] = {}
     for comp, (first, last) in filt.span.items():
-        rs = [r for r in range(first, last + 1)
-              if filt.min_val[comp] < r
-              and filt.reduced_signs(comp, r) is not None]
-        if rs:
-            if rs != list(range(rs[0], rs[-1] + 1)):
-                raise AssertionError(f"levels of {comp} not contiguous: {rs}")
-            levels[comp] = range(rs[0], rs[-1] + 1)
+        lo = max(first, filt.min_val[comp] + 1)
+        if lo <= last and filt.reduced_signs(comp, lo) is not None:
+            levels[comp] = range(lo, (last if comp in filt.colouring else lo) + 1)
+    subgraphs = tuple(sorted(levels, key=Subgraph.sort_key))
 
     bipartite_components = tuple(
         c for c in filt.at(top) if c in filt.colouring)
-    tails = set(bipartite_components)
-    sup_level: dict[Subgraph, Optional[int]] = {}
-    anchor: dict[Subgraph, str] = {}  # smallest vertex of least valuation
-    for delta, rs in levels.items():
-        m = filt.min_val[delta]
-        sup_level[delta] = None if delta in tails else rs[-1]
-        anchor[delta] = min(v for v in delta.vertex_set
-                            if filt.valuation[v] == m)
-    nodes = tuple(sorted((ForestNode(delta, r)
-                          for delta, rs in levels.items() for r in rs),
-                         key=ForestNode.sort_key))
-    subgraphs = tuple(sorted(levels, key=Subgraph.sort_key))
+    sup_level: dict[Subgraph, Optional[int]] = {  # a tail: bipartite to the top
+        c: None if rs[-1] == top and c in filt.colouring else rs[-1]
+        for c, rs in levels.items()}
 
-    # descent: one level down through the anchor; nodes come in level
-    # order, so the node below is already mapped
-    descent: dict[ForestNode, ForestNode] = {}
-    to_minimal: dict[ForestNode, ForestNode] = {}
+    # Descent stays in a class down to its first node level; from there it
+    # steps one level down through the anchor, the smallest vertex of least
+    # valuation, unless the node is minimal, at level min_val + 1.  Classes
+    # come in order of first node level, so the class below has its root.
+    below: dict[Subgraph, Subgraph] = {}
+    root: dict[Subgraph, Subgraph] = {}  # the class of the chain's minimal node
     witness: dict[Subgraph, str] = {}
-    for node in nodes:
-        if node.level == filt.min_val[node.graph] + 1:
-            to_minimal[node] = node
-            witness[node.graph] = anchor[node.graph]
+    order = sorted(subgraphs, key=lambda c: levels[c][0])
+    for delta in order:
+        m, lo = filt.min_val[delta], levels[delta][0]
+        anchor = min(v for v in delta.vertex_set if filt.valuation[v] == m)
+        if lo == m + 1:
+            root[delta], witness[delta] = delta, anchor
             continue
-        below = filt.class_of(anchor[node.graph], node.level - 1)
-        if node.level - 1 not in levels.get(below, ()):
-            raise AssertionError(f"descent from {node.label()} leaves the forest")
-        descent[node] = ForestNode(below, node.level - 1)
-        to_minimal[node] = to_minimal[descent[node]]
+        below[delta] = filt.class_of(anchor, lo - 1)
+        if lo - 1 not in levels.get(below[delta], ()):
+            raise AssertionError(
+                f"descent from {ForestNode(delta, lo).label()} leaves the forest")
+        root[delta] = root[below[delta]]
 
-    excluded = {to_minimal[ForestNode(c, levels[c][0])]
-                for c in bipartite_components}
-    counted_minimal = tuple(n for n in nodes if n not in excluded
-                            and n.level == filt.min_val[n.graph] + 1)
-    counted_nodes = tuple(n for n in nodes if to_minimal[n] not in excluded)
-
-    chains: dict[ForestNode, list[ForestNode]] = {}
-    for n in nodes:
-        chains.setdefault(to_minimal[n], []).append(n)
-    peak_map = {a: max(chains[a], key=lambda n: n.level)
-                for a in counted_minimal}
-    peak_nodes = tuple(sorted(peak_map.values(), key=ForestNode.sort_key))
+    # descent is injective, one class per level of a chain, so a chain's
+    # peak is the last level of its last class
+    excluded = {root[c] for c in bipartite_components}
+    counted = frozenset(c for c in subgraphs if root[c] not in excluded)
+    peak_map = {ForestNode(root[c], levels[root[c]][0]):
+                ForestNode(c, levels[c][-1]) for c in order if c in counted}
 
     # the tops are disjoint, so their signs make one map; a tail, which is
     # bipartite, is signed at the top level
@@ -193,9 +193,8 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     if unsigned:
         raise AssertionError(f"subgraphs outside every top: {unsigned}")
     return FundamentalForest(
-        g, filt, nodes, subgraphs, extras, sup_level, phi, descent,
-        counted_minimal, counted_nodes, peak_map, peak_nodes, witness,
-        signs, bipartite_components, tuple(maximal))
+        g, filt, subgraphs, levels, extras, sup_level, phi, below, counted,
+        peak_map, witness, signs, bipartite_components, tuple(maximal))
 
 
 def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
@@ -269,8 +268,9 @@ def forest_to_dot(forest: FundamentalForest) -> str:
         lines.append(f'  tail{len(tails)} [label={label}, shape=box];')
         top_node = names[ForestNode(comp, forest.filtration.top)]
         lines.append(f'  {top_node} -> tail{len(tails)} [style=dotted];')
-    for node, target in forest.descent.items():
-        lines.append(
-            f'  {names[node]} -> {names[target]} [color=red, label="s"];')
+    for node, name in names.items():
+        target = forest.down(node)
+        if target is not None:
+            lines.append(f'  {name} -> {names[target]} [color=red, label="s"];')
     lines.append("}")
     return "\n".join(lines)

@@ -11,6 +11,7 @@ All objects are immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -68,10 +69,17 @@ def p_valuation(n: int, p: int) -> int:
     if n < 1:
         raise ValueError(f"p_valuation requires n >= 1, got {n}")
     require_prime(p)
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
+    # divide by p, p**2, p**4, ... while exact, then step back down the
+    # same powers greedily: about 2 log2(a) divisions in place of a
+    a, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        a += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            a += 1 << i
     return a
 
 
@@ -298,21 +306,22 @@ class Filtration(NamedTuple):
     """The components ("classes") of `reduction(g, p, r)` for r in 1..top,
     at the prime p the sweep ran at (`prime`).
 
-    `owner[r - 1]` maps each vertex to its level-r class; a class that
-    does not change from one level to the next is the same object at
-    both, and a level no edge enters shares the map of the level below.
-    Per class: `span` (first and last level, so readers visit a class
-    once over its levels), `min_val` (smallest vertex valuation) and,
-    exactly for a bipartite class, `colouring`: the sweep's
-    2-colouring as a dict of signs, the smallest vertex +1.  `tree`
-    holds the edges that merged two classes, the unique minimum spanning
-    forest under the strict order (valuation, edge).  `reduced_signs` is
-    the sign rule the forest and orientation share.
+    Classes change only at the sorted `breaks`, level 1 and v + 1 for
+    each edge valuation v; `owner[i]` maps each vertex to its class from
+    `breaks[i]` on, and `class_of` and `at` bisect.  A class is one
+    object at all its levels.  Per class: `span` (first and last level,
+    so readers visit a class once over its levels), `min_val` (smallest
+    vertex valuation) and, exactly for a bipartite class, `colouring`:
+    the sweep's 2-colouring as a dict of signs, the smallest vertex +1.
+    `tree` holds the edges that merged two classes, the unique minimum
+    spanning forest under the strict order (valuation, edge).
+    `reduced_signs` is the sign rule the forest and orientation share.
     """
 
     prime: int
     top: int
     valuation: dict[str, int]
+    breaks: tuple[int, ...]
     owner: tuple[dict[str, Subgraph], ...]
     span: dict[Subgraph, tuple[int, int]]
     min_val: dict[Subgraph, int]
@@ -321,11 +330,11 @@ class Filtration(NamedTuple):
 
     def at(self, r: int) -> tuple[Subgraph, ...]:
         """The level-r classes in the order `components` gives them."""
-        return tuple(sorted(set(self.owner[r - 1].values()),
+        return tuple(sorted({self.class_of(v, r) for v in self.valuation},
                             key=Subgraph.min_vertex))
 
     def class_of(self, v: str, r: int) -> Subgraph:
-        return self.owner[r - 1][v]
+        return self.owner[bisect_right(self.breaks, r) - 1][v]
 
     def signs(self, c: Subgraph, r: int) -> Optional[dict[str, int]]:
         """`bipartition(reduction(c, p, r))` for a class c, r >= 0, read
@@ -341,7 +350,7 @@ class Filtration(NamedTuple):
         if r == 0:
             return dict.fromkeys(c.vertex_set, 1)
         sign: dict[str, int] = {}
-        for cls in dict.fromkeys(self.owner[r - 1][v] for v in c.vertex_set):
+        for cls in dict.fromkeys(self.class_of(v, r) for v in c.vertex_set):
             if cls not in self.colouring:
                 return None
             sign.update(self.colouring[cls])
@@ -373,12 +382,12 @@ class Filtration(NamedTuple):
 def filtration(g: Subgraph, p: int) -> Filtration:
     """One union-find sweep over the edges of g in (valuation, edge) order.
 
-    The levels run to the largest edge valuation + 1, further if an
-    isolated vertex of valuation a needs level a + 1.  Each vertex keeps
-    its class root and its colour, +1 or -1; a merge relabels the
-    smaller class and recolours it so that the merging edge joins
-    opposite colours, and an edge between equal colours of one class
-    makes the class non-bipartite.
+    It stops at each breakpoint; the levels run to the largest edge
+    valuation + 1, further if an isolated vertex of valuation a needs
+    level a + 1.  Each vertex keeps its class root and its colour, +1 or
+    -1; a merge relabels the smaller class and recolours it so that the
+    merging edge joins opposite colours, and an edge between equal
+    colours of one class makes the class non-bipartite.
     """
     require_prime(p)
     val = {v: p_valuation(g.parent.weight[v], p) for v in g.vertex_set}
@@ -388,6 +397,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     touched = {v for e in g.edge_set for v in e}
     top = max([max(entering, default=0) + 1]
               + [val[v] + 1 for v in g.vertex_set - touched])
+    breaks = sorted({1} | {a + 1 for a in entering})
 
     root = {v: v for v in g.vertex_set}
     colour = dict.fromkeys(g.vertex_set, 1)
@@ -401,7 +411,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     min_val: dict[Subgraph, int] = {}
     colouring: dict[Subgraph, dict[str, int]] = {}
     changed = dict.fromkeys(sorted(g.vertex_set))  # roots whose class changes
-    for r in range(1, top + 1):
+    for r in breaks:
         for e in entering.get(r - 1, ()):
             u, w = e
             a, b = root[u], root[w]
@@ -421,11 +431,9 @@ def filtration(g: Subgraph, p: int) -> Filtration:
                 tree.append(e)
             edges[a].append(e)
             changed[a] = None
-        below = owner
-        if changed:  # else no edge entered: the level shares the map below
-            owner = dict(owner)
+        below, owner = owner, dict(owner)
         for a in changed:
-            if a in below:  # a's class at the level below ends there
+            if a in below:  # a's class at the breakpoint below ends here
                 span[below[a]] = (span[below[a]][0], r - 1)
             if a not in members:  # merged into another class
                 continue
@@ -438,8 +446,8 @@ def filtration(g: Subgraph, p: int) -> Filtration:
             owner.update(dict.fromkeys(members[a], sub))
         changed = {}
         owners.append(owner)
-    return Filtration(p, top, val, tuple(owners), span, min_val,
-                      colouring, frozenset(tree))
+    return Filtration(p, top, val, tuple(breaks), tuple(owners), span,
+                      min_val, colouring, frozenset(tree))
 
 
 def edge_boundary(d: Subgraph) -> frozenset[Edge]:

@@ -85,7 +85,8 @@ def edge_weighted_constants(g: Subgraph) -> tuple[int, int, int]:
 
 
 def hbe_count(g: WeightedGraph, p: int) -> int:
-    """Forest node count plus the total weight valuation.
+    """Forest node count, the sum of its classes' level ranges, plus the
+    total weight valuation.
 
     Equals val_p(C2) at odd primes.  Refused when the graph has a
     bipartite component, where the count would be infinite.
@@ -93,7 +94,8 @@ def hbe_count(g: WeightedGraph, p: int) -> int:
     forest = build_forest(g, p)
     if forest.bipartite_components:
         raise ValueError("hbe_count is infinite on bipartite components")
-    return len(forest.nodes) + sum(forest.filtration.valuation.values())
+    return (sum(map(len, forest.levels.values()))
+            + sum(forest.filtration.valuation.values()))
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def core_torsion_relation(g: WeightedGraph, p: int) -> Optional[int]:
     filt = forest.filtration
     # connected: one class at the top level; non-bipartite: no infinite tail
     if (len(filt.at(filt.top)) != 1 or forest.bipartite_components
-            or not forest.nodes):
+            or not forest.levels):
         return None
     dec = oriented_core(forest)
     total = torsion_order_p(dec.core, p)
@@ -187,7 +189,7 @@ def core_torsion_relation(g: WeightedGraph, p: int) -> Optional[int]:
     return total
 
 
-def _partitions_at(g: Subgraph, p: int, levels: range) -> list[frozenset]:
+def _partitions_at(g: Subgraph, p: int, levels: list[int]) -> list[frozenset]:
     out = []
     for r in levels:
         out.append(frozenset(frozenset(c.vertex_set)
@@ -218,7 +220,9 @@ def weighted_spanning_tree(g: Subgraph, p: int) -> Subgraph:
         raise ValueError(f"subgraph is not orientable mod p^{filt.top}")
 
     tree = Subgraph(g.parent, g.vertex_set, filt.tree)
-    levels = range(1, filt.top + 1)
+    # a reduction of g or of the tree, whose edges are g's, changes only
+    # at level 1 and at v + 1 for an edge valuation v, read off g's edges
+    levels = sorted({1} | {g.parent.edge_valuation(e, p) + 1 for e in g.edge_set})
     if _partitions_at(tree, p, levels) != _partitions_at(g, p, levels):
         raise AssertionError("spanning tree does not preserve the reduction "
                              "partitions")

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import fields
 
 from gcoh.graphs import (
     Subgraph,
@@ -12,6 +13,7 @@ from gcoh.graphs import (
 )
 from gcoh.cohomology import cohomology_groups
 from gcoh.forest import build_forest, forest_to_dot, torsion_structure
+from gcoh.weights import spanning_tree_exponent, weighted_spanning_tree
 from gcoh.orientation import is_orientable
 from gcoh.verify import random_connected
 
@@ -34,21 +36,21 @@ def test_forest_k3_worked_example():
         (("B", "G", "R"), (("B", "G"), ("G", "R")), 4),
         (("G",), (), 1),
     ]
-    assert [n.label() for n in f.counted_minimal] == ["({G},1)"]
+    assert [n.label() for n in f.peak_map] == ["({G},1)"]
     assert len(f.counted_nodes) == 4
-    peaks = [n.label() for n in f.peak_nodes]
+    peaks = [n.label() for n in f.peak_map.values()]
     assert peaks == ["({B,G,R},4)"]
-    a = f.counted_minimal[0]
+    a, = f.peak_map
     assert f.peak_map[a].level == 4
     assert torsion_structure(f) == [4]
 
 
 def test_forest_descent_chain_k3():
     f = build_forest(k3(), 3)
-    top = f.peak_nodes[0]
+    top, = f.peak_map.values()
     chain = [top]
-    while chain[-1] in f.descent:
-        chain.append(f.descent[chain[-1]])
+    while f.down(chain[-1]) is not None:
+        chain.append(f.down(chain[-1]))
     assert [n.level for n in chain] == [4, 3, 2, 1]
     min_val = f.filtration.min_val
     assert chain[-1].level == min_val[chain[-1].graph] + 1  # a minimal node
@@ -112,7 +114,8 @@ def test_forest_isolated_heavy_vertex():
 def test_forest_deterministic():
     g = k3()
     f1, f2 = build_forest(g, 3), build_forest(g, 3)
-    assert [n.sort_key() for n in f1.nodes] == [n.sort_key() for n in f2.nodes]
+    assert ([(n.level, n.graph.sort_key()) for n in f1.nodes]
+            == [(n.level, n.graph.sort_key()) for n in f2.nodes])
     assert forest_to_dot(f1) == forest_to_dot(f2)
 
 
@@ -135,7 +138,11 @@ def test_descent_invariants_randomized():
         g = random_connected(rng, 6, p, 3)
         f = build_forest(g, p)
         min_val = f.filtration.min_val
-        for node, below in f.descent.items():
+        for node in f.nodes:
+            below = f.down(node)
+            if below is None:
+                assert node.level == min_val[node.graph] + 1  # minimal
+                continue
             assert below.level == node.level - 1
             assert below.graph.vertex_set <= node.graph.vertex_set
             assert below.graph.edge_set <= node.graph.edge_set
@@ -344,3 +351,30 @@ def test_dot_labels_are_escaped_strings():
         assert re.sub(r"\\(.)", r"\1", m[m.lastindex]) == want
         labels += 1
     assert labels == len(f.nodes) + 1
+
+
+def test_a_deep_valuation_is_stored_per_breakpoint_and_per_class():
+    # A 200-vertex path of weight-2 vertices with one vertex of weight
+    # 2 * 3**k in the middle: edge valuations 0 and k, so two breakpoints
+    # and four classes (the half paths, the heavy vertex, the whole path),
+    # but 2k + 1 nodes.  What the sweep and the forest store must not grow
+    # with k.
+    k, n = 20000, 200
+    names = [f"v{i:03d}" for i in range(n)]
+    weights = dict.fromkeys(names, 2)
+    weights[names[n // 2]] = 2 * 3 ** k
+    g = WeightedGraph(weights, zip(names, names[1:]))
+    f = build_forest(g, 3)
+    filt = f.filtration
+    assert filt.breaks == (1, k + 1) and len(filt.owner) == 2
+    assert len(filt.span) == 4
+    for field in fields(f):
+        value = getattr(f, field.name)
+        if field.name not in ("graph", "filtration", "signs"):
+            assert len(value) <= len(filt.span), field.name
+    assert len(f.signs) == n
+    assert len(f.nodes) == 2 * k + 1
+    _, h1 = cohomology_groups(full_subgraph(g))
+    assert torsion_structure(f) == list(h1.p_part_exponents(3)) == [k]
+    tree = weighted_spanning_tree(full_subgraph(g), 3)
+    assert spanning_tree_exponent(tree, 3) == k

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -41,6 +42,29 @@ def test_p_valuation_rejects_bad_input():
         p_valuation(0, 3)
     with pytest.raises(ValueError):
         p_valuation(12, 4)
+
+
+def division_loop_valuation(n, p):
+    """The reference: divide by p once per factor."""
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a
+
+
+def test_p_valuation_matches_the_division_loop():
+    # valuations around the powers of two, where the squaring ladder turns,
+    # and in the thousands, times a seeded unit
+    rng = random.Random(31)
+    wanted = ([0, 1] + [2 ** j + d for j in range(1, 12) for d in (-1, 0, 1)]
+              + [rng.randint(1000, 4000) for _ in range(4)])
+    for p in (2, 3, 1000003):
+        for a in wanted:
+            unit = rng.randrange(1, 10 ** 30)
+            unit += unit % p == 0
+            n = p ** a * unit
+            assert p_valuation(n, p) == division_loop_valuation(n, p) == a, (p, a)
 
 
 def test_is_prime_agrees_with_trial_division_below_1e5():
@@ -268,6 +292,10 @@ def test_filtration_matches_reduction_components(gp):
         if not comp.edge_set:
             top = max(top, comp.min_valuation(p) + 1)
     assert filt.top == top
+    # one vertex map per breakpoint: level 1 and one above each valuation
+    assert filt.breaks == tuple(sorted(
+        {1} | {g.edge_valuation(e, p) + 1 for e in g.edges}))
+    assert len(filt.owner) == len(filt.breaks)
     occurs: dict = {}
     for r in range(1, top + 1):
         want = components(reduce_graph(g, p, r))
