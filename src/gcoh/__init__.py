@@ -17,7 +17,6 @@ from .graphs import (
     graph_to_json,
     load_graph,
     p_valuation,
-    reduce_graph,
     reduction,
     subgraph_of,
 )

@@ -74,7 +74,6 @@ class FundamentalForest:
                        subgraph that node descends to
       counted          subgraphs on finite chains (they count the torsion)
       peak_map         minimal node of a finite chain -> its highest node
-      witness          minimal subgraph -> a vertex realizing min_val
       signs            vertex under a top -> its top's sign; a subgraph's
                        orientation is the restriction to its vertices
       maximal          subgraphs whose top node has no node above it
@@ -91,7 +90,6 @@ class FundamentalForest:
     below: dict[Subgraph, Subgraph]
     counted: frozenset[Subgraph]
     peak_map: dict[ForestNode, ForestNode]
-    witness: dict[Subgraph, str]
     signs: dict[str, int]
     bipartite_components: tuple[Subgraph, ...]
     maximal: tuple[Subgraph, ...]
@@ -147,14 +145,13 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
     # come in order of first node level, so the class below has its root.
     below: dict[Subgraph, Subgraph] = {}
     root: dict[Subgraph, Subgraph] = {}  # the class of the chain's minimal node
-    witness: dict[Subgraph, str] = {}
     order = sorted(subgraphs, key=lambda c: levels[c][0])
     for delta in order:
         m, lo = filt.min_val[delta], levels[delta][0]
-        anchor = min(v for v in delta.vertex_set if filt.valuation[v] == m)
         if lo == m + 1:
-            root[delta], witness[delta] = delta, anchor
+            root[delta] = delta
             continue
+        anchor = min(v for v in delta.vertex_set if filt.valuation[v] == m)
         below[delta] = filt.class_of(anchor, lo - 1)
         if lo - 1 not in levels.get(below[delta], ()):
             raise AssertionError(
@@ -194,7 +191,7 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
         raise AssertionError(f"subgraphs outside every top: {unsigned}")
     return FundamentalForest(
         g, filt, subgraphs, levels, extras, sup_level, phi, below, counted,
-        peak_map, witness, signs, bipartite_components, tuple(maximal))
+        peak_map, signs, bipartite_components, tuple(maximal))
 
 
 def _build_phi(filt: Filtration, levels: dict[Subgraph, range],

@@ -166,10 +166,6 @@ class Subgraph:
             g = gcd(g, self.parent.weight[v])
         return g
 
-    def min_valuation(self, p: int) -> int:
-        """Smallest p-adic valuation of a vertex weight in this subgraph."""
-        return min(p_valuation(self.parent.weight[v], p) for v in self.vertex_set)
-
     def as_graph(self) -> WeightedGraph:
         """The subgraph as a standalone graph with induced weights."""
         return WeightedGraph(
@@ -198,31 +194,39 @@ def _adjacency(g: Subgraph) -> dict[str, list[str]]:
     return adj
 
 
+def _search(g: Subgraph) -> list[tuple[frozenset[str], Optional[dict[str, int]]]]:
+    """One breadth-first search over g: per component, in order of
+    smallest vertex identifier, its vertex set and its colouring by
+    signs, +1 and -1 opposite across every edge with the smallest vertex
+    +1, or None when an edge joins two equal colours."""
+    adj = _adjacency(g)
+    sign: dict[str, int] = {}
+    found = []
+    for start in sorted(g.vertex_set):
+        if start in sign:
+            continue
+        sign[start], block, bipartite = 1, [start], True
+        for v in block:  # the block grows while it is read
+            for w in adj[v]:
+                if w not in sign:
+                    sign[w] = -sign[v]
+                    block.append(w)
+                elif sign[w] == sign[v]:
+                    bipartite = False
+        found.append((frozenset(block),
+                      {v: sign[v] for v in block} if bipartite else None))
+    return found
+
+
 def components(g: Subgraph) -> list[Subgraph]:
     """Maximal connected subgraphs, sorted by smallest vertex identifier."""
-    adj = _adjacency(g)
-    seen: set[str] = set()
-    comps = []
-    for start in sorted(g.vertex_set):
-        if start in seen:
-            continue
-        block = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in block:
-                    block.add(w)
-                    queue.append(w)
-        seen |= block
-        comps.append(Subgraph(
-            g.parent, frozenset(block),
-            frozenset(e for e in g.edge_set if e[0] in block)))
-    return comps
+    return [Subgraph(g.parent, block,
+                     frozenset(e for e in g.edge_set if e[0] in block))
+            for block, _ in _search(g)]
 
 
 def is_connected(g: Subgraph) -> bool:
-    return len(components(g)) <= 1
+    return len(_search(g)) <= 1
 
 
 def bipartition(g: Subgraph) -> Optional[dict[str, int]]:
@@ -232,58 +236,12 @@ def bipartition(g: Subgraph) -> Optional[dict[str, int]]:
     Per component the colouring is unique up to sign; it is normalized so
     the smallest vertex identifier of each component gets +1.
     """
-    adj = _adjacency(g)
     sign: dict[str, int] = {}
-    for start in sorted(g.vertex_set):
-        if start in sign:
-            continue
-        sign[start] = 1
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in sorted(adj[v]):
-                if w not in sign:
-                    sign[w] = -sign[v]
-                    queue.append(w)
-                elif sign[w] == sign[v]:
-                    return None
+    for _, colouring in _search(g):
+        if colouring is None:
+            return None
+        sign.update(colouring)
     return sign
-
-
-def find_odd_cycle(g: Subgraph) -> Optional[list[str]]:
-    """An odd closed walk witnessing non-bipartiteness, or None."""
-    adj = _adjacency(g)
-    colour: dict[str, int] = {}
-    parent: dict[str, Optional[str]] = {}
-    for start in sorted(g.vertex_set):
-        if start in colour:
-            continue
-        colour[start] = 0
-        parent[start] = None
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w in sorted(adj[v]):
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    # walk both ancestries back to the common root
-                    left, right = [v], [w]
-                    while left[-1] != right[-1]:
-                        la, ra = parent[left[-1]], parent[right[-1]]
-                        if len(left) <= len(right) and la is not None:
-                            left.append(la)
-                        elif ra is not None:
-                            right.append(ra)
-                        else:
-                            break
-                    while left[-1] != right[-1]:
-                        left.append(parent[left[-1]])  # type: ignore[arg-type]
-                    cycle = left + right[-2::-1]
-                    return cycle
-    return None
 
 
 def reduction(g: Subgraph, p: int, s: int) -> Subgraph:
@@ -296,10 +254,6 @@ def reduction(g: Subgraph, p: int, s: int) -> Subgraph:
         raise ValueError(f"reduction level must be >= 1, got {s}")
     kept = frozenset(e for e in g.edge_set if g.parent.edge_valuation(e, p) < s)
     return Subgraph(g.parent, g.vertex_set, kept)
-
-
-def reduce_graph(g: WeightedGraph, p: int, s: int) -> Subgraph:
-    return reduction(full_subgraph(g), p, s)
 
 
 class Filtration(NamedTuple):
@@ -330,11 +284,16 @@ class Filtration(NamedTuple):
 
     def at(self, r: int) -> tuple[Subgraph, ...]:
         """The level-r classes in the order `components` gives them."""
-        return tuple(sorted({self.class_of(v, r) for v in self.valuation},
+        return tuple(sorted(set(self._owner(r).values()),
                             key=Subgraph.min_vertex))
 
     def class_of(self, v: str, r: int) -> Subgraph:
-        return self.owner[bisect_right(self.breaks, r) - 1][v]
+        return self._owner(r)[v]
+
+    def _owner(self, r: int) -> dict[str, Subgraph]:
+        if r < 1:
+            raise ValueError(f"filtration levels start at 1, got {r}")
+        return self.owner[bisect_right(self.breaks, r) - 1]
 
     def signs(self, c: Subgraph, r: int) -> Optional[dict[str, int]]:
         """`bipartition(reduction(c, p, r))` for a class c, r >= 0, read
@@ -367,8 +326,10 @@ class Filtration(NamedTuple):
         return self.signs(c, s - 1) if self.prime == 2 else None
 
     def boundary_valuation(self, d: Subgraph) -> Optional[int]:
-        """`boundary_valuation(d, p)` for a class d when the filtered
-        graph is a whole graph.
+        """The smallest valuation over the edge boundary of a class d,
+        None for an empty boundary, when the filtered graph is a whole
+        graph; `boundary_valuation` in tests/references.py is the direct
+        reference.
 
         Every edge of valuation below d's last level that touches d is in
         d, and d changes one level up, through an edge of valuation equal
@@ -458,13 +419,6 @@ def edge_boundary(d: Subgraph) -> frozenset[Edge]:
     return frozenset(
         e for e in d.parent.edges
         if e not in d.edge_set and (e[0] in d.vertex_set or e[1] in d.vertex_set))
-
-
-def boundary_valuation(d: Subgraph, p: int) -> Optional[int]:
-    """Smallest valuation over the edge boundary, None for empty boundary;
-    the reference for `Filtration.boundary_valuation`."""
-    vals = [d.parent.edge_valuation(e, p) for e in edge_boundary(d)]
-    return min(vals) if vals else None
 
 
 # --- graph file format -------------------------------------------------------

@@ -113,14 +113,6 @@ def matrix_from_columns(cols: Sequence[Sequence[int]], nrows: int) -> IntMatrix:
     return matrix(cols, ncols=nrows).transpose()
 
 
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix([{} for _ in range(rows)], cols)
-
-
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix([{i: 1} for i in range(n)], n)
-
-
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """A @ B, row by row over the nonzero entries of both factors.
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations, groupby
-from math import gcd
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -73,28 +72,6 @@ def tval(x: Union[int, TropicalValue, None]) -> TropicalValue:
     if x is None:
         return INF
     return TropicalValue(True, x)
-
-
-def t_plus(a: TropicalValue, b: TropicalValue) -> TropicalValue:
-    if not a.finite:
-        return b
-    if not b.finite:
-        return a
-    return TropicalValue(True, min(a.value, b.value))
-
-
-def t_times(a: TropicalValue, b: TropicalValue) -> TropicalValue:
-    if not a.finite or not b.finite:
-        return INF
-    return TropicalValue(True, a.value + b.value)
-
-
-def t_quotient(a: TropicalValue, b: TropicalValue) -> TropicalValue:
-    if not b.finite:
-        raise ZeroDivisionError("tropical division by infinity")
-    if not a.finite:
-        return INF
-    return TropicalValue(True, a.value - b.value)
 
 
 # --- expressions -------------------------------------------------------------
@@ -248,45 +225,6 @@ def eval_expr(e: TropicalExpr,
         return tval(go(e))
     except RecursionError:
         raise ValueError("expression nested too deeply to evaluate") from None
-
-
-def eval_gcd_product(e: TropicalExpr, assignment: Mapping[str, int]) -> int:
-    """The gcd/product-semiring shadow of a quotient- and clamp-free
-    expression (sum becomes gcd, product becomes multiplication)."""
-    if isinstance(e, Var):
-        return int(assignment[e.name])
-    if isinstance(e, Const):
-        if not e.value.finite:
-            return 0  # the zero of the gcd/product semiring
-        raise ValueError("finite constants have no canonical preimage")
-    if isinstance(e, Plus):
-        out = 0
-        for c in e.children:
-            out = gcd(out, eval_gcd_product(c, assignment))
-        return out
-    if isinstance(e, Times):
-        out = 1
-        for c in e.children:
-            out *= eval_gcd_product(c, assignment)
-        return out
-    raise ValueError("expression uses quotient or clamp")
-
-
-def variables(e: TropicalExpr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Plus) or isinstance(e, Times):
-        out: set[str] = set()
-        for c in e.children:
-            out |= variables(c)
-        return out
-    if isinstance(e, Quotient):
-        return variables(e.numerator) | variables(e.denominator)
-    if isinstance(e, ClampAtZero):
-        return variables(e.child)
-    raise TypeError(f"not a tropical expression: {e!r}")
 
 
 # --- graph-attached expressions ----------------------------------------------

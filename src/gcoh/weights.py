@@ -22,6 +22,7 @@ from .graphs import (
     components,
     filtration,
     full_subgraph,
+    is_connected,
     p_valuation,
     reduction,
     require_prime,
@@ -34,7 +35,7 @@ from .intlinalg import cokernel_structure
 def tree_torsion(g: Subgraph) -> int:
     """Torsion order of H1 for a tree: gcd of the weights times the
     product of k_v**(valence - 1)."""
-    if not _is_tree(g):
+    if len(g.edge_set) != len(g.vertex_set) - 1 or not is_connected(g):
         raise ValueError("tree_torsion requires a connected acyclic subgraph")
     if len(g.vertex_set) == 1:
         return 1  # gcd * k**(-1) cancels
@@ -45,26 +46,6 @@ def tree_torsion(g: Subgraph) -> int:
     g0 = g.weight_gcd()
     return g0 * prod(g.parent.weight[v] ** (degree[v] - 1)
                      for v in g.vertex_set)
-
-
-def _is_tree(g: Subgraph) -> bool:
-    """n - 1 edges, none joining two vertices already joined: one
-    union-find pass, which then ends with a single class."""
-    if len(g.edge_set) != len(g.vertex_set) - 1:
-        return False
-    root = {v: v for v in g.vertex_set}
-
-    def find(v: str) -> str:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    for u, w in g.edge_set:
-        a, b = find(u), find(w)
-        if a == b:
-            return False
-        root[a] = b
-    return True
 
 
 def edge_weighted_constants(g: Subgraph) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 import random
 import re
 from dataclasses import fields
+from itertools import combinations
 
 from gcoh.graphs import (
     Subgraph,
@@ -8,7 +9,6 @@ from gcoh.graphs import (
     bipartition,
     components,
     full_subgraph,
-    reduce_graph,
     reduction,
 )
 from gcoh.cohomology import cohomology_groups
@@ -16,6 +16,7 @@ from gcoh.forest import build_forest, forest_to_dot, torsion_structure
 from gcoh.weights import spanning_tree_exponent, weighted_spanning_tree
 from gcoh.orientation import is_orientable
 from gcoh.verify import random_connected
+from references import min_valuation, reduce_graph
 
 
 def k3():
@@ -119,15 +120,18 @@ def test_forest_deterministic():
     assert forest_to_dot(f1) == forest_to_dot(f2)
 
 
-def test_witness_injective_on_minimal_graphs():
+def test_minimal_subgraphs_pairwise_disjoint():
     rng = random.Random(21)
+    pairs = 0
     for _ in range(20):
         g = random_connected(rng, 6, 3, 3)
         f = build_forest(g, 3)
-        vals = list(f.witness.values())
-        assert len(vals) == len(set(vals))
-        for delta, w in f.witness.items():
-            assert w in delta.vertex_set
+        min_val = f.filtration.min_val
+        minimal = [c for c in f.subgraphs if f.levels[c][0] == min_val[c] + 1]
+        for a, b in combinations(minimal, 2):
+            assert a.vertex_set.isdisjoint(b.vertex_set), (g, a, b)
+            pairs += 1
+    assert pairs > 20
 
 
 def test_descent_invariants_randomized():
@@ -211,7 +215,7 @@ def test_membership_matches_critical_dimension():
         nodes = set(f.nodes)
         for r in range(1, f.filtration.top + 1):
             for comp in components(reduce_graph(g, p, r)):
-                m = comp.min_valuation(p)
+                m = min_valuation(comp, p)
                 want = m < r and is_orientable(comp, p, r - m).orientable
                 assert ((comp, r) in nodes) == want, (g, p, comp, r)
                 checked += 1

@@ -10,20 +10,18 @@ from gcoh.graphs import (
     Subgraph,
     WeightedGraph,
     bipartition,
-    boundary_valuation,
     components,
     edge_boundary,
     filtration,
-    find_odd_cycle,
     full_subgraph,
     graph_from_json,
     graph_to_json,
     is_prime,
     p_valuation,
-    reduce_graph,
     reduction,
     subgraph_of,
 )
+from references import boundary_valuation, find_odd_cycle, min_valuation, reduce_graph
 
 
 def k3_27_1_3():
@@ -290,7 +288,7 @@ def test_filtration_matches_reduction_components(gp):
     top = max((g.edge_valuation(e, p) + 1 for e in g.edges), default=1)
     for comp in components(full_subgraph(g)):
         if not comp.edge_set:
-            top = max(top, comp.min_valuation(p) + 1)
+            top = max(top, min_valuation(comp, p) + 1)
     assert filt.top == top
     # one vertex map per breakpoint: level 1 and one above each valuation
     assert filt.breaks == tuple(sorted(
@@ -302,7 +300,8 @@ def test_filtration_matches_reduction_components(gp):
         assert list(filt.at(r)) == want
         for c in filt.at(r):
             assert (c in filt.colouring) == (bipartition(c) is not None)
-            assert filt.min_val[c] == c.min_valuation(p)
+            assert filt.colouring.get(c) == bipartition(c)
+            assert filt.min_val[c] == min_valuation(c, p)
             assert all(filt.class_of(v, r) is c for v in c.vertex_set)
             occurs.setdefault(id(c), []).append(r)
     # one object per class, and its span is the levels it occurs at
@@ -326,6 +325,19 @@ def test_filtration_levels_without_an_entering_edge_share_one_map():
     heavy = filt.class_of("z", 1)
     assert filt.span[heavy] == (1, 41) and filt.class_of("z", 41) is heavy
 
+
+def test_filtration_levels_start_at_one():
+    # breakpoints 1, 2 and 4 on a(1)-b(3)-c(9) at p = 3: below level 1
+    # the bisection would index the last map, the whole graph
+    g = WeightedGraph({"a": 1, "b": 3, "c": 9}, [("a", "b"), ("b", "c")])
+    filt = filtration(full_subgraph(g), 3)
+    assert filt.breaks == (1, 2, 4)
+    assert filt.class_of("a", 1).vertex_set == {"a"}
+    for r in (0, -5):
+        with pytest.raises(ValueError):
+            filt.class_of("a", r)
+        with pytest.raises(ValueError):
+            filt.at(r)
 
 @settings(max_examples=80, deadline=None)
 @given(valued_graphs())

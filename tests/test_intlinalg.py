@@ -30,7 +30,6 @@ from gcoh.intlinalg import (
     direct_sum,
     FACTORIZE_BOUND,
     factorize,
-    identity_matrix,
     kernel_mod,
     matmul,
     mat_vec,
@@ -38,9 +37,9 @@ from gcoh.intlinalg import (
     smith_normal_form,
     solve_mod,
     span_exponent_mod,
-    zero_matrix,
 )
 from gcoh.verify import random_connected
+from references import identity_matrix, zero_matrix
 
 
 def minors_gcd(a: IntMatrix, k: int) -> int:

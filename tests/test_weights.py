@@ -184,7 +184,7 @@ def test_core_membership_inequalities():
     # max internal valuation < r <= min boundary valuation; a one-vertex
     # part's level is its boundary valuation, which the core reads off
     # the filtration and is checked here against the edge scan
-    from gcoh.graphs import boundary_valuation
+    from references import boundary_valuation
     rng = random.Random(44)
     singletons = touched_at_zero = 0
     for p in (2, 3, 5):
