@@ -144,6 +144,18 @@ class Subgraph:
             if e[0] not in self.vertex_set or e[1] not in self.vertex_set:
                 raise ValueError(f"edge {e} has an endpoint outside the subgraph")
 
+    def __hash__(self) -> int:
+        # fcomplex keys every table by subgraphs: hash the pair once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.vertex_set, self.edge_set)))
+            return self._hash
+
+    def __getstate__(self) -> dict:
+        # a hash holds only in the process that computed it: not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def vertices(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertex_set))

@@ -9,15 +9,18 @@ factors, one per connected bipartite proper subgraph: the gap between
 the subgraph's boundary valuation and its internal level.
 
 Only live factors are built.  Write a(uv) = a_u + a_v.  A factor is
-positive at some valuation a exactly when every boundary edge b can sit
-strictly above every chosen edge e, a(b) > a(e): adding a constant to
-every a_v widens the gap to the vertex minimum and leaves these
-differences alone, and edges leaving the vertex set can be raised
-freely.  By Gordan's alternative that strict system fails exactly when
-some nonzero nonnegative combination of the left-out induced edges has
-the vertex degrees of one of the chosen edges, that is when the chosen
-and the left-out edges form an alternating closed walk.  A dead factor
-is zero at every valuation, so leaving it out changes no value.
+positive at some valuation a exactly when its edges are a threshold set,
+a(e) < a(b) for each chosen edge e and every other edge b: adding a
+constant to every a_v widens the gap to the vertex minimum, and raising
+every vertex outside the set lifts every edge leaving it.  By Gordan's
+alternative that fails exactly when some nonzero nonnegative combination
+of the left-out edges has the vertex degrees of a chosen edge, that is
+when the chosen and the left-out edges form an alternating closed walk.
+Such a walk uses only left-out edges with both ends on chosen edges, as
+the chosen edges have no degree elsewhere.  So one search over the
+graph's edges finds every live factor: it grows connected edge sets and
+cuts a branch at an odd cycle or an alternating closed walk.  A dead
+factor is zero at every valuation, so leaving it out changes no value.
 """
 
 from __future__ import annotations
@@ -272,20 +275,6 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def _spans(adj: list[int]) -> bool:
-    """Do the edges behind the adjacency bitmasks connect every vertex?"""
-    seen = frontier = 1
-    while frontier:
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & ~seen
-        seen |= reached
-    return seen == (1 << len(adj)) - 1
-
-
 def _close_edge(reach: list[int], x: int, y: int) -> Optional[list[int]]:
     """A copy of the transitive closure `reach` (node -> bitmask of the
     nodes reachable from it) with an edge's arcs x -> y and its mirror
@@ -301,57 +290,72 @@ def _close_edge(reach: list[int], x: int, y: int) -> Optional[list[int]]:
     return reach
 
 
-def _live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Index tuples into `edges` (pairs of vertex numbers below k) of
-    the live edge sets: connected, spanning the k vertices, bipartite,
-    and with no alternating closed walk against the edges left out.
-
-    The search decides each edge in or out and cuts a branch once the
-    chosen edges hold an odd cycle, the chosen and remaining edges no
-    longer connect the vertices, or the decided edges hold an
-    alternating closed walk.  The walks are the cycles of a digraph on
-    (vertex, parity), node 2v + parity: a chosen edge uv goes from parity
-    0 to 1 (both ways round), a left-out edge from 1 to 0.
-    """
-    adj = [0] * k
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def search(i: int, comp: list[int], side: list[int], reach: list[int],
-               adj: list[int]) -> None:
-        if i == len(edges):
-            out.append(tuple(chosen))
-            return
-        u, v = edges[i]
-        if comp[u] != comp[v] or side[u] != side[v]:
-            closure = _close_edge(reach, 2 * u, 2 * v + 1)
-            if closure is not None:
-                joined, sides = comp, side
-                if comp[u] != comp[v]:  # merge v's class into u's
-                    old, flip = comp[v], side[u] == side[v]
-                    sides = [s ^ flip if c == old else s
-                             for c, s in zip(comp, side)]
-                    joined = [comp[u] if c == old else c for c in comp]
-                chosen.append(i)
-                search(i + 1, joined, sides, closure, adj)
-                chosen.pop()
-        dropped = adj[:]
-        dropped[u] &= ~(1 << v)
-        dropped[v] &= ~(1 << u)
-        if _spans(dropped):
-            closure = _close_edge(reach, 2 * u + 1, 2 * v)
-            if closure is not None:
-                search(i + 1, comp, side, closure, dropped)
-
-    if _spans(adj):
-        search(0, list(range(k)), [0] * k, [0] * (2 * k), adj)
+def _pick(items: Sequence, mask: int) -> list:
+    """The items at the set bits of `mask`, in order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
     return out
 
 
-def _candidate_subgraphs(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]]:
+def _live_edge_sets(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """(vertex, edge, touching-edge) bitmasks of the live edge sets over
+    `edges`, pairs of vertex numbers below n: each vertex alone, and each
+    connected bipartite edge set with no alternating closed walk against
+    the edges left out between its vertices.
+
+    One search per root edge i, the least in the set, with the edges
+    below i left out.  Each step puts the least undecided edge touching
+    the chosen vertices in or out, so each leaf is a connected set, found
+    once.  A new vertex takes the side opposite its neighbour, and an
+    edge between chosen vertices must join opposite sides.  The walks
+    are the cycles of a digraph on (vertex, parity), node 2v + parity: a
+    chosen edge uv goes from parity 0 to 1 (both ways round), a left-out
+    edge from 1 to 0 once both its ends are chosen.
+    """
+    inc = [0] * n
+    for j, (u, v) in enumerate(edges):
+        inc[u] |= 1 << j
+        inc[v] |= 1 << j
+    out = [(1 << k, 0, inc[k]) for k in range(n)]
+
+    def grow(decided: int, picked: int, verts: int, odd: int, touch: int,
+             reach: list[int]) -> None:
+        free = touch & ~decided
+        if not free:
+            out.append((verts, picked, touch))
+            return
+        low = free & -free
+        decided |= low
+        u, v = edges[low.bit_length() - 1]
+        if not verts >> u & 1:
+            u, v = v, u  # u is chosen
+        new = not verts >> v & 1
+        if new or (odd >> u ^ odd >> v) & 1:
+            closure = _close_edge(reach, 2 * u, 2 * v + 1)
+            # the left-out edges from a new vertex back to the chosen ones
+            left = inc[v] & decided & ~picked & ~low if new else 0
+            for a, b in _pick(edges, left):
+                w = a + b - v
+                if closure is not None and verts >> w & 1:
+                    closure = _close_edge(closure, 2 * w + 1, 2 * v)
+            if closure is not None:
+                grow(decided, picked | low, verts | 1 << v,
+                     odd | (~odd >> u & 1) << v, touch | inc[v], closure)
+        closure = reach if new else _close_edge(reach, 2 * u + 1, 2 * v)
+        if closure is not None:
+            grow(decided, picked, verts, odd, touch, closure)
+
+    for i, (u, v) in enumerate(edges):
+        low = 1 << i
+        grow((low << 1) - 1, low, 1 << u | 1 << v, 1 << v, inc[u] | inc[v],
+             _close_edge([0] * (2 * n), 2 * u, 2 * v + 1))
+    return out
+
+
+def _candidate_subgraphs(g: WeightedGraph) -> list[tuple[tuple, tuple, list]]:
     """(vertices, edges, boundary) of every live factor of a connected
     graph: a connected bipartite subgraph, with some of the induced
     edges, other than the full graph, and no alternating closed walk
@@ -362,26 +366,16 @@ def _candidate_subgraphs(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]
     the product is the product over every connected bipartite proper
     subgraph with the factors that are zero everywhere left out.
     """
-    verts = g.vertices
-    all_edges = g.edges
-    full_key = (verts, all_edges)
-    for k in range(1, len(verts) + 1):
-        for vs in combinations(verts, k):
-            vset = set(vs)
-            touching = [e for e in all_edges
-                        if e[0] in vset or e[1] in vset]
-            induced = [e for e in touching
-                       if e[0] in vset and e[1] in vset]
-            number = {v: i for i, v in enumerate(vs)}
-            local = [(number[u], number[w]) for u, w in induced]
-            for picked in sorted(_live_edge_sets(k, local),
-                                 key=lambda t: (len(t), t)):
-                es = tuple(induced[i] for i in picked)
-                if (vs, es) == full_key:
-                    continue
-                chosen = set(es)
-                boundary = [e for e in touching if e not in chosen]
-                yield vs, es, boundary
+    verts, all_edges = g.vertices, g.edges
+    number = {v: i for i, v in enumerate(verts)}
+    local = [(number[u], number[v]) for u, v in all_edges]
+    whole = ((1 << len(verts)) - 1, (1 << len(all_edges)) - 1)
+    rows = [(tuple(_pick(verts, vmask)), tuple(_pick(all_edges, emask)),
+             _pick(all_edges, touch & ~emask))
+            for vmask, emask, touch in _live_edge_sets(len(verts), local)
+            if (vmask, emask) != whole]
+    rows.sort(key=lambda r: (len(r[0]), r[0], len(r[1]), r[1]))
+    return rows
 
 
 def z_gamma(g: WeightedGraph) -> TropicalExpr:

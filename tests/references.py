@@ -7,8 +7,9 @@ the tests need for their inputs.
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from gcoh.graphs import (
     Subgraph,
@@ -30,6 +31,7 @@ from gcoh.tropical import (
     TropicalExpr,
     TropicalValue,
     Var,
+    _close_edge,
 )
 
 
@@ -158,3 +160,97 @@ def variables(e: TropicalExpr) -> set[str]:
     if isinstance(e, ClampAtZero):
         return variables(e.child)
     raise TypeError(f"not a tropical expression: {e!r}")
+
+
+# --- live factors ------------------------------------------------------------
+
+def spans(adj: list[int]) -> bool:
+    """Do the edges behind the adjacency bitmasks connect every vertex?"""
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= reached
+    return seen == (1 << len(adj)) - 1
+
+
+def live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Index tuples into `edges` (pairs of vertex numbers below k) of
+    the live edge sets: connected, spanning the k vertices, bipartite,
+    and with no alternating closed walk against the edges left out.
+
+    The search decides each edge in or out and cuts a branch once the
+    chosen edges hold an odd cycle, the chosen and remaining edges no
+    longer connect the vertices, or the decided edges hold an
+    alternating closed walk.  The walks are the cycles of a digraph on
+    (vertex, parity), node 2v + parity: a chosen edge uv goes from parity
+    0 to 1 (both ways round), a left-out edge from 1 to 0.
+    """
+    adj = [0] * k
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def search(i: int, comp: list[int], side: list[int], reach: list[int],
+               adj: list[int]) -> None:
+        if i == len(edges):
+            out.append(tuple(chosen))
+            return
+        u, v = edges[i]
+        if comp[u] != comp[v] or side[u] != side[v]:
+            closure = _close_edge(reach, 2 * u, 2 * v + 1)
+            if closure is not None:
+                joined, sides = comp, side
+                if comp[u] != comp[v]:  # merge v's class into u's
+                    old, flip = comp[v], side[u] == side[v]
+                    sides = [s ^ flip if c == old else s
+                             for c, s in zip(comp, side)]
+                    joined = [comp[u] if c == old else c for c in comp]
+                chosen.append(i)
+                search(i + 1, joined, sides, closure, adj)
+                chosen.pop()
+        dropped = adj[:]
+        dropped[u] &= ~(1 << v)
+        dropped[v] &= ~(1 << u)
+        if spans(dropped):
+            closure = _close_edge(reach, 2 * u + 1, 2 * v)
+            if closure is not None:
+                search(i + 1, comp, side, closure, dropped)
+
+    if spans(adj):
+        search(0, list(range(k)), [0] * k, [0] * (2 * k), adj)
+    return out
+
+
+def candidates_by_vertex_set(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]]:
+    """`tropical._candidate_subgraphs` by one search per vertex set:
+    (vertices, edges, boundary) of every live factor of a connected
+    graph, in the same order.  For each vertex set in turn it searches
+    the induced edges for the live edge sets that span it.
+    """
+    verts = g.vertices
+    all_edges = g.edges
+    full_key = (verts, all_edges)
+    for k in range(1, len(verts) + 1):
+        for vs in combinations(verts, k):
+            vset = set(vs)
+            touching = [e for e in all_edges
+                        if e[0] in vset or e[1] in vset]
+            induced = [e for e in touching
+                       if e[0] in vset and e[1] in vset]
+            number = {v: i for i, v in enumerate(vs)}
+            local = [(number[u], number[w]) for u, w in induced]
+            for picked in sorted(live_edge_sets(k, local),
+                                 key=lambda t: (len(t), t)):
+                es = tuple(induced[i] for i in picked)
+                if (vs, es) == full_key:
+                    continue
+                chosen = set(es)
+                boundary = [e for e in touching if e not in chosen]
+                yield vs, es, boundary

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 
@@ -108,6 +109,20 @@ def test_graph_rejects_loops_multiedges_and_bad_weights():
     for weight in (2.5, 3.0, True, "7"):  # no silent int(): 2.5 is not 2
         with pytest.raises(ValueError, match="weight of 'b' must be an int"):
             WeightedGraph({"a": 2, "b": weight}, [("a", "b")])
+
+
+def test_subgraph_equality_and_hash_ignore_the_parent():
+    edges = [("a", "b"), ("b", "c")]
+    one = subgraph_of(WeightedGraph({v: 1 for v in "abc"}, edges), "ab", edges[:1])
+    other = subgraph_of(WeightedGraph({v: 7 for v in "abcd"}, edges), "ab", edges[:1])
+    assert one.parent is not other.parent
+    assert one == other and hash(one) == hash(other) == hash(one)
+    assert {one: 1}[other] == 1
+    assert one != subgraph_of(one.parent, "ab", [])
+    # the cached hash is not pickled: it is valid only in this process
+    copy = pickle.loads(pickle.dumps(one))
+    assert "_hash" not in copy.__dict__
+    assert copy == one and hash(copy) == hash(one)
 
 
 def test_components_examples():

@@ -48,6 +48,7 @@ from gcoh.tropical import (
     z_gamma,
 )
 from references import (
+    candidates_by_vertex_set,
     eval_gcd_product,
     min_valuation,
     reduce_graph,
@@ -595,6 +596,28 @@ def test_live_factors_on_the_first_bench_base():
     g, _ = bench_bases()[0]
     assert len(reference_candidates(g)) == 1354
     assert sum(1 for _ in _candidate_subgraphs(g)) == 903
+
+
+def graph_with(rng, n, m):
+    """A seeded connected graph on n vertices with m edges."""
+    names = [f"v{i}" for i in range(n)]
+    edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+    pairs = list(combinations(names, 2))
+    while len(edges) < m:
+        edges.add(rng.choice(pairs))
+    return WeightedGraph({v: 1 for v in names}, sorted(edges))
+
+
+def test_live_factors_match_the_search_per_vertex_set():
+    """The one search per graph finds the rows the search per vertex set
+    finds, in the same order and with the same boundaries."""
+    rng = random.Random(28)
+    graphs = [graph_with(rng, n, n - 1 + rng.randint(0, n))
+              for n in (6, 7, 8, 9) for _ in range(4)]
+    graphs += [g for g, _ in bench_bases()]
+    graphs.append(graph_with(rng, 10, 14))
+    for g in graphs:
+        assert _candidate_subgraphs(g) == list(candidates_by_vertex_set(g)), g
 
 
 INFINITE = float("inf")
