@@ -114,7 +114,7 @@ def _load_valuations(path: str, g: WeightedGraph) -> dict[str, int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             vals = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # or nested too deep
         raise InputError(f"cannot read valuation file {path}: {exc}") from exc
     if not isinstance(vals, dict):
         raise InputError(f"valuation file {path} must hold a JSON object")

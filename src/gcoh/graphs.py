@@ -482,6 +482,6 @@ def load_graph(path: str) -> WeightedGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"not valid JSON: {exc}") from exc
     return graph_from_json(doc)

@@ -98,8 +98,12 @@ class IntMatrix:
 
 
 def matrix(rows: Iterable[Iterable[int]], ncols: Optional[int] = None) -> IntMatrix:
-    """The matrix of these dense rows, entries converted with int()."""
-    dense = [list(map(int, row)) for row in rows]
+    """The matrix of these dense rows.  An entry that is not an `int` (a
+    bool, a float, a string) raises ValueError; none is converted."""
+    dense = [list(row) for row in rows]
+    bad = [x for row in dense for x in row if type(x) is not int]
+    if bad:
+        raise ValueError(f"matrix entries are integers, not {bad[0]!r}")
     widths = {len(row) for row in dense} or {ncols or 0}
     if len(widths) > 1:
         raise ValueError("ragged matrix")

@@ -21,14 +21,15 @@ the chosen edges have no degree elsewhere.  So one search over the
 graph's edges finds every live factor: it grows connected edge sets and
 cuts a branch at an odd cycle or an alternating closed walk.  A dead
 factor is zero at every valuation, so leaving it out changes no value.
+The search works on vertex and edge numbers, sorted as the names are,
+and each factor is built straight from its bitmasks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .graphs import (
@@ -232,22 +233,15 @@ def eval_expr(e: TropicalExpr,
 
 # --- graph-attached expressions ----------------------------------------------
 
-def _factor(eset, boundary, mono, neg, vertex_min, vertex_neg) -> TropicalExpr:
+def _factor(upper, lower, vertex_min, vertex_neg) -> TropicalExpr:
     """One factor, max(0, min boundary ⊘ max(internal edges, vertex
-    minimum)), built from shared nodes: the edge monomials `mono`, their
-    negations `neg` (0 ⊘ mono[e]), and the vertex set's minimum and its
-    negation.  With no internal edges the maximum is the vertex minimum
-    itself."""
-    upper = plus(mono[e] for e in sorted(boundary))
-    lower = (_negated_min([neg[e] for e in sorted(eset)] + [vertex_neg])
-             if eset else vertex_min)
-    return ClampAtZero(Quotient(upper, lower))
-
-
-def _vertex_min(vset, var) -> tuple[TropicalExpr, TropicalExpr]:
-    """A vertex set's minimum and its negation."""
-    low = plus(var[v] for v in sorted(vset))
-    return low, Quotient(UNIT, low)
+    minimum)), built from shared nodes: the boundary edges' monomials
+    `upper`, the internal edges' negations `lower` (0 ⊘ monomial), and
+    the vertex set's minimum and its negation.  With no internal edges
+    the maximum is the vertex minimum itself."""
+    return ClampAtZero(Quotient(
+        plus(upper),
+        _negated_min(lower + [vertex_neg]) if lower else vertex_min))
 
 
 def g_delta(d: Subgraph) -> TropicalExpr:
@@ -264,11 +258,11 @@ def g_delta(d: Subgraph) -> TropicalExpr:
     if not boundary:
         raise ValueError("factor requires a proper subgraph (nonempty boundary)")
     mono = {e: Times((Var(e[0]), Var(e[1])))
-            for e in set(boundary) | set(d.edge_set)}
-    neg = {e: Quotient(UNIT, m) for e, m in mono.items()}
-    varcache = {v: Var(v) for v in d.vertex_set}
-    return _factor(d.edge_set, boundary, mono, neg,
-                   *_vertex_min(d.vertex_set, varcache))
+            for e in boundary | d.edge_set}
+    low = plus(Var(v) for v in sorted(d.vertex_set))
+    return _factor([mono[e] for e in sorted(boundary)],
+                   [Quotient(UNIT, mono[e]) for e in sorted(d.edge_set)],
+                   low, Quotient(UNIT, low))
 
 
 class EnumerationCapExceeded(ValueError):
@@ -355,34 +349,23 @@ def _live_edge_sets(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
     return out
 
 
-def _candidate_subgraphs(g: WeightedGraph) -> list[tuple[tuple, tuple, list]]:
-    """(vertices, edges, boundary) of every live factor of a connected
-    graph: a connected bipartite subgraph, with some of the induced
-    edges, other than the full graph, and no alternating closed walk
-    between its edges and the induced edges it leaves out (see the
-    module docstring).  Singletons are always live.
-
-    The order is that of (vertex count, vertices, edge count, edges), so
-    the product is the product over every connected bipartite proper
-    subgraph with the factors that are zero everywhere left out.
-    """
-    verts, all_edges = g.vertices, g.edges
-    number = {v: i for i, v in enumerate(verts)}
-    local = [(number[u], number[v]) for u, v in all_edges]
-    whole = ((1 << len(verts)) - 1, (1 << len(all_edges)) - 1)
-    rows = [(tuple(_pick(verts, vmask)), tuple(_pick(all_edges, emask)),
-             _pick(all_edges, touch & ~emask))
-            for vmask, emask, touch in _live_edge_sets(len(verts), local)
-            if (vmask, emask) != whole]
-    rows.sort(key=lambda r: (len(r[0]), r[0], len(r[1]), r[1]))
-    return rows
+def _factor_rows(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
+    """`_live_edge_sets` in factor order: by vertex count, vertex
+    numbers, edge count and edge numbers."""
+    verts, nums = range(n), range(len(edges))
+    return sorted(_live_edge_sets(n, edges),
+                  key=lambda r: (r[0].bit_count(), _pick(verts, r[0]),
+                                 r[1].bit_count(), _pick(nums, r[1])))
 
 
 def z_gamma(g: WeightedGraph) -> TropicalExpr:
     """Tropical product of the factors over all connected bipartite
     proper subgraphs; its value at the weight valuations is the p-torsion
     exponent for every odd prime p.  Only the live factors are built (see
-    `_candidate_subgraphs`): the others are zero at every valuation.
+    the module docstring): the others are zero at every valuation.  The
+    graph is numbered once, and each factor picks its nodes by the bits
+    of its `_factor_rows` row.  The one row with no boundary is the whole
+    graph, found exactly when it is bipartite: it marks the chain gap.
 
     A bipartite connected graph needs a correction: the factors count
     every admissible (subgraph, level) pair, but the pairs on the
@@ -410,21 +393,25 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
     comps = components(full_subgraph(g))
     if len(comps) > 1:
         return times(z_gamma(c.as_graph()) for c in comps)
-    varcache = {v: Var(v) for v in g.vertices}
-    mono = {e: Times((varcache[e[0]], varcache[e[1]])) for e in g.edges}
-    neg = {e: Quotient(UNIT, m) for e, m in mono.items()}
-    factors = []
-    # the candidates arrive grouped by vertex set
-    for vs, group in groupby(_candidate_subgraphs(g), key=itemgetter(0)):
-        low = _vertex_min(vs, varcache)
-        factors += (_factor(es, boundary, mono, neg, *low)
-                    for _, es, boundary in group)
+    var = [Var(v) for v in g.vertices]
+    number = {v: i for i, v in enumerate(g.vertices)}
+    edges = [(number[u], number[v]) for u, v in g.edges]
+    mono = [Times((var[u], var[v])) for u, v in edges]
+    neg = [Quotient(UNIT, m) for m in mono]
+    factors, vset, bipartite = [], None, False
+    for vmask, emask, touch in _factor_rows(len(var), edges):
+        if touch == emask:  # no boundary: the whole graph, when bipartite
+            bipartite = True
+            continue
+        if vmask != vset:  # the rows arrive grouped by vertex set
+            vset = vmask
+            low = plus(_pick(var, vmask))
+            low_neg = Quotient(UNIT, low)
+        factors.append(_factor(_pick(mono, touch & ~emask),
+                               _pick(neg, emask), low, low_neg))
     product = times(factors)
-    if g.edges and bipartition(full_subgraph(g)) is not None:
-        chain_gap = Quotient(
-            tropical_max([mono[e] for e in g.edges]),
-            plus(varcache[v] for v in g.vertices))
-        return Quotient(product, chain_gap)
+    if g.edges and bipartite:
+        return Quotient(product, Quotient(tropical_max(mono), plus(var)))
     return product
 
 

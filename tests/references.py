@@ -32,6 +32,8 @@ from gcoh.tropical import (
     TropicalValue,
     Var,
     _close_edge,
+    _factor_rows,
+    _pick,
 )
 
 
@@ -228,11 +230,23 @@ def live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, 
     return out
 
 
+def factor_rows_by_name(g: WeightedGraph) -> list[tuple[tuple, tuple, list]]:
+    """(vertices, edges, boundary) of the rows `tropical.z_gamma` builds
+    its factors from on a connected graph, in its order, by name."""
+    verts, edges = g.vertices, g.edges
+    number = {v: i for i, v in enumerate(verts)}
+    rows = _factor_rows(len(verts),
+                        [(number[u], number[v]) for u, v in edges])
+    return [(tuple(_pick(verts, vm)), tuple(_pick(edges, em)),
+             _pick(edges, t & ~em))
+            for vm, em, t in rows if t != em]
+
+
 def candidates_by_vertex_set(g: WeightedGraph) -> Iterable[tuple[tuple, tuple, list]]:
-    """`tropical._candidate_subgraphs` by one search per vertex set:
-    (vertices, edges, boundary) of every live factor of a connected
-    graph, in the same order.  For each vertex set in turn it searches
-    the induced edges for the live edge sets that span it.
+    """`factor_rows_by_name` by one search per vertex set: (vertices,
+    edges, boundary) of every live factor of a connected graph, in the
+    same order.  For each vertex set in turn it searches the induced
+    edges for the live edge sets that span it.
     """
     verts = g.vertices
     all_edges = g.edges

@@ -84,6 +84,17 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # past any recursion limit
+
+
+def test_deeply_nested_graph_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "cohomology", str(path))
+    assert (code, out) == (2, "")
+    assert "not valid JSON" in err
+
+
 def test_duplicate_vertex_id_exit_2(tmp_path, capsys):
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps({
@@ -312,6 +323,14 @@ def test_tropical_rejects_bad_valuations(k3_file, tmp_path, capsys, vals):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_deeply_nested_valuation_file_exit_2(k3_file, tmp_path, capsys):
+    path = tmp_path / "vals.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run_cli(capsys, "tropical", k3_file, "--eval", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read valuation file")
 
 
 def test_tropical_rejects_negative_valuation_on_an_edge(tmp_path, capsys):

@@ -78,6 +78,17 @@ def test_snf_diagonal_examples():
     assert smith_normal_form(D0_K3).divisors == (1, 1, 162)
 
 
+@pytest.mark.parametrize("entry", [1.7, 2.0, "3", True, None],
+                         ids=["fraction", "float", "string", "bool", "none"])
+def test_matrix_refuses_entries_that_are_not_integers(entry):
+    # int() would read the first four as 1, 2, 3 and 1
+    with pytest.raises(ValueError, match="integers"):
+        matrix([[1, 0], [0, entry]])
+    with pytest.raises(ValueError, match="integers"):
+        matrix([[entry]])
+    assert matrix([[1, 0], [0, 3]]).entries == ((1, 0), (0, 3))
+
+
 def test_snf_empty_shapes():
     for shape in [(0, 0), (0, 3), (3, 0)]:
         dec = smith_normal_form(zero_matrix(*shape))

@@ -32,9 +32,7 @@ from gcoh.tropical import (
     TropicalValue,
     UNIT,
     Var,
-    _candidate_subgraphs,
     _factor,
-    _vertex_min,
     elementary_symmetric,
     eval_expr,
     g_delta,
@@ -50,6 +48,7 @@ from gcoh.tropical import (
 from references import (
     candidates_by_vertex_set,
     eval_gcd_product,
+    factor_rows_by_name,
     min_valuation,
     reduce_graph,
     t_plus,
@@ -195,6 +194,33 @@ def test_z_gamma_disconnected_sums_components():
     g = WeightedGraph({"a": 1, "b": 1, "x": 1}, [("a", "b")])
     z = z_gamma(g)
     assert eval_expr(z, {"a": 2, "b": 3, "x": 5}) == tval(2)
+
+
+def test_z_gamma_disconnected_text_is_pinned():
+    # a bipartite path with its chain gap, an isolated vertex (the empty
+    # product 0) and a triangle (no gap), multiplied in vertex order
+    g = WeightedGraph({v: 1 for v in "abcwxyz"},
+                      [("a", "b"), ("b", "c"), ("x", "y"), ("y", "z"),
+                       ("x", "z")])
+    z = z_gamma(g)
+    assert render(z) == (
+        "(((max(((a ⊙ b) ⊘ a), 0) ⊙ max((((a ⊙ b) ⊕ (b ⊙ c)) ⊘ b), 0) ⊙ "
+        "max(((b ⊙ c) ⊘ c), 0) ⊙ max(((b ⊙ c) ⊘ (0 ⊘ ((0 ⊘ (a ⊙ b)) ⊕ (0 ⊘ "
+        "(a ⊕ b))))), 0) ⊙ max(((a ⊙ b) ⊘ (0 ⊘ ((0 ⊘ (b ⊙ c)) ⊕ (0 ⊘ (b ⊕ "
+        "c))))), 0)) ⊘ ((0 ⊘ ((0 ⊘ (a ⊙ b)) ⊕ (0 ⊘ (b ⊙ c)))) ⊘ (a ⊕ b ⊕ "
+        "c))) ⊙ 0 ⊙ (max((((x ⊙ y) ⊕ (x ⊙ z)) ⊘ x), 0) ⊙ max((((x ⊙ y) ⊕ (y "
+        "⊙ z)) ⊘ y), 0) ⊙ max((((x ⊙ z) ⊕ (y ⊙ z)) ⊘ z), 0) ⊙ max((((x ⊙ z) "
+        "⊕ (y ⊙ z)) ⊘ (0 ⊘ ((0 ⊘ (x ⊙ y)) ⊕ (0 ⊘ (x ⊕ y))))), 0) ⊙ max((((x "
+        "⊙ y) ⊕ (y ⊙ z)) ⊘ (0 ⊘ ((0 ⊘ (x ⊙ z)) ⊕ (0 ⊘ (x ⊕ z))))), 0) ⊙ "
+        "max((((x ⊙ y) ⊕ (x ⊙ z)) ⊘ (0 ⊘ ((0 ⊘ (y ⊙ z)) ⊕ (0 ⊘ (y ⊕ z))))), "
+        "0) ⊙ max(((y ⊙ z) ⊘ (0 ⊘ ((0 ⊘ (x ⊙ y)) ⊕ (0 ⊘ (x ⊙ z)) ⊕ (0 ⊘ (x "
+        "⊕ y ⊕ z))))), 0) ⊙ max(((x ⊙ z) ⊘ (0 ⊘ ((0 ⊘ (x ⊙ y)) ⊕ (0 ⊘ (y ⊙ "
+        "z)) ⊕ (0 ⊘ (x ⊕ y ⊕ z))))), 0) ⊙ max(((x ⊙ y) ⊘ (0 ⊘ ((0 ⊘ (x ⊙ "
+        "z)) ⊕ (0 ⊘ (y ⊙ z)) ⊕ (0 ⊘ (x ⊕ y ⊕ z))))), 0)))")
+    val = {"a": 1, "b": 3, "c": 2, "w": 4, "x": 2, "y": 1, "z": 3}
+    assert eval_expr(z, val) == tval(10)
+    g3 = WeightedGraph({v: 3 ** k for v, k in val.items()}, g.edges)
+    assert torsion_order_p(full_subgraph(g3), 3) == 10
 
 
 def random_connected(rng, max_n):
@@ -355,8 +381,13 @@ def reference_product(g, keep):
     mono = {e: Times((Var(e[0]), Var(e[1]))) for e in g.edges}
     neg = {e: Quotient(UNIT, m) for e, m in mono.items()}
     varcache = {v: Var(v) for v in g.vertices}
-    product = times(_factor(es, boundary, mono, neg,
-                            *_vertex_min(vs, varcache))
+
+    def factor(vs, es, boundary):
+        low = plus(varcache[v] for v in vs)
+        return _factor([mono[e] for e in boundary], [neg[e] for e in es],
+                       low, Quotient(UNIT, low))
+
+    product = times(factor(vs, es, boundary)
                     for vs, es, boundary in reference_candidates(g)
                     if keep(vs, es, boundary))
     if g.edges and bipartition(full_subgraph(g)) is not None:
@@ -578,7 +609,7 @@ def test_liveness_matches_the_lp_reference():
     for g in connected_graphs(5):
         every = reference_candidates(g)
         live = [c for c in every if lp_live(g, *c)]
-        assert list(_candidate_subgraphs(g)) == live, g
+        assert list(factor_rows_by_name(g)) == live, g
         for vs, es, boundary in every:
             left_out = [e for e in boundary if e[0] in vs and e[1] in vs]
             walk = alternating_walk(es, left_out)
@@ -595,7 +626,7 @@ def test_liveness_matches_the_lp_reference():
 def test_live_factors_on_the_first_bench_base():
     g, _ = bench_bases()[0]
     assert len(reference_candidates(g)) == 1354
-    assert sum(1 for _ in _candidate_subgraphs(g)) == 903
+    assert sum(1 for _ in factor_rows_by_name(g)) == 903
 
 
 def graph_with(rng, n, m):
@@ -617,7 +648,7 @@ def test_live_factors_match_the_search_per_vertex_set():
     graphs += [g for g, _ in bench_bases()]
     graphs.append(graph_with(rng, 10, 14))
     for g in graphs:
-        assert _candidate_subgraphs(g) == list(candidates_by_vertex_set(g)), g
+        assert factor_rows_by_name(g) == list(candidates_by_vertex_set(g)), g
 
 
 INFINITE = float("inf")
@@ -650,7 +681,7 @@ def check_full_product(g, points, sampled):
     there the product of the live factors equals the full product; and
     `eval_expr(z_gamma(g))` equals the full product's value at the first
     `sampled` of them."""
-    live = {(vs, es) for vs, es, _ in _candidate_subgraphs(g)}
+    live = {(vs, es) for vs, es, _ in factor_rows_by_name(g)}
     every = reference_candidates(g)
     dead = [c for c in every if c[:2] not in live]
     for c, peak in zip(dead, factor_peaks(dead, points)):
