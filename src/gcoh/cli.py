@@ -16,7 +16,7 @@ import json
 import sys
 from functools import cache
 
-from .graphs import WeightedGraph, full_subgraph, load_graph, require_prime
+from .graphs import WeightedGraph, full_subgraph, load_graph, load_json, require_prime
 from .cohomology import cohomology_groups
 from .forest import build_forest, forest_to_dot, torsion_structure
 from .intlinalg import AbelianGroup
@@ -112,9 +112,8 @@ def _load_valuations(path: str, g: WeightedGraph) -> dict[str, int]:
     """Vertex id -> valuation; every vertex needs one, and valuations are
     non-negative JSON integers (weights are positive integers)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            vals = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # or nested too deep
+        vals = load_json(path)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read valuation file {path}: {exc}") from exc
     if not isinstance(vals, dict):
         raise InputError(f"valuation file {path} must hold a JSON object")

@@ -6,9 +6,12 @@ non-minimal subgraph, degree -1 one relator per non-minimal subgraph.
 The differentials encode how chains in the forest telescope; the first
 cohomology of this small complex is exactly the p-torsion of the graph's
 first cohomology, and the comparison map `chi` realizes it inside the
-ambient cochain complex by divided fundamental chains.  Their signs are
-one consistent choice: every subgraph takes the signs of the top above
-it, the restriction of the forest's one sign map `forest.signs`.
+ambient cochain complex by divided fundamental chains, built as sparse
+(row, coefficient) terms.  Their signs are one consistent choice: every
+subgraph takes the signs of the top above it, the restriction of the
+forest's one sign map `forest.signs`.  Every generator is a class of the
+forest's filtration, so `restrict` reads a generator's pieces in a
+subgraph off the subgraph's own filtration and runs no graph search.
 
 Cover terms in the differentials run over the full vertex-spanning cover
 (forest.phi), which includes the degenerate single-vertex extras.  Those
@@ -21,17 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .graphs import Subgraph, WeightedGraph, components, full_subgraph, p_valuation
+from .graphs import Subgraph, WeightedGraph, full_subgraph, p_valuation
 from .cohomology import d0_matrix
 from .forest import FundamentalForest, build_forest
-from .intlinalg import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel_structure,
-    mat_vec,
-    matmul,
-    matrix_from_columns,
-)
+from .intlinalg import AbelianGroup, IntMatrix, cokernel_structure, matmul
 
 REL0 = "rel0"
 CLS0 = "cls0"
@@ -140,47 +136,41 @@ class ComparisonMap:
     degree1: IntMatrix  # edges x gens_one
 
 
-def _fundamental_vector(forest: FundamentalForest, gp: WeightedGraph,
-                        d: Subgraph) -> list[int]:
-    """Fundamental chain of d on the vertices of gp, zero off V(d), signed
-    by `forest.signs`."""
-    return [forest.signs[v] * gp.weight[v] if v in d.vertex_set else 0
-            for v in gp.vertices]
-
-
 def chi(fc: FundamentalComplex) -> ComparisonMap:
     """Build the comparison map and verify it is a chain map.
 
-    Degree-0 class generators map to divided fundamental chains, relators
-    to zero, and degree-1 class generators to the boundary of the
-    fundamental chain divided by p**(sup level); the division is checked
-    to be exact before use.
+    A fundamental chain of d is sparse, one (row, coefficient) term per
+    vertex of d: its p-part weight, signed by `forest.signs`.  Degree-0
+    class generators map to divided fundamental chains, relators to zero,
+    and degree-1 class generators to their chains' boundaries, from one
+    product, divided by p**(sup level), each checked exact in edge order.
     """
     forest = fc.forest
     p = forest.prime
     gp = p_part_graph(forest.graph, p)
     ambient_d0 = d0_matrix(full_subgraph(gp))
-    verts = gp.vertices
-    edges = gp.edges
-
+    row = {v: i for i, v in enumerate(gp.vertices)}
     min_val = forest.filtration.min_val
-    degree0 = matrix_from_columns(
-        [[0] * len(verts) if kind == REL0 else
-         [x // p ** min_val[d] for x in _fundamental_vector(forest, gp, d)]
-         for kind, d in fc.gens_zero], len(verts))
 
+    def chain(d: Subgraph, div: int = 1) -> list[tuple[int, int]]:
+        return [(row[v], forest.signs[v] * gp.weight[v] // div)
+                for v in d.vertex_set]
+
+    degree0 = _columns(len(row), ([] if kind == REL0 else
+                                  chain(d, p ** min_val[d])
+                                  for kind, d in fc.gens_zero))
+
+    boundaries = matmul(ambient_d0, _columns(len(row), map(chain, fc.gens_one)))
     cols1 = []
-    for d in fc.gens_one:
-        boundary = mat_vec(ambient_d0, _fundamental_vector(forest, gp, d))
+    for d, terms in zip(fc.gens_one, boundaries.transpose().data):
         sup = forest.sup_level[d]
-        assert sup is not None
         ps = p ** sup
-        for e, c in zip(edges, boundary):
+        for i, c in terms.items():  # in edge order
             if c % ps:
-                raise ChainMapError(
-                    f"boundary of {d} not divisible by p^{sup} on edge {e}")
-        cols1.append([c // ps for c in boundary])
-    degree1 = matrix_from_columns(cols1, len(edges))
+                raise ChainMapError(f"boundary of {d} not divisible by "
+                                    f"p^{sup} on edge {gp.edges[i]}")
+        cols1.append([(i, c // ps) for i, c in terms.items()])
+    degree1 = _columns(len(gp.edges), cols1)
 
     if matmul(ambient_d0, degree0) != matmul(degree1, fc.d_zero):
         raise ChainMapError("comparison map fails the degree-0 square")
@@ -192,11 +182,11 @@ def chi(fc: FundamentalComplex) -> ComparisonMap:
 def chi_image_torsion_order(cm: ComparisonMap) -> int:
     """Order of the subgroup of coker(d0) generated by the chi images of
     the degree-1 class generators."""
-    base = cokernel_structure(cm.ambient_d0).torsion_order
-    combined_cols = cm.ambient_d0.columns() + cm.degree1.columns()
-    bigger = cokernel_structure(
-        matrix_from_columns(combined_cols, cm.ambient_d0.rows))
-    quotient_torsion = bigger.torsion_order
+    d0, images = cm.ambient_d0, cm.degree1
+    base = cokernel_structure(d0).torsion_order
+    quotient_torsion = cokernel_structure(IntMatrix(  # images' columns after d0's
+        [{**a, **{d0.cols + j: x for j, x in b.items()}}
+         for a, b in zip(d0.data, images.data)], d0.cols + images.cols)).torsion_order
     if base % quotient_torsion:
         raise AssertionError("torsion order did not divide out exactly")
     return base // quotient_torsion
@@ -206,9 +196,7 @@ def chi_image_torsion_order(cm: ComparisonMap) -> int:
 class Restriction:
     """Matrices of the induced map between fundamental complexes."""
 
-    source: FundamentalComplex  # complex of the big graph
     target: FundamentalComplex  # complex of the subgraph as its own graph
-    subgraph: Subgraph
     map_neg: IntMatrix
     map_zero: IntMatrix
     map_one: IntMatrix
@@ -241,17 +229,21 @@ def restrict(source: FundamentalComplex, d: Subgraph) -> Restriction:
     forest = source.forest
     if d.parent is not forest.graph:
         raise ValueError("subgraph does not belong to the forest's graph")
-    dg, p = d.as_graph(), forest.prime
-    target = fundamental_complex(build_forest(dg, p))
+    p = forest.prime
+    target = fundamental_complex(build_forest(d.as_graph(), p))
     small = target.forest
 
-    # each generator's intersection with d, split into components and
-    # checked once; gens_one go first, which decides what a refusal names
+    # each generator's intersection with d in components, read off the
+    # target filtration: a generator is a class at its first level r, so
+    # they are the level-r classes of its vertices in d.  Checked once;
+    # gens_one go first, which decides what a refusal names
     pieces: dict[Subgraph, list[Subgraph]] = {}
     for omega in dict.fromkeys(source.gens_one
                                + tuple(g for _, g in source.gens_zero)):
-        pieces[omega] = components(Subgraph(
-            dg, omega.vertex_set & d.vertex_set, omega.edge_set & d.edge_set))
+        r = forest.filtration.span[omega][0]
+        pieces[omega] = list(dict.fromkeys(
+            small.filtration.class_of(v, r)
+            for v in sorted(omega.vertex_set & d.vertex_set)))
         for psi in pieces[omega]:
             if (CLS0, psi) not in target.zero_at:
                 raise UnsupportedRestriction(
@@ -285,4 +277,4 @@ def restrict(source: FundamentalComplex, d: Subgraph) -> Restriction:
         raise ChainMapError("restriction fails the degree--1 square")
     if matmul(target.d_zero, map_zero) != matmul(map_one, source.d_zero):
         raise ChainMapError("restriction fails the degree-0 square")
-    return Restriction(source, target, d, map_neg, map_zero, map_one)
+    return Restriction(target, map_neg, map_zero, map_one)

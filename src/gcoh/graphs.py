@@ -478,10 +478,14 @@ def graph_from_json(doc: dict) -> WeightedGraph:
     return WeightedGraph(weights, edges)
 
 
-def load_graph(path: str) -> WeightedGraph:
+def load_json(path: str):
+    """The JSON document in a file; invalid JSON is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise ValueError(f"not valid JSON: {exc}") from exc
-    return graph_from_json(doc)
+
+
+def load_graph(path: str) -> WeightedGraph:
+    return graph_from_json(load_json(path))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -141,16 +142,6 @@ def _negated_min(negations: Iterable[TropicalExpr]) -> TropicalExpr:
     negated minimum max(x_1..x_k) = -min(-x_1..-x_k):
     0 ⊘ ((0 ⊘ x_1) ⊕ ... ⊕ (0 ⊘ x_k))."""
     return Quotient(UNIT, plus(negations))
-
-
-def tropical_max(children: Sequence[TropicalExpr]) -> TropicalExpr:
-    """Maximum as a negated minimum (see `_negated_min`), one node per
-    term; a single term is its own maximum."""
-    if not children:
-        raise ValueError("maximum of nothing")
-    if len(children) == 1:
-        return children[0]
-    return _negated_min(Quotient(UNIT, x) for x in children)
 
 
 def _int_value(name: str, x: Union[int, TropicalValue, None]) -> Optional[int]:
@@ -352,9 +343,10 @@ def _live_edge_sets(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
 def _factor_rows(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """`_live_edge_sets` in factor order: by vertex count, vertex
     numbers, edge count and edge numbers."""
-    verts, nums = range(n), range(len(edges))
+    verts = cache(lambda mask: _pick(range(n), mask))  # one list per vertex set
+    nums = range(len(edges))
     return sorted(_live_edge_sets(n, edges),
-                  key=lambda r: (r[0].bit_count(), _pick(verts, r[0]),
+                  key=lambda r: (r[0].bit_count(), verts(r[0]),
                                  r[1].bit_count(), _pick(nums, r[1])))
 
 
@@ -410,8 +402,9 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
         factors.append(_factor(_pick(mono, touch & ~emask),
                                _pick(neg, emask), low, low_neg))
     product = times(factors)
-    if g.edges and bipartite:
-        return Quotient(product, Quotient(tropical_max(mono), plus(var)))
+    if g.edges and bipartite:  # the gap's maximum reuses the edge negations
+        top = mono[0] if len(mono) == 1 else _negated_min(neg)
+        return Quotient(product, Quotient(top, plus(var)))
     return product
 
 

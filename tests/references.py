@@ -30,9 +30,11 @@ from gcoh.tropical import (
     Times,
     TropicalExpr,
     TropicalValue,
+    UNIT,
     Var,
     _close_edge,
     _factor_rows,
+    _negated_min,
     _pick,
 )
 
@@ -123,6 +125,16 @@ def t_quotient(a: TropicalValue, b: TropicalValue) -> TropicalValue:
     if not a.finite:
         return INF
     return TropicalValue(True, a.value - b.value)
+
+
+def tropical_max(children: Sequence[TropicalExpr]) -> TropicalExpr:
+    """Maximum as a negated minimum (see `_negated_min`), one node per
+    term; a single term is its own maximum."""
+    if not children:
+        raise ValueError("maximum of nothing")
+    if len(children) == 1:
+        return children[0]
+    return _negated_min(Quotient(UNIT, x) for x in children)
 
 
 def eval_gcd_product(e: TropicalExpr, assignment: Mapping[str, int]) -> int:

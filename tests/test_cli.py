@@ -690,12 +690,16 @@ def test_reports_identical_across_hash_seeds(tmp_path):
         path.write_text(json.dumps({
             "vertices": [{"id": v, "weight": str(k)} for v, k in weights.items()],
             "edges": edges}))
+        vals = tmp_path / f"v{p}.json"
+        vals.write_text(json.dumps({v: i % 3 for i, v in enumerate(weights)}))
         outputs = []
         for seed in ("1", "2"):
             dot = tmp_path / f"forest{p}-{seed}.dot"
             run = []
             for argv in (["forest", str(path), "--prime", str(p), "--dot", str(dot)],
-                         ["core", str(path), "--prime", str(p)]):
+                         ["core", str(path), "--prime", str(p)],
+                         ["tropical", str(path), "--eval", str(vals)],
+                         ["torsion", str(path), "--prime", str(p)]):
                 proc = subprocess.run(
                     [sys.executable, "-m", "gcoh.cli", *argv],
                     env={**env, "PYTHONHASHSEED": seed},

@@ -1,10 +1,18 @@
+import hashlib
 import random
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from gcoh import intlinalg
-from gcoh.graphs import WeightedGraph, full_subgraph, p_valuation, subgraph_of
+from gcoh.graphs import (
+    Subgraph,
+    WeightedGraph,
+    components,
+    full_subgraph,
+    p_valuation,
+    subgraph_of,
+)
 from gcoh.cohomology import cohomology_groups
 from gcoh.intlinalg import (
     AbelianGroup,
@@ -18,6 +26,7 @@ from gcoh.fcomplex import (
     CLS0,
     REL0,
     ChainMapError,
+    UnsupportedRestriction,
     chi,
     chi_image_torsion_order,
     complex_cohomology,
@@ -315,3 +324,74 @@ def test_restrict_refuses_a_subgraph_of_another_graph():
     fc = k3_complex()
     with pytest.raises(ValueError, match="does not belong"):
         restrict(fc, full_subgraph(k3()))
+
+
+def _pin_graphs():
+    """Seeded graphs at p = 2, 3, 5, weights p-powers times units prime
+    to p, each with three subgraphs: the full graph, its oriented core
+    and a random subgraph that drops an induced edge."""
+    rng = random.Random(39)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            h = random_connected(rng, 7, p, 3)
+            g = WeightedGraph({v: h.weight[v] * rng.choice([1, 1, 7, 11, 13])
+                               for v in h.vertices}, h.edges)
+            f = build_forest(g, p)
+            verts = [v for v in g.vertices if rng.random() < 0.8] or [g.vertices[0]]
+            inside = [e for e in g.edges if e[0] in verts and e[1] in verts]
+            kept = [e for e in inside if rng.random() < 0.7]
+            if inside and len(kept) == len(inside):
+                kept.pop(rng.randrange(len(kept)))
+            yield p, g, f, (full_subgraph(g), oriented_core(f).core,
+                            subgraph_of(g, verts, kept))
+
+
+def _shape(m):
+    return m.rows, m.cols, m.entries
+
+
+def test_chi_and_restrict_are_pinned():
+    # every chi matrix and torsion order, every restriction's maps or its
+    # refusal's type and message, on seeded graphs at three primes
+    digest = hashlib.sha256()
+    runs = refusals = 0
+    for p, g, f, subgraphs in _pin_graphs():
+        fc = fundamental_complex(f)
+        cm = chi(fc)
+        digest.update(repr((p, g, _shape(cm.degree0), _shape(cm.degree1),
+                            _shape(cm.ambient_d0),
+                            chi_image_torsion_order(cm))).encode())
+        for d in subgraphs:
+            runs += 1
+            try:
+                r = restrict(fc, d)
+                got = (_shape(r.map_neg), _shape(r.map_zero), _shape(r.map_one))
+            except (ChainMapError, UnsupportedRestriction) as exc:
+                got = (type(exc).__name__, str(exc))
+                refusals += 1
+            digest.update(repr(got).encode())
+    assert 0 < refusals < runs // 2
+    assert digest.hexdigest() == (
+        "5f4a6fd6ff5f9ad51c3e26b9501066246fb0bedd599dd1c7f02251b1baa00422")
+
+
+def test_restriction_pieces_are_the_intersection_components():
+    # what `restrict` reads off the target filtration, against the graph
+    # search it replaced: the components of each generator's intersection
+    # with d are the target's classes at the generator's first level
+    pairs = 0
+    for p, g, f, subgraphs in _pin_graphs():
+        fc = fundamental_complex(f)
+        for d in subgraphs:
+            dg = d.as_graph()
+            small = build_forest(dg, p).filtration
+            for omega in {x for _, x in fc.gens_zero}:
+                r = f.filtration.span[omega][0]
+                pieces = list(dict.fromkeys(
+                    small.class_of(v, r)
+                    for v in sorted(omega.vertex_set & d.vertex_set)))
+                assert pieces == components(Subgraph(
+                    dg, omega.vertex_set & d.vertex_set,
+                    omega.edge_set & d.edge_set))
+                pairs += 1
+    assert pairs > 1000
