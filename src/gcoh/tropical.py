@@ -260,18 +260,23 @@ class EnumerationCapExceeded(ValueError):
     pass
 
 
-def _close_edge(reach: list[int], x: int, y: int) -> Optional[list[int]]:
-    """A copy of the transitive closure `reach` (node -> bitmask of the
-    nodes reachable from it) with an edge's arcs x -> y and its mirror
-    y ^ 1 -> x ^ 1 added; None if they close a cycle."""
-    reach = reach[:]
+def _close_edge(reach: int, w: int, col: int, x: int, y: int) -> Optional[int]:
+    """The transitive closure `reach` with an edge's arcs x -> y and its
+    mirror y ^ 1 -> x ^ 1 added; None if they close a cycle.
+
+    The closure is one int: row z, bits z*w .. z*w + w - 1, is the
+    bitmask of the nodes reachable from node z, and `col` has bit z*w set
+    for every row.  An arc tail -> head ORs head's row and head itself
+    into tail's row and every row holding tail: one bit per such row, at
+    its low end, times that w-bit mask, which cannot carry into the next
+    row.
+    """
+    full = (1 << w) - 1
     for tail, head in ((x, y), (y ^ 1, x ^ 1)):
-        if reach[head] >> tail & 1:
+        if reach >> (head * w + tail) & 1:
             return None
-        gained = reach[head] | 1 << head
-        for z, r in enumerate(reach):
-            if z == tail or r >> tail & 1:
-                reach[z] = r | gained
+        gained = (reach >> head * w & full) | 1 << head
+        reach |= ((reach >> tail & col) | 1 << tail * w) * gained
     return reach
 
 
@@ -298,16 +303,20 @@ def _live_edge_sets(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
     edge between chosen vertices must join opposite sides.  The walks
     are the cycles of a digraph on (vertex, parity), node 2v + parity: a
     chosen edge uv goes from parity 0 to 1 (both ways round), a left-out
-    edge from 1 to 0 once both its ends are chosen.
+    edge from 1 to 0 once both its ends are chosen.  Its transitive
+    closure is one int of 2n rows, 2n bits each (see `_close_edge`), so
+    a branch passes its closure on and backtracking copies nothing.
     """
     inc = [0] * n
     for j, (u, v) in enumerate(edges):
         inc[u] |= 1 << j
         inc[v] |= 1 << j
     out = [(1 << k, 0, inc[k]) for k in range(n)]
+    w = 2 * n  # the closure's row width: one bit per node
+    col = sum(1 << z * w for z in range(w))
 
     def grow(decided: int, picked: int, verts: int, odd: int, touch: int,
-             reach: list[int]) -> None:
+             reach: int) -> None:
         free = touch & ~decided
         if not free:
             out.append((verts, picked, touch))
@@ -319,24 +328,24 @@ def _live_edge_sets(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
             u, v = v, u  # u is chosen
         new = not verts >> v & 1
         if new or (odd >> u ^ odd >> v) & 1:
-            closure = _close_edge(reach, 2 * u, 2 * v + 1)
+            closure = _close_edge(reach, w, col, 2 * u, 2 * v + 1)
             # the left-out edges from a new vertex back to the chosen ones
             left = inc[v] & decided & ~picked & ~low if new else 0
             for a, b in _pick(edges, left):
-                w = a + b - v
-                if closure is not None and verts >> w & 1:
-                    closure = _close_edge(closure, 2 * w + 1, 2 * v)
+                t = a + b - v
+                if closure is not None and verts >> t & 1:
+                    closure = _close_edge(closure, w, col, 2 * t + 1, 2 * v)
             if closure is not None:
                 grow(decided, picked | low, verts | 1 << v,
                      odd | (~odd >> u & 1) << v, touch | inc[v], closure)
-        closure = reach if new else _close_edge(reach, 2 * u + 1, 2 * v)
+        closure = reach if new else _close_edge(reach, w, col, 2 * u + 1, 2 * v)
         if closure is not None:
             grow(decided, picked, verts, odd, touch, closure)
 
     for i, (u, v) in enumerate(edges):
         low = 1 << i
         grow((low << 1) - 1, low, 1 << u | 1 << v, 1 << v, inc[u] | inc[v],
-             _close_edge([0] * (2 * n), 2 * u, 2 * v + 1))
+             _close_edge(0, w, col, 2 * u, 2 * v + 1))
     return out
 
 

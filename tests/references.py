@@ -32,7 +32,6 @@ from gcoh.tropical import (
     TropicalValue,
     UNIT,
     Var,
-    _close_edge,
     _factor_rows,
     _negated_min,
     _pick,
@@ -192,6 +191,21 @@ def spans(adj: list[int]) -> bool:
     return seen == (1 << len(adj)) - 1
 
 
+def close_edge(reach: list[int], x: int, y: int) -> Optional[list[int]]:
+    """A copy of the transitive closure `reach` (node -> bitmask of the
+    nodes reachable from it) with an edge's arcs x -> y and its mirror
+    y ^ 1 -> x ^ 1 added; None if they close a cycle."""
+    reach = reach[:]
+    for tail, head in ((x, y), (y ^ 1, x ^ 1)):
+        if reach[head] >> tail & 1:
+            return None
+        gained = reach[head] | 1 << head
+        for z, r in enumerate(reach):
+            if z == tail or r >> tail & 1:
+                reach[z] = r | gained
+    return reach
+
+
 def live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Index tuples into `edges` (pairs of vertex numbers below k) of
     the live edge sets: connected, spanning the k vertices, bipartite,
@@ -218,7 +232,7 @@ def live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, 
             return
         u, v = edges[i]
         if comp[u] != comp[v] or side[u] != side[v]:
-            closure = _close_edge(reach, 2 * u, 2 * v + 1)
+            closure = close_edge(reach, 2 * u, 2 * v + 1)
             if closure is not None:
                 joined, sides = comp, side
                 if comp[u] != comp[v]:  # merge v's class into u's
@@ -233,7 +247,7 @@ def live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, 
         dropped[u] &= ~(1 << v)
         dropped[v] &= ~(1 << u)
         if spans(dropped):
-            closure = _close_edge(reach, 2 * u + 1, 2 * v)
+            closure = close_edge(reach, 2 * u + 1, 2 * v)
             if closure is not None:
                 search(i + 1, comp, side, closure, dropped)
 

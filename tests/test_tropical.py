@@ -32,6 +32,7 @@ from gcoh.tropical import (
     TropicalValue,
     UNIT,
     Var,
+    _close_edge,
     _factor,
     elementary_symmetric,
     eval_expr,
@@ -46,6 +47,7 @@ from gcoh.tropical import (
 )
 from references import (
     candidates_by_vertex_set,
+    close_edge,
     eval_gcd_product,
     factor_rows_by_name,
     min_valuation,
@@ -648,6 +650,47 @@ def test_live_factors_match_the_search_per_vertex_set():
     graphs.append(graph_with(rng, 10, 14))
     for g in graphs:
         assert factor_rows_by_name(g) == list(candidates_by_vertex_set(g)), g
+
+
+def test_packed_closure_matches_the_list_closure():
+    """The search's closure, one int with a w-bit row per node, adds each
+    arc and its mirror as the list of rows does: it refuses exactly the
+    same arcs, and after each accepted one row z of the int is the list's
+    row z.  Rows run to 24 bits wide, past the 20 of the default cap."""
+    rng = random.Random(31)
+    refused = accepted = 0
+    for n in range(1, 13):
+        w = 2 * n
+        col = sum(1 << z * w for z in range(w))
+        full = (1 << w) - 1
+        for _ in range(20):
+            packed, rows = 0, [0] * w
+            for _ in range(3 * n):
+                x, y = rng.randrange(w), rng.randrange(w)
+                got, want = _close_edge(packed, w, col, x, y), close_edge(rows, x, y)
+                assert (got is None) == (want is None), (n, x, y, rows)
+                if want is None:
+                    refused += 1
+                    continue
+                assert [got >> z * w & full for z in range(w)] == want, (n, x, y)
+                assert got >> w * w == 0
+                packed, rows = got, want
+                accepted += 1
+    assert refused > 500 and accepted > 2000, (refused, accepted)
+
+
+def test_z_gamma_past_the_default_cap(monkeypatch):
+    """With the cap raised to 12, sparse 11- and 12-vertex graphs (closure
+    rows 22 and 24 bits wide) still give the 3-torsion exponent."""
+    monkeypatch.setenv("GCOH_MAX_SUBGRAPHS", "12")
+    rng = random.Random(32)
+    for n, m in ((11, 15), (12, 16)):
+        g = graph_with(rng, n, m)
+        z = z_gamma(g)
+        for _ in range(4):
+            a = {v: rng.randint(0, 3) for v in g.vertices}
+            g3 = WeightedGraph({v: 3 ** a[v] for v in g.vertices}, g.edges)
+            assert eval_expr(z, a) == tval(torsion_order_p(full_subgraph(g3), 3)), (g, a)
 
 
 INFINITE = float("inf")
