@@ -15,14 +15,17 @@ other matrix goes through the SNF as it is.  Callers that read only the
 divisors and the rank hand over the tall orientation (they do not
 change under transposition), kernels read V (row compression keeps the
 kernel), and solving goes through the block (`SmithDecomposition.solve`).
-Pivots are entries of minimal absolute value, to keep coefficient
-growth down.  S is diagonal; its divisor chain comes from gcd/lcm on the
-scalars.  The SNF takes A's rows as they are, the column order
-relabels their keys, and both eliminations run on dict rows without
-changing their input, the Hermite one with a column index and the Smith
-one without (its blocks are small or square, where scanning the rows is
-cheaper than keeping an index).  H, U, S, V, R and C are the rows they
-built, and the multiply-back products walk only their nonzero entries.
+The Hermite block is built by inserting A's rows one at a time into an
+echelon basis that stays reduced, so no entry above a pivot outgrows
+it; the Smith pivots are entries of minimal absolute value.  Both keep
+coefficient growth down.  S is diagonal; its divisor chain comes from
+gcd/lcm on the scalars.  The SNF takes A's rows as they are, the column
+order relabels their keys, and both eliminations run on dict rows
+without changing their input and without a column index (the Smith
+blocks are small or square, where scanning the rows is cheaper than
+keeping one; a Smith column swap permutes two index lists, not the
+rows' keys).  H, U, S, V, R and C are the rows they built, and the
+multiply-back products walk only their nonzero entries.
 """
 
 from __future__ import annotations
@@ -280,7 +283,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     if a.rows - n >= COMPRESS_MIN_GAP:
         order = _min_degree_order(rows, n)
         back = sorted(range(n), key=order.__getitem__)  # order's inverse
-        h, c, r = _hermite_rows([{back[j]: x for j, x in row.items()} for row in rows], n)
+        h, c, r = _hermite_rows([{back[j]: x for j, x in row.items()} for row in rows])
         u, s, v = _smith(h, len(h), n)
         h = IntMatrix([{order[k]: x for k, x in row.items()} for row in h], n)
         v = IntMatrix([v.data[k] for k in back], n)
@@ -335,71 +338,101 @@ def _min_degree_order(rows: Sequence[dict[int, int]], n: int) -> list[int]:
     return order
 
 
-def _hermite_rows(rows: Sequence[dict[int, int]], n: int):
+def _hermite_rows(rows: Sequence[dict[int, int]]):
     """(H, C, R) with rows == C @ H and H == R @ rows, the sparse rows left
-    as they are: H is an echelon block, kept as its sparse rows.
+    as they are: H is an echelon block, kept as its sparse rows, and
+    reduced: every entry above a pivot p has absolute value at most |p|/2.
 
-    Column by column, the row with the least absolute entry (the first
-    among ties) is the pivot and reduces the rows below it to their least
-    remainders until the column is clear under it; colrows[j] indexes the
-    unfinished sparse rows with a nonzero in column j, and the pass that
-    leaves the remainders also finds the least of them, the next pivot.
-    The steps of one pass touch distinct rows through the same pivot row,
-    so their order in the log does not change R.  R replays the log
-    backwards on sparse columns; C is solved back over the nonzeros of H,
-    where a pivot alone clears the leading entry of each remainder.
+    The rows enter one at a time into a basis with one row per pivot
+    column (Kannan and Bachem, SIAM J. Comput. 8(4), 1979), latest last
+    column first, ties by row index.  An entering row's leading entry is
+    cleared against the basis row of its column: by one row step when the
+    pivot divides it, else by a 2 x 2 extended-gcd step that leaves the
+    gcd in the basis row.  At a column with no basis row the entering row
+    becomes one.  A new or changed basis row has its entries at the later
+    pivot columns reduced to symmetric remainders, and so have the basis
+    rows above it at its pivot column, so no entry outgrows the pivot
+    below it (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  A
+    row's keys are walked upward on a heap, so no row is sorted.  R
+    replays the step log backwards on sparse columns; C is solved back
+    over the nonzeros of H, where a pivot alone clears the leading entry
+    of each remainder.
     """
     s = [dict(row) for row in rows]
-    colrows: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(s):
-        for j in row:
-            colrows[j].add(i)
-    log: list[tuple[int, int, Optional[int]]] = []  # row dst += c * row src; c None: swap
-    t = 0
-    for j, col in enumerate(colrows):
-        nxt = min([(abs(s[i][j]), i) for i in col], default=None)  # (|entry|, row)
-        while nxt is not None:
-            piv = nxt[1]
-            if piv != t:
-                for k in s[t].keys() ^ s[piv].keys():
-                    colrows[k] ^= {t, piv}  # the one of the two rows with a nonzero moves
-                s[t], s[piv] = s[piv], s[t]
-                log.append((t, piv, None))
-            top, p = s[t], s[t][j]
-            nxt = (abs(p), t)  # the next pivot: least over t and the nonzero remainders
-            for i in list(col):  # col holds no finished row
-                if i == t:
-                    continue
-                row = s[i]
-                q, rem = divmod(row[j], p)
-                if 2 * abs(rem) > abs(p):
-                    q += 1
-                for k, y in top.items():
-                    z = row.pop(k, 0) - q * y
-                    if z:
-                        row[k] = z
-                        colrows[k].add(i)
-                    else:
-                        colrows[k].discard(i)
-                log.append((i, t, -q))
-                if j in row and (x := (abs(row[j]), i)) < nxt:
-                    nxt = x
-            if len(col) == 1:  # every remainder was zero: the column is clear under t
-                for k in top:
-                    colrows[k].discard(t)
-                t += 1
+    basis: dict[int, int] = {}  # pivot column -> its row of s
+    # (dst, src, c): row dst += c * row src;
+    # (i, j, a, b, c, d): rows i and j become a*i + b*j and c*i + d*j
+    log: list[tuple[int, ...]] = []
+
+    def step(i: int, q: int, b: int, k: int, heap: list[int]) -> None:
+        # row i -= q * basis row b of column k, whose later keys join the heap
+        _add_scaled(s[i], -q, s[b].items())
+        log.append((i, b, -q))
+        for j in s[b]:
+            if j > k:
+                heappush(heap, j)
+
+    def reduce(i: int, heap: list[int]) -> None:
+        # basis row i's entries at the pivot columns on the heap (all past
+        # its own) to symmetric remainders, upward
+        row, done = s[i], -1
+        while heap:
+            k = heappop(heap)
+            if k > done and k in row and k in basis:
+                done, b = k, basis[k]
+                if q := _nearest(row[k], s[b][k]):
+                    step(i, q, b, k, heap)
+
+    def settle(b: int, k: int) -> None:
+        # basis row b is new or changed at pivot column k
+        top = s[b]
+        reduce(b, _later(top, k))
+        p = top[k]
+        for e in basis.values():
+            if e != b and k in s[e] and (q := _nearest(s[e][k], p)):
+                heap: list[int] = []
+                step(e, q, b, k, heap)
+                reduce(e, heap)
+
+    for i in sorted(range(len(s)), key=lambda i: (-max(s[i], default=-1), i)):
+        row, heap, done = s[i], _later(s[i], -1), -1
+        while heap:
+            k = heappop(heap)
+            if k <= done or k not in row:
+                continue  # seen already, or cleared since it was pushed
+            done = k
+            b = basis.get(k)
+            if b is None:
+                basis[k] = i
+                settle(i, k)
                 break
-    r_cols: list[dict[int, int]] = [{i: 1} if i < t else {} for i in range(len(rows))]
-    for dst, src, c in reversed(log):
-        if c is None:
-            r_cols[dst], r_cols[src] = r_cols[src], r_cols[dst]
-        else:
+            p, x = s[b][k], row[k]
+            if x % p == 0:
+                step(i, x // p, b, k, heap)
+                continue
+            g, a, c = _xgcd(p, x)
+            s[b], s[i] = _combine(a, s[b], c, row), _combine(-x // g, s[b], p // g, row)
+            log.append((b, i, a, c, -x // g, p // g))
+            row, heap = s[i], _later(s[i], k)
+            settle(b, k)
+    order = [basis[k] for k in sorted(basis)]  # H's rows, top to bottom
+    t = len(order)
+    r_cols: list[dict[int, int]] = [{} for _ in rows]
+    for k, i in enumerate(order):
+        r_cols[i] = {k: 1}
+    for op in reversed(log):
+        if len(op) == 3:
+            dst, src, c = op
             _add_scaled(r_cols[src], c, r_cols[dst].items())
-    del s[t:], colrows, log  # freed before C and R are built; s is H
+        else:
+            i, j, a, b, c, d = op
+            x, y = r_cols[i], r_cols[j]
+            r_cols[i], r_cols[j] = _combine(a, x, c, y), _combine(b, x, d, y)
+    h = [s[i] for i in order]
+    del s, log  # freed before C is built
     pivots = {}  # pivot column -> (row of H, pivot entry, the row's other nonzeros)
-    for k, row in enumerate(s):
-        (j, lead), *tail = sorted(row.items())
-        pivots[j] = (k, lead, tail)
+    for k, (j, row) in enumerate(zip(sorted(basis), h)):
+        pivots[j] = (k, row[j], [(c, x) for c, x in row.items() if c != j])
     c_rows = []
     for row in rows:
         rest, c = dict(row), {}  # rest is emptied as C is solved
@@ -408,7 +441,36 @@ def _hermite_rows(rows: Sequence[dict[int, int]], n: int):
             q = c[k] = rest.pop(j) // lead
             _add_scaled(rest, -q, tail)
         c_rows.append(c)
-    return s, IntMatrix(c_rows, t), IntMatrix(r_cols, t).transpose()
+    return h, IntMatrix(c_rows, t), IntMatrix(r_cols, t).transpose()
+
+
+def _later(row: dict[int, int], k: int) -> list[int]:
+    """A heap of row's keys past k."""
+    heap = [j for j in row if j > k]
+    heapify(heap)
+    return heap
+
+
+def _nearest(x: int, p: int) -> int:
+    """The q with |x - q p| <= |p| / 2: x - q p is the symmetric remainder."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x a + y b."""
+    x, y, u, v = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x, y, u, v = b, r, u, v, x - q * u, y - q * v
+    return (a, x, y) if a > 0 else (-a, -x, -y)
+
+
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
+    """a x + b y on sparse vectors, keeping only the nonzeros."""
+    out = {k: a * z for k, z in x.items()} if a else {}
+    _add_scaled(out, b, y.items())
+    return out
 
 
 def _add_scaled(dst: dict[int, int], c: int, src: Iterable[tuple[int, int]]) -> None:
@@ -427,13 +489,17 @@ def _smith(rows: Sequence[dict[int, int]], m: int, n: int):
     S is kept by sparse rows, U by sparse rows and V by sparse columns, so
     every step costs the nonzeros it touches.  Rows above the current
     pivot are finished (zero off the diagonal) and rows from the pivot
-    down are zero left of it, so a column swap or step touches only the
-    rows from the pivot down, and a row's entries are all at or right of
-    the pivot column.
+    down are zero left of it, so a step touches only the rows from the
+    pivot down, and a row's entries are all at or right of the pivot
+    column.  A column swap touches no row: the rows from the pivot down
+    keep their keys, `key` maps a logical column to its key there and
+    `col` maps back, and a finished row is written under its logical
+    column.
     """
     s = [dict(row) for row in rows]
     u: list[dict[int, int]] = [{i: 1} for i in range(m)]
     vt: list[dict[int, int]] = [{j: 1} for j in range(n)]
+    key, col = list(range(n)), list(range(n))
     low: list[Optional[int]] = [None] * m  # least |x| of row i's entries; None: stale
     t = 0
     while t < min(m, n):
@@ -456,51 +522,48 @@ def _smith(rows: Sequence[dict[int, int]], m: int, n: int):
                     break
         if pivot is None:
             break
-        j = min([k for k, x in s[pivot].items() if abs(x) == best])
+        j = min([col[k] for k, x in s[pivot].items() if abs(x) == best])
         if pivot != t:
             s[t], s[pivot] = s[pivot], s[t]
             u[t], u[pivot] = u[pivot], u[t]
             low[t], low[pivot] = low[pivot], low[t]
         if j != t:
-            for row in s[t:]:
-                x, y = row.pop(t, 0), row.pop(j, 0)
-                if y:
-                    row[t] = y
-                if x:
-                    row[j] = x
+            col[key[t]], col[key[j]] = j, t
+            key[t], key[j] = key[j], key[t]
             vt[t], vt[j] = vt[j], vt[t]
 
+        kt = key[t]
         top, u_top = s[t], u[t]
-        p = top[t]
+        p = top[kt]
         live = [top]  # rows a column step changes: nonzero in column t
         for i in range(t + 1, m):
             row = s[i]
-            x = row.get(t)
+            x = row.get(kt)
             if x:
                 c = -(x // p)
                 _add_scaled(row, c, top.items())
                 _add_scaled(u[i], c, u_top.items())
                 low[i] = None
-                if t in row:
+                if kt in row:
                     live.append(row)
         dirty = len(live) > 1
         v_top = vt[t].items()
-        for j, x in [(j, x) for j, x in top.items() if j != t]:
+        for k, x in [(k, x) for k, x in top.items() if k != kt]:
             c = -(x // p)
             for row in live:
-                y = row.get(j, 0) + c * row[t]
+                y = row.get(k, 0) + c * row[kt]
                 if y:
-                    row[j] = y
+                    row[k] = y
                 else:
-                    del row[j]
-            _add_scaled(vt[j], c, v_top)
-            dirty = dirty or j in top
+                    del row[k]
+            _add_scaled(vt[col[k]], c, v_top)
+            dirty = dirty or k in top
         if dirty:
             low[t] = None  # the rows of `live` other than top were stepped
             continue  # smaller remainders exist; re-pick the pivot
 
+        s[t] = {t: abs(p)}
         if p < 0:
-            s[t] = {t: -p}
             u[t] = {k: -x for k, x in u_top.items()}
         t += 1
 

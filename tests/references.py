@@ -20,7 +20,7 @@ from gcoh.graphs import (
     p_valuation,
     reduction,
 )
-from gcoh.intlinalg import IntMatrix
+from gcoh.intlinalg import IntMatrix, _add_scaled
 from gcoh.tropical import (
     INF,
     ClampAtZero,
@@ -100,6 +100,84 @@ def zero_matrix(rows: int, cols: int) -> IntMatrix:
 
 def identity_matrix(n: int) -> IntMatrix:
     return IntMatrix([{i: 1} for i in range(n)], n)
+
+
+def hermite_rows_by_columns(rows: Sequence[dict[int, int]], n: int):
+    """(H, C, R) with rows == C @ H and H == R @ rows, the sparse rows left
+    as they are: H is an echelon block, kept as its sparse rows, reduced
+    below its pivots but not above them.  The column elimination that
+    `intlinalg._hermite_rows` replaced, kept as its reference.
+
+    Column by column, the row with the least absolute entry (the first
+    among ties) is the pivot and reduces the rows below it to their least
+    remainders until the column is clear under it; colrows[j] indexes the
+    unfinished sparse rows with a nonzero in column j, and the pass that
+    leaves the remainders also finds the least of them, the next pivot.
+    The steps of one pass touch distinct rows through the same pivot row,
+    so their order in the log does not change R.  R replays the log
+    backwards on sparse columns; C is solved back over the nonzeros of H,
+    where a pivot alone clears the leading entry of each remainder.
+    """
+    s = [dict(row) for row in rows]
+    colrows: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(s):
+        for j in row:
+            colrows[j].add(i)
+    log: list[tuple[int, int, Optional[int]]] = []  # row dst += c * row src; c None: swap
+    t = 0
+    for j, col in enumerate(colrows):
+        nxt = min([(abs(s[i][j]), i) for i in col], default=None)  # (|entry|, row)
+        while nxt is not None:
+            piv = nxt[1]
+            if piv != t:
+                for k in s[t].keys() ^ s[piv].keys():
+                    colrows[k] ^= {t, piv}  # the one of the two rows with a nonzero moves
+                s[t], s[piv] = s[piv], s[t]
+                log.append((t, piv, None))
+            top, p = s[t], s[t][j]
+            nxt = (abs(p), t)  # the next pivot: least over t and the nonzero remainders
+            for i in list(col):  # col holds no finished row
+                if i == t:
+                    continue
+                row = s[i]
+                q, rem = divmod(row[j], p)
+                if 2 * abs(rem) > abs(p):
+                    q += 1
+                for k, y in top.items():
+                    z = row.pop(k, 0) - q * y
+                    if z:
+                        row[k] = z
+                        colrows[k].add(i)
+                    else:
+                        colrows[k].discard(i)
+                log.append((i, t, -q))
+                if j in row and (x := (abs(row[j]), i)) < nxt:
+                    nxt = x
+            if len(col) == 1:  # every remainder was zero: the column is clear under t
+                for k in top:
+                    colrows[k].discard(t)
+                t += 1
+                break
+    r_cols: list[dict[int, int]] = [{i: 1} if i < t else {} for i in range(len(rows))]
+    for dst, src, c in reversed(log):
+        if c is None:
+            r_cols[dst], r_cols[src] = r_cols[src], r_cols[dst]
+        else:
+            _add_scaled(r_cols[src], c, r_cols[dst].items())
+    del s[t:], colrows, log  # freed before C and R are built; s is H
+    pivots = {}  # pivot column -> (row of H, pivot entry, the row's other nonzeros)
+    for k, row in enumerate(s):
+        (j, lead), *tail = sorted(row.items())
+        pivots[j] = (k, lead, tail)
+    c_rows = []
+    for row in rows:
+        rest, c = dict(row), {}  # rest is emptied as C is solved
+        while rest:
+            k, lead, tail = pivots[j := min(rest)]
+            q = c[k] = rest.pop(j) // lead
+            _add_scaled(rest, -q, tail)
+        c_rows.append(c)
+    return s, IntMatrix(c_rows, t), IntMatrix(r_cols, t).transpose()
 
 
 # --- tropical semiring -------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ from gcoh.intlinalg import (
     span_exponent_mod,
 )
 from gcoh.verify import random_connected
-from references import identity_matrix, zero_matrix
+from references import hermite_rows_by_columns, identity_matrix, zero_matrix
 
 
 def minors_gcd(a: IntMatrix, k: int) -> int:
@@ -574,7 +575,7 @@ def test_snf_matches_the_forest_at_benchmark_scale(n, seed):
         assert a.rows - h1.rank == n - bipartite
         if n == 200 and p == 3:
             # the elimination in the original column order: same divisors
-            block = intlinalg._hermite_rows(a.data, a.cols)[0]
+            block = intlinalg._hermite_rows(a.data)[0]
             unordered = intlinalg._smith(block, len(block), a.cols)
             want = intlinalg.SmithDecomposition(*unordered).divisors
             assert h1 == AbelianGroup(a.rows - len(want),
@@ -608,18 +609,23 @@ def decomposition_digest(dec) -> str:
     return hashlib.sha256(repr([m.entries for m in parts]).encode()).hexdigest()
 
 
-# d0 of seeded graphs on both paths; the digests were recorded with the
-# dense elimination, so a rewrite of it must take the same pivots.
+# d0 of seeded graphs on both paths.  The full-path digest was recorded
+# with the dense Smith elimination, so a rewrite of it must take the same
+# pivots.  The three compressed digests were re-recorded when the Hermite
+# block came to be built by row insertion (a different, reduced H, so new
+# U, V, C and R); the divisors did not change, and
+# test_row_insertion_matches_the_column_elimination_on_d0 checks the new
+# block against the column elimination it replaced.
 PINNED_DECOMPOSITIONS = {
     "sparse-unit-110": (
         lambda: sparse_graph(random.Random(7), 110, 3), True,
-        "6777e8c1b10d48c3f8b620b8e7c798b48f4424eeb136f522cf934ee76cf21a3d"),
+        "0a81760400ad49f98e53eea135c17be4e1b92001f6e444d553c596a312989374"),
     "dense-ppower-36": (
         lambda: dense_graph(random.Random(36), 36, 0.32, lambda r: 3 ** r.randint(0, 3)),
-        True, "ce9887ec8ee8ffa5a0fc11053381c69187cd202455cd31407fe3befcf16f23a1"),
+        True, "f0c3be358833e184d5a1432272ea72d9f34f4d3295a56da66f2f22495e13fc6a"),
     "dense-generic-18": (
         lambda: dense_graph(random.Random(18), 18, 0.5, lambda r: r.randint(1, 10 ** 6)),
-        True, "c38013a71bfddc86a8c4d1105ce394ad54de61e551e3d75554e3f8002a1966cc"),
+        True, "11f5cc8c681392fd38b8d4ec2541bd36ec738edf4b320d100b1545847196f859"),
     "full-path-30": (
         lambda: sparse_graph(random.Random(30), 30, 5), False,
         "96743c1f11fe01c71d9c36d8f20ce3a0c2a04ec0970c88ddd599299a71be595d"),
@@ -743,7 +749,7 @@ def test_eliminations_leave_their_input_rows_unchanged():
         rows = matrix([[rng.choice(ZERO_HEAVY) for _ in range(n)] for _ in range(m)],
                       ncols=n).data
         given = repr(rows)
-        block = intlinalg._hermite_rows(rows, n)[0]
+        block = intlinalg._hermite_rows(rows)[0]
         assert repr(rows) == given
         for s in (rows, block):
             before = repr(s)
@@ -751,6 +757,89 @@ def test_eliminations_leave_their_input_rows_unchanged():
             assert repr(s) == before
         shapes.add((m > 0, n > 0))
     assert len(shapes) == 4  # 0-row and 0-column shapes were drawn
+
+
+# --- the Hermite block by row insertion against the column elimination ------
+
+def is_reduced_echelon(h: Sequence[dict[int, int]]) -> bool:
+    """Leading columns strictly increase, and every entry above a pivot p
+    has absolute value at most |p|/2."""
+    leads = [min(row) for row in h]
+    return (leads == sorted(set(leads))
+            and all(2 * abs(h[i].get(j, 0)) <= abs(h[k][j])
+                    for k, j in enumerate(leads) for i in range(k)))
+
+
+def assert_blocks_agree(rows: list[dict[int, int]], n: int) -> None:
+    """Both eliminations certify their blocks, which have the same row
+    count and the same divisors; the row insertion's block is reduced."""
+    a = IntMatrix(rows, n)
+    blocks = (intlinalg._hermite_rows(rows), hermite_rows_by_columns(rows, n))
+    divisors = []
+    for h, c, r in blocks:
+        assert matmul(c, IntMatrix(h, n)) == a and matmul(r, a) == IntMatrix(h, n)
+        divisors.append(intlinalg.SmithDecomposition(*intlinalg._smith(h, len(h), n)).divisors)
+    assert len(blocks[0][0]) == len(blocks[1][0]) and divisors[0] == divisors[1]
+    assert is_reduced_echelon(blocks[0][0])
+
+
+ORACLE_FAMILIES = {
+    "dense-ppower": lambda rng, p: dense_graph(rng, rng.randint(32, 40), 0.32,
+                                               lambda r: p ** r.randint(0, 3)),
+    "dense-generic": lambda rng, p: dense_graph(rng, rng.randint(16, 20), 0.5,
+                                                lambda r: r.randint(1, 10 ** 6)),
+    "sparse-unit": lambda rng, p: sparse_graph(rng, rng.randint(80, 110), p),
+}
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_row_insertion_matches_the_column_elimination_on_d0(family):
+    # in the elimination's column order, as the compressed path runs it
+    for seed in range(6):
+        rng = random.Random(seed)
+        a = d0_matrix(full_subgraph(ORACLE_FAMILIES[family](rng, (3, 5)[seed % 2])))
+        order = intlinalg._min_degree_order(a.data, a.cols)
+        back = sorted(range(a.cols), key=order.__getitem__)
+        assert_blocks_agree([{back[j]: x for j, x in row.items()} for row in a.data], a.cols)
+
+
+def test_row_insertion_matches_the_column_elimination_on_zero_heavy_shapes():
+    rng = random.Random(23)
+    shapes = set()
+    for _ in range(600):
+        m, n = rng.randint(0, 14), rng.randint(0, 10)
+        rows = [tuple(rng.choice(ZERO_HEAVY) for _ in range(n)) for _ in range(m)]
+        assert_blocks_agree(matrix(rows, ncols=n).data, n)
+        shapes.add((m > 0, n > 0))
+    assert len(shapes) == 4  # 0-row and 0-column shapes were drawn
+
+
+def generic_weight_graph(seed: int, n: int) -> WeightedGraph:
+    """A random tree on n vertices plus random extra edges up to 1.5 n,
+    with weights b**k * u: b from {1, 2, 3, 4, 5, 6, 9, 15, 45}, k in
+    0..3 and u from {1, 7, 77}."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+    while len(edges) < 3 * n // 2:
+        i, j = sorted(rng.sample(range(n), 2))
+        edges.add((names[i], names[j]))
+    weights = {v: rng.choice((1, 2, 3, 4, 5, 6, 9, 15, 45)) ** rng.randint(0, 3)
+               * rng.choice((1, 7, 77)) for v in names}
+    return WeightedGraph(weights, sorted(edges))
+
+
+@pytest.mark.parametrize("n, seed", [(200, 0), (200, 1), (300, 0), (300, 1)])
+def test_snf_matches_the_forest_on_generic_weights(n, seed):
+    # generic weights once grew the exact transforms to tens of thousands
+    # of bits at n = 300; the forest gives each p-part independently
+    g = generic_weight_graph(seed, n)
+    sub = full_subgraph(g)
+    _, h1 = cohomology_groups(sub)
+    for p in (2, 3, 5, 7):
+        assert list(h1.p_part_exponents(p)) == torsion_structure(build_forest(g, p))
+    bipartite = sum(bipartition(c) is not None for c in components(sub))
+    assert len(g.edges) - h1.rank == n - bipartite
 
 
 def test_matmul_matches_triple_sum_on_seeded_shapes():
