@@ -17,11 +17,12 @@ largest level that matters.
 Everything is read off one `graphs.filtration` sweep: the reduction
 components with their level intervals, minimal valuations and the
 sweep's 2-colourings, which the bipartite ones alone have.  A class's
-node levels are one range, computed from its interval; descent stays in
-a class down to its first node level and leaves it once, to the class of
-a vertex one level down, as covers do; a subgraph is maximal when the
-class above its top level is not a node; a class's boundary valuation is
-its last level.  Membership and the signs of every top are one rule,
+node levels are one range, computed from its interval.  One loop reads
+the cover of each class that is not minimal, the classes of its vertices
+one level below its first node, each a node or a one-vertex extra.
+Descent leaves a class once, at its first node level, to the cover
+holding a vertex of least valuation; a subgraph is maximal when no cover
+holds it.  Membership and the signs of every top are one rule,
 `Filtration.reduced_signs`: a bipartite class takes its colouring, at
 p = 2 a non-bipartite one the colourings one level down.  The tops are
 disjoint, so their signs make one map, `signs`; every subgraph lies
@@ -69,14 +70,15 @@ class FundamentalForest:
                        valuation condition (needed to span vertex sets in
                        the fundamental complex; they carry no nodes)
       sup_level        subgraph or extra -> largest level, None for a tail
-      phi              non-minimal subgraph -> its level-down cover
-      below            subgraph whose first node is not minimal -> the
-                       subgraph that node descends to
+      phi              non-minimal subgraph -> its level-down cover (nodes
+                       and extras), keys in `subgraphs` order
+      below            non-minimal subgraph -> its cover holding the anchor,
+                       the smallest vertex of least valuation
       counted          subgraphs on finite chains (they count the torsion)
       peak_map         minimal node of a finite chain -> its highest node
       signs            vertex under a top -> its top's sign; a subgraph's
                        orientation is the restriction to its vertices
-      maximal          subgraphs whose top node has no node above it
+      maximal          subgraphs that no cover holds
       filtration       the sweep behind all of the above (prime, span...)
     """
 
@@ -139,24 +141,43 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
         c: None if rs[-1] == top and c in filt.colouring else rs[-1]
         for c, rs in levels.items()}
 
-    # Descent stays in a class down to its first node level; from there it
-    # steps one level down through the anchor, the smallest vertex of least
-    # valuation, unless the node is minimal, at level min_val + 1.  Classes
-    # come in order of first node level, so the class below has its root.
+    # One pass over the classes in order of first node level; a minimal
+    # class, first node at min_val + 1, is its chain's root.  Any other
+    # class first appears at its first node level, so its level-down cover
+    # is the classes of its vertices at `lower`, one level down: each is a
+    # node there, so not maximal, or a single vertex of valuation `lower`,
+    # an extra.  Descent steps to the cover holding the anchor, the
+    # smallest vertex of least valuation m < lower, so a node, whose class
+    # comes earlier and has its root.
+    phi: dict[Subgraph, tuple[Subgraph, ...]] = {}
     below: dict[Subgraph, Subgraph] = {}
     root: dict[Subgraph, Subgraph] = {}  # the class of the chain's minimal node
+    covered: set[Subgraph] = set()
+    extras: set[Subgraph] = set()
     order = sorted(subgraphs, key=lambda c: levels[c][0])
     for delta in order:
-        m, lo = filt.min_val[delta], levels[delta][0]
-        if lo == m + 1:
+        m, lower = filt.min_val[delta], levels[delta][0] - 1
+        if lower == m:
             root[delta] = delta
             continue
+        phi[delta] = cover = tuple(sorted(
+            {filt.class_of(v, lower) for v in delta.vertex_set},
+            key=Subgraph.sort_key))
+        for comp in cover:
+            if lower in levels.get(comp, ()):
+                covered.add(comp)
+            elif (len(comp.vertex_set) == 1
+                  and filt.valuation[comp.min_vertex()] == lower):
+                extras.add(comp)
+                sup_level[comp] = lower  # r == m
+            else:
+                raise AssertionError(
+                    f"cover {comp} of {delta} at level {lower} is neither "
+                    f"a node nor a one-vertex extra")
         anchor = min(v for v in delta.vertex_set if filt.valuation[v] == m)
-        below[delta] = filt.class_of(anchor, lo - 1)
-        if lo - 1 not in levels.get(below[delta], ()):
-            raise AssertionError(
-                f"descent from {ForestNode(delta, lo).label()} leaves the forest")
+        below[delta] = filt.class_of(anchor, lower)
         root[delta] = root[below[delta]]
+    phi = {d: phi[d] for d in subgraphs if d in phi}  # the complex's columns
 
     # descent is injective, one class per level of a chain, so a chain's
     # peak is the last level of its last class
@@ -167,71 +188,25 @@ def build_forest(g: WeightedGraph, p: int) -> FundamentalForest:
 
     # the tops are disjoint, so their signs make one map; a tail, which is
     # bipartite, is signed at the top level
-    maximal = []
+    maximal = tuple(d for d in subgraphs if d not in covered)
     signs: dict[str, int] = {}
-    for delta in subgraphs:
+    for delta in maximal:
         sup = sup_level[delta]
-        if (sup is None or sup >= top
-                or sup + 1 not in levels.get(
-                    filt.class_of(delta.min_vertex(), sup + 1), ())):
-            maximal.append(delta)
-            alpha = filt.reduced_signs(delta, top if sup is None else sup)
-            if alpha is None:
-                raise AssertionError(f"unorientable top {delta}")
-            if not signs.keys().isdisjoint(alpha):
-                raise AssertionError(f"top {delta} overlaps another top")
-            signs.update(alpha)
+        alpha = filt.reduced_signs(delta, top if sup is None else sup)
+        if alpha is None:
+            raise AssertionError(f"unorientable top {delta}")
+        if not signs.keys().isdisjoint(alpha):
+            raise AssertionError(f"top {delta} overlaps another top")
+        signs.update(alpha)
 
-    phi, extras = _build_phi(filt, levels, subgraphs)
-    for comp in extras:
-        sup_level[comp] = filt.valuation[comp.min_vertex()]  # r == m
     # every subgraph and extra lies under a top and takes its signs
     unsigned = [d for d in sup_level if not d.vertex_set <= signs.keys()]
     if unsigned:
         raise AssertionError(f"subgraphs outside every top: {unsigned}")
     return FundamentalForest(
-        g, filt, subgraphs, levels, extras, sup_level, phi, below, counted,
-        peak_map, signs, bipartite_components, tuple(maximal))
-
-
-def _build_phi(filt: Filtration, levels: dict[Subgraph, range],
-               subgraphs: tuple[Subgraph, ...]) -> tuple[dict, tuple]:
-    """Level-down cover of each non-minimal subgraph, and the extras.
-
-    The cover of D is the set of components of the reduction of D at its
-    largest internal edge valuation, one below the level where D first
-    appears.  Components that fail the minimal valuation condition are
-    single vertices whose weight valuation equals their boundary
-    valuation; they are returned as extras so the cover always spans V(D).
-    """
-    phi: dict[Subgraph, tuple[Subgraph, ...]] = {}
-    extras: set[Subgraph] = set()
-    for delta in subgraphs:
-        if levels[delta][0] == filt.min_val[delta] + 1:
-            continue  # a minimal subgraph has no cover
-        lower = filt.span[delta][0] - 1
-        if lower < 1:
-            raise AssertionError(
-                f"non-minimal subgraph with no positive-valuation edge: {delta}")
-        children = []
-        for comp in dict.fromkeys(filt.class_of(v, lower) for v in delta.vertices):
-            if lower in levels.get(comp, ()):
-                children.append(comp)
-                continue
-            # must be a single-vertex cover graph with valuation == level
-            if len(comp.vertex_set) != 1:
-                raise AssertionError(
-                    f"uncovered multi-vertex child {comp} of {delta}")
-            v = comp.min_vertex()
-            mv = filt.valuation[v]
-            bv = filt.boundary_valuation(comp)
-            if mv != bv:
-                raise AssertionError(
-                    f"cover vertex {v} has valuation {mv} but boundary {bv}")
-            extras.add(comp)
-            children.append(comp)
-        phi[delta] = tuple(sorted(children, key=Subgraph.sort_key))
-    return phi, tuple(sorted(extras, key=Subgraph.sort_key))
+        g, filt, subgraphs, levels, tuple(sorted(extras, key=Subgraph.sort_key)),
+        sup_level, phi, below, counted, peak_map, signs, bipartite_components,
+        maximal)
 
 
 def torsion_structure(forest: FundamentalForest) -> list[int]:

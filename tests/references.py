@@ -11,7 +11,9 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
+from gcoh.forest import ForestNode
 from gcoh.graphs import (
+    Filtration,
     Subgraph,
     WeightedGraph,
     _adjacency,
@@ -90,6 +92,69 @@ def boundary_valuation(d: Subgraph, p: int) -> Optional[int]:
 def min_valuation(d: Subgraph, p: int) -> int:
     """Smallest p-adic valuation of a vertex weight in d."""
     return min(p_valuation(d.parent.weight[v], p) for v in d.vertex_set)
+
+
+# --- forest ------------------------------------------------------------------
+
+def covers_by_class_lookup(filt: Filtration, levels: dict[Subgraph, range],
+                           subgraphs: tuple[Subgraph, ...]):
+    """(phi, extras, below, maximal) of the forest with node levels
+    `levels`, in three passes: descent through the anchor's class, a
+    subgraph maximal when the class above its top level is not a node,
+    and the covers with their extras, each cover vertex checked against
+    its boundary valuation.  `build_forest` reads all four off one loop
+    over the covers; this is its reference.
+    """
+    top = filt.top
+    below: dict[Subgraph, Subgraph] = {}
+    for delta in sorted(subgraphs, key=lambda c: levels[c][0]):
+        m, lo = filt.min_val[delta], levels[delta][0]
+        if lo == m + 1:
+            continue
+        anchor = min(v for v in delta.vertex_set if filt.valuation[v] == m)
+        below[delta] = filt.class_of(anchor, lo - 1)
+        if lo - 1 not in levels.get(below[delta], ()):
+            raise AssertionError(
+                f"descent from {ForestNode(delta, lo).label()} leaves the forest")
+
+    maximal = []
+    for delta in subgraphs:
+        rs = levels[delta]
+        sup = None if rs[-1] == top and delta in filt.colouring else rs[-1]
+        if (sup is None or sup >= top
+                or sup + 1 not in levels.get(
+                    filt.class_of(delta.min_vertex(), sup + 1), ())):
+            maximal.append(delta)
+
+    phi: dict[Subgraph, tuple[Subgraph, ...]] = {}
+    extras: set[Subgraph] = set()
+    for delta in subgraphs:
+        if levels[delta][0] == filt.min_val[delta] + 1:
+            continue  # a minimal subgraph has no cover
+        lower = filt.span[delta][0] - 1
+        if lower < 1:
+            raise AssertionError(
+                f"non-minimal subgraph with no positive-valuation edge: {delta}")
+        children = []
+        for comp in dict.fromkeys(filt.class_of(v, lower) for v in delta.vertices):
+            if lower in levels.get(comp, ()):
+                children.append(comp)
+                continue
+            # must be a single-vertex cover graph with valuation == level
+            if len(comp.vertex_set) != 1:
+                raise AssertionError(
+                    f"uncovered multi-vertex child {comp} of {delta}")
+            v = comp.min_vertex()
+            mv = filt.valuation[v]
+            bv = filt.boundary_valuation(comp)
+            if mv != bv:
+                raise AssertionError(
+                    f"cover vertex {v} has valuation {mv} but boundary {bv}")
+            extras.add(comp)
+            children.append(comp)
+        phi[delta] = tuple(sorted(children, key=Subgraph.sort_key))
+    return (phi, tuple(sorted(extras, key=Subgraph.sort_key)), below,
+            tuple(maximal))
 
 
 # --- matrices ----------------------------------------------------------------

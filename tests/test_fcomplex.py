@@ -21,7 +21,7 @@ from gcoh.intlinalg import (
     matrix_from_columns,
     smith_normal_form,
 )
-from gcoh.forest import build_forest
+from gcoh.forest import build_forest, forest_to_dot
 from gcoh.fcomplex import (
     CLS0,
     REL0,
@@ -373,6 +373,21 @@ def test_chi_and_restrict_are_pinned():
     assert 0 < refusals < runs // 2
     assert digest.hexdigest() == (
         "5f4a6fd6ff5f9ad51c3e26b9501066246fb0bedd599dd1c7f02251b1baa00422")
+
+
+def test_dot_and_core_are_pinned():
+    # what the chi/restrict pin leaves out: the descent edges (`below`)
+    # through the DOT rendering and the maximal subgraphs through every
+    # part of the oriented core, on the same seeded graphs
+    digest = hashlib.sha256()
+    for p, g, f, _ in _pin_graphs():
+        dec = oriented_core(f)
+        parts = [(c.graph.sort_key(), c.sup_level, c.min_val, c.bipartite,
+                  c.from_forest) for c in dec.per_component]
+        digest.update(repr((p, g, forest_to_dot(f), dec.core.sort_key(),
+                            sorted(dec.special_edges), parts)).encode())
+    assert digest.hexdigest() == (
+        "56357ed298bc0dd7a784c20e42e03e2560a72ca4cd06eb3cbae686e134cb426b")
 
 
 def test_restriction_pieces_are_the_intersection_components():

@@ -3,20 +3,25 @@ import re
 from dataclasses import fields
 from itertools import combinations
 
+import pytest
+
 from gcoh.graphs import (
+    Filtration,
     Subgraph,
     WeightedGraph,
     bipartition,
     components,
     full_subgraph,
     reduction,
+    subgraph_of,
 )
 from gcoh.cohomology import cohomology_groups
 from gcoh.forest import build_forest, forest_to_dot, torsion_structure
 from gcoh.weights import spanning_tree_exponent, weighted_spanning_tree
 from gcoh.orientation import is_orientable
 from gcoh.verify import random_connected
-from references import min_valuation, reduce_graph
+from references import covers_by_class_lookup, min_valuation, reduce_graph
+from test_intlinalg import sparse_graph
 
 
 def k3():
@@ -220,6 +225,53 @@ def test_membership_matches_critical_dimension():
                 assert ((comp, r) in nodes) == want, (g, p, comp, r)
                 checked += 1
     assert checked > 200
+
+
+def forests_for_the_cover_reference():
+    rng = random.Random(29)
+    for i in range(240):
+        p = (2, 3, 5)[i % 3]
+        base = random_connected(rng, 8, p, 4)
+        units = [u for u in range(1, 12) if u % p]
+        yield build_forest(WeightedGraph(
+            {v: base.weight[v] * rng.choice(units) for v in base.vertices},
+            base.edges), p)
+    for i in range(6):
+        p = (2, 3, 5)[i % 3]
+        yield build_forest(sparse_graph(rng, rng.randint(180, 260), p), p)
+
+
+def test_covers_descent_and_maximal_match_the_class_lookups():
+    # the one cover loop against the three passes it replaced: the descent
+    # through the anchor's class, the class-above maximality rule and the
+    # covers with their extras; phi in order, the complex's column order
+    descents = extras = 0
+    for f in forests_for_the_cover_reference():
+        phi, want_extras, below, maximal = covers_by_class_lookup(
+            f.filtration, f.levels, f.subgraphs)
+        assert list(f.phi.items()) == list(phi.items()), f.graph
+        assert f.extras == want_extras, f.graph
+        assert f.below == below, f.graph
+        assert f.maximal == maximal, f.graph
+        descents += len(below)
+        extras += len(want_extras)
+    assert descents >= 300 and extras >= 100  # not vacuous
+
+
+def test_a_cover_that_is_no_node_is_refused(monkeypatch):
+    # At p = 3 the whole graph first appears at level 2, and {b,c}, a
+    # node at level 1, is in its cover.  Refused as a node, {b,c} is
+    # neither a node nor a one-vertex extra: the forest is not built.
+    g = WeightedGraph({"a": 1, "b": 1, "c": 1, "x": 3},
+                      [("a", "x"), ("b", "x"), ("b", "c")])
+    whole, cover = full_subgraph(g), subgraph_of(g, "bc", [("b", "c")])
+    f = build_forest(g, 3)
+    assert cover in f.phi[whole] and 1 in f.levels[cover]
+    signs = Filtration.reduced_signs
+    monkeypatch.setattr(Filtration, "reduced_signs", lambda filt, c, s: (
+        None if c == cover else signs(filt, c, s)))
+    with pytest.raises(AssertionError, match=re.escape(repr(cover))):
+        build_forest(g, 3)
 
 
 def two_adic_bipartition(d, s):
