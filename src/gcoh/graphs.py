@@ -314,14 +314,15 @@ class Filtration(NamedTuple):
         No edge is left at r = 0, so every vertex gets +1.  Below c's
         first level the reduction is the union of the level-r classes
         inside c, each signed by its own colouring; from that level on it
-        is c.
+        is c.  Below that level c's vertices are walked sorted, so the
+        map's key order does not depend on the hash seed.
         """
         if r >= self.span[c][0]:
             return self.colouring.get(c)
         if r == 0:
-            return dict.fromkeys(c.vertex_set, 1)
+            return dict.fromkeys(c.vertices, 1)
         sign: dict[str, int] = {}
-        for cls in dict.fromkeys(self.class_of(v, r) for v in c.vertex_set):
+        for cls in dict.fromkeys(self.class_of(v, r) for v in c.vertices):
             if cls not in self.colouring:
                 return None
             sign.update(self.colouring[cls])

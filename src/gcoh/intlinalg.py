@@ -7,8 +7,8 @@ entries, which are Python ints (arbitrary precision); it is dense only
 when `matrix` reads it and when `entries` writes it out.
 
 One shape rule decides the path.  A matrix with at least
-COMPRESS_MIN_GAP more rows than columns has its columns put in greedy
-minimum-degree order, is row-reduced to an echelon Hermite block H,
+COMPRESS_MIN_GAP more rows than columns has its columns ordered by
+degree, ties by index, is row-reduced to an echelon Hermite block H,
 certified by A == C @ H and H == R @ A, and the SNF runs on H with
 transforms no larger than cols x cols; V absorbs the column order.  Any
 other matrix goes through the SNF as it is.  Callers that read only the
@@ -274,14 +274,15 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     B is A, or its row Hermite block H when A has at least
     COMPRESS_MIN_GAP more rows than columns; there the elimination runs
-    on A P for the column order P of `_min_degree_order`, H keeps A's
-    column order and V = P V'.  A's sparse rows are read as they are and
-    P relabels their keys.  U and V accumulate the row and column
-    operations, and the result passes `check_smith` before return.
+    on A P for the column order P of `_degree_order`, columns by degree,
+    ties by index; H keeps A's column order and V = P V'.  A's sparse
+    rows are read as they are and P relabels their keys.  U and V
+    accumulate the row and column operations, and the result passes
+    `check_smith` before return.
     """
     rows, n = a.data, a.cols
     if a.rows - n >= COMPRESS_MIN_GAP:
-        order = _min_degree_order(rows, n)
+        order = _degree_order(rows, n)
         back = sorted(range(n), key=order.__getitem__)  # order's inverse
         h, c, r = _hermite_rows([{back[j]: x for j, x in row.items()} for row in rows])
         u, s, v = _smith(h, len(h), n)
@@ -307,35 +308,14 @@ def check_smith(a: IntMatrix, dec: SmithDecomposition) -> None:
         raise AssertionError("Smith decomposition failed to multiply back")
 
 
-def _min_degree_order(rows: Sequence[dict[int, int]], n: int) -> list[int]:
-    """The n columns in greedy minimum-degree order of the sparse rows' pattern.
-
-    Two columns are adjacent when they share a row; for d0 that is the
-    graph.  The column of least degree goes next, the lowest index among
-    ties, and its neighbours become a clique: the fill of symmetric
-    elimination (George and Liu, SIAM Rev. 31(1), 1989).
-    """
-    adj: list[set[int]] = [set() for _ in range(n)]
+def _degree_order(rows: Sequence[dict[int, int]], n: int) -> list[int]:
+    """The n columns by degree, the number of sparse rows they meet,
+    ties by index."""
+    degree = [0] * n
     for row in rows:
-        support = list(row)
-        for j in support:
-            adj[j].update(support)
-            adj[j].discard(j)
-    heap = [(len(nb), j) for j, nb in enumerate(adj)]
-    heapify(heap)
-    order: list[int] = []
-    placed = [False] * n
-    while heap:
-        deg, j = heappop(heap)
-        if placed[j] or deg != len(adj[j]):
-            continue  # stale: j is placed, or its degree changed since
-        placed[j] = True
-        order.append(j)
-        for k in adj[j]:
-            adj[k] |= adj[j]
-            adj[k] -= {j, k}
-            heappush(heap, (len(adj[k]), k))
-    return order
+        for j in row:
+            degree[j] += 1
+    return sorted(range(n), key=degree.__getitem__)
 
 
 def _hermite_rows(rows: Sequence[dict[int, int]]):
@@ -354,9 +334,12 @@ def _hermite_rows(rows: Sequence[dict[int, int]]):
     rows above it at its pivot column, so no entry outgrows the pivot
     below it (Domich, Kannan and Trotter, Math. Oper. Res. 12, 1987).  A
     row's keys are walked upward on a heap, so no row is sorted.  R
-    replays the step log backwards on sparse columns; C is solved back
-    over the nonzeros of H, where a pivot alone clears the leading entry
-    of each remainder.
+    replays the step log backwards on sparse columns.  An entering row
+    that clears to zero is no row of H, so its column of R stays zero and
+    its row steps since its last 2 x 2 step (or since it entered) would
+    replay to nothing: they leave the log.  C is solved back over the
+    nonzeros of H, where a pivot alone clears the leading entry of each
+    remainder.
     """
     s = [dict(row) for row in rows]
     basis: dict[int, int] = {}  # pivot column -> its row of s
@@ -395,7 +378,7 @@ def _hermite_rows(rows: Sequence[dict[int, int]]):
                 reduce(e, heap)
 
     for i in sorted(range(len(s)), key=lambda i: (-max(s[i], default=-1), i)):
-        row, heap, done = s[i], _later(s[i], -1), -1
+        row, heap, done, start = s[i], _later(s[i], -1), -1, len(log)
         while heap:
             k = heappop(heap)
             if k <= done or k not in row:
@@ -415,6 +398,9 @@ def _hermite_rows(rows: Sequence[dict[int, int]]):
             log.append((b, i, a, c, -x // g, p // g))
             row, heap = s[i], _later(s[i], k)
             settle(b, k)
+            start = len(log)
+        else:
+            del log[start:]  # row i cleared: these steps would add its zero column of R
     order = [basis[k] for k in sorted(basis)]  # H's rows, top to bottom
     t = len(order)
     r_cols: list[dict[int, int]] = [{} for _ in rows]

@@ -21,7 +21,7 @@ from gcoh.weights import spanning_tree_exponent, weighted_spanning_tree
 from gcoh.orientation import is_orientable
 from gcoh.verify import random_connected
 from references import covers_by_class_lookup, min_valuation, reduce_graph
-from test_intlinalg import sparse_graph
+from test_intlinalg import outputs_under_hash_seeds, sparse_graph
 
 
 def k3():
@@ -123,6 +123,23 @@ def test_forest_deterministic():
     assert ([(n.level, n.graph.sort_key()) for n in f1.nodes]
             == [(n.level, n.graph.sort_key()) for n in f2.nodes])
     assert forest_to_dot(f1) == forest_to_dot(f2)
+
+
+def test_signs_are_independent_of_the_hash_seed():
+    # at p = 2 a top that is not bipartite is signed through its reduction
+    # one level down, which walks the class's vertices; the map's key
+    # order must not follow the hash order of its vertex set
+    code = (
+        "import hashlib, random\n"
+        "from gcoh.forest import build_forest\n"
+        "from gcoh.verify import random_connected\n"
+        "h = hashlib.sha256()\n"
+        "for seed in range(600):\n"
+        "    f = build_forest(random_connected(random.Random(seed), 9, 2, 5), 2)\n"
+        "    h.update(repr(list(f.signs.items())).encode())\n"
+        "print(h.hexdigest())\n")
+    digests = outputs_under_hash_seeds(code, ("0", "1", "2"))
+    assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]
 
 
 def test_minimal_subgraphs_pairwise_disjoint():

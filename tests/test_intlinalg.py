@@ -40,7 +40,12 @@ from gcoh.intlinalg import (
     span_exponent_mod,
 )
 from gcoh.verify import random_connected
-from references import hermite_rows_by_columns, identity_matrix, zero_matrix
+from references import (
+    hermite_rows_by_columns,
+    identity_matrix,
+    min_degree_order,
+    zero_matrix,
+)
 
 
 def minors_gcd(a: IntMatrix, k: int) -> int:
@@ -587,7 +592,7 @@ def test_compressed_transforms_are_unimodular(seed):
     # check_smith proves U @ H @ V == S, not that U and V are invertible
     rng = random.Random(seed)
     a = d0_matrix(full_subgraph(sparse_graph(rng, rng.randint(40, 60), 3)))
-    assert intlinalg._min_degree_order(a.data, a.cols) != list(range(a.cols))
+    assert intlinalg._degree_order(a.data, a.cols) != list(range(a.cols))
     dec = compressed_smith(a)
     assert dec.hermite is not None
     assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
@@ -613,19 +618,22 @@ def decomposition_digest(dec) -> str:
 # with the dense Smith elimination, so a rewrite of it must take the same
 # pivots.  The three compressed digests were re-recorded when the Hermite
 # block came to be built by row insertion (a different, reduced H, so new
-# U, V, C and R); the divisors did not change, and
-# test_row_insertion_matches_the_column_elimination_on_d0 checks the new
-# block against the column elimination it replaced.
+# U, V, C and R), and again when the columns came to be ordered by degree
+# in place of minimum-degree elimination (a different column order, so a
+# different H); the divisors did not change either time.
+# test_row_insertion_matches_the_column_elimination_on_d0 checks the block
+# against the column elimination it replaced, and
+# test_degree_order_matches_the_minimum_degree_order the column order.
 PINNED_DECOMPOSITIONS = {
     "sparse-unit-110": (
         lambda: sparse_graph(random.Random(7), 110, 3), True,
-        "0a81760400ad49f98e53eea135c17be4e1b92001f6e444d553c596a312989374"),
+        "50f95db4d40c8024fcbb91617323827650efeff477d376ca47b7e8086ab7854d"),
     "dense-ppower-36": (
         lambda: dense_graph(random.Random(36), 36, 0.32, lambda r: 3 ** r.randint(0, 3)),
-        True, "f0c3be358833e184d5a1432272ea72d9f34f4d3295a56da66f2f22495e13fc6a"),
+        True, "a368267b7caf0249ac1cfcb1b043ade6f9ff92c76009b48decb13bbaa1118f7b"),
     "dense-generic-18": (
         lambda: dense_graph(random.Random(18), 18, 0.5, lambda r: r.randint(1, 10 ** 6)),
-        True, "11f5cc8c681392fd38b8d4ec2541bd36ec738edf4b320d100b1545847196f859"),
+        True, "a037899b4cae6b70ee55aac7f09ebbb4befc4245b322410a7696fb549265cfb8"),
     "full-path-30": (
         lambda: sparse_graph(random.Random(30), 30, 5), False,
         "96743c1f11fe01c71d9c36d8f20ce3a0c2a04ec0970c88ddd599299a71be595d"),
@@ -641,6 +649,19 @@ def test_decompositions_are_pinned(name):
     assert decomposition_digest(dec) == want
 
 
+def outputs_under_hash_seeds(code: str, seeds: Sequence[str]) -> list[str]:
+    """What `python -c code` prints under each PYTHONHASHSEED, with this
+    package and the tests' directory (argv[1]) importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(intlinalg.__file__).resolve().parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return [subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                           env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
+                           timeout=120, check=True, text=True).stdout
+            for seed in seeds]
+
+
 def test_snf_is_independent_of_the_hash_seed():
     code = (
         "import random, sys\n"
@@ -651,14 +672,7 @@ def test_snf_is_independent_of_the_hash_seed():
         "dec = smith_normal_form(a)\n"
         "assert dec.hermite is not None\n"
         "print(decomposition_digest(dec))\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(intlinalg.__file__).resolve().parent.parent)]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    digests = [subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
-                              env={**env, "PYTHONHASHSEED": seed}, capture_output=True,
-                              timeout=120, check=True, text=True).stdout
-               for seed in ("0", "1")]
+    digests = outputs_under_hash_seeds(code, ("0", "1"))
     assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
@@ -798,7 +812,7 @@ def test_row_insertion_matches_the_column_elimination_on_d0(family):
     for seed in range(6):
         rng = random.Random(seed)
         a = d0_matrix(full_subgraph(ORACLE_FAMILIES[family](rng, (3, 5)[seed % 2])))
-        order = intlinalg._min_degree_order(a.data, a.cols)
+        order = intlinalg._degree_order(a.data, a.cols)
         back = sorted(range(a.cols), key=order.__getitem__)
         assert_blocks_agree([{back[j]: x for j, x in row.items()} for row in a.data], a.cols)
 
@@ -827,6 +841,38 @@ def generic_weight_graph(seed: int, n: int) -> WeightedGraph:
     weights = {v: rng.choice((1, 2, 3, 4, 5, 6, 9, 15, 45)) ** rng.randint(0, 3)
                * rng.choice((1, 7, 77)) for v in names}
     return WeightedGraph(weights, sorted(edges))
+
+
+def eliminated(a: IntMatrix, order_of) -> intlinalg.SmithDecomposition:
+    """smith_normal_form(a), its compressed path ordering the columns by
+    order_of, with H relabelled into that order, where it is echelon."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intlinalg, "_degree_order", order_of)
+        dec = smith_normal_form(a)
+    assert dec.hermite is not None
+    back = sorted(range(a.cols), key=order_of(a.data, a.cols).__getitem__)
+    h = IntMatrix([{back[j]: x for j, x in row.items()} for row in dec.hermite.h.data], a.cols)
+    return replace(dec, hermite=dec.hermite._replace(h=h))
+
+
+@pytest.mark.parametrize("family", [*ORACLE_FAMILIES, "generic-weight-200"])
+def test_degree_order_matches_the_minimum_degree_order(family):
+    # the compressed path under both column orders: each result passed
+    # check_smith, the divisors agree and H is reduced in its own order;
+    # check_smith does not prove U and V invertible, so small ones are
+    # checked by determinant
+    for seed in range(6) if family in ORACLE_FAMILIES else range(2):
+        if family in ORACLE_FAMILIES:
+            g = ORACLE_FAMILIES[family](random.Random(seed), (3, 5)[seed % 2])
+        else:
+            g = generic_weight_graph(seed, 200)
+        a = d0_matrix(full_subgraph(g))
+        decs = [eliminated(a, order_of) for order_of in (intlinalg._degree_order, min_degree_order)]
+        assert decs[0].divisors == decs[1].divisors
+        for dec in decs:
+            assert is_reduced_echelon(dec.hermite.h.data)
+            if a.cols <= 60:
+                assert abs(determinant(dec.u)) == abs(determinant(dec.v)) == 1
 
 
 @pytest.mark.parametrize("n, seed", [(200, 0), (200, 1), (300, 0), (300, 1)])
