@@ -53,8 +53,7 @@ def _load(path: str) -> WeightedGraph:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_cohomology(args) -> int:

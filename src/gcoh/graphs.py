@@ -209,8 +209,8 @@ def _adjacency(g: Subgraph) -> dict[str, list[str]]:
 def _search(g: Subgraph) -> list[tuple[frozenset[str], Optional[dict[str, int]]]]:
     """One breadth-first search over g: per component, in order of
     smallest vertex identifier, its vertex set and its colouring by
-    signs, +1 and -1 opposite across every edge with the smallest vertex
-    +1, or None when an edge joins two equal colours."""
+    signs in vertex order, +1 and -1 opposite across every edge with the
+    smallest vertex +1, or None when an edge joins two equal colours."""
     adj = _adjacency(g)
     sign: dict[str, int] = {}
     found = []
@@ -226,7 +226,7 @@ def _search(g: Subgraph) -> list[tuple[frozenset[str], Optional[dict[str, int]]]
                 elif sign[w] == sign[v]:
                     bipartite = False
         found.append((frozenset(block),
-                      {v: sign[v] for v in block} if bipartite else None))
+                      {v: sign[v] for v in sorted(block)} if bipartite else None))
     return found
 
 

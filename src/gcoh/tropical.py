@@ -21,15 +21,14 @@ the chosen edges have no degree elsewhere.  So one search over the
 graph's edges finds every live factor: it grows connected edge sets and
 cuts a branch at an odd cycle or an alternating closed walk.  A dead
 factor is zero at every valuation, so leaving it out changes no value.
-The search works on vertex and edge numbers, sorted as the names are,
-and each factor is built straight from its bitmasks.
+The search works on vertex and edge numbers counted down from the top
+bit (`_factor_rows`), and each factor is built straight from its bitmasks.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -281,12 +280,12 @@ def _close_edge(reach: int, w: int, col: int, x: int, y: int) -> Optional[int]:
 
 
 def _pick(items: Sequence, mask: int) -> list:
-    """The items at the set bits of `mask`, in order."""
+    """The items at the set bits of `mask`, highest bit first."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(items[low.bit_length() - 1])
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(items[top])
+        mask ^= 1 << top
     return out
 
 
@@ -349,24 +348,27 @@ def _live_edge_sets(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int,
     return out
 
 
-def _factor_rows(n: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """`_live_edge_sets` in factor order: by vertex count, vertex
-    numbers, edge count and edge numbers."""
-    verts = cache(lambda mask: _pick(range(n), mask))  # one list per vertex set
-    nums = range(len(edges))
-    return sorted(_live_edge_sets(n, edges),
-                  key=lambda r: (r[0].bit_count(), verts(r[0]),
-                                 r[1].bit_count(), _pick(nums, r[1])))
+def _factor_rows(g: WeightedGraph) -> tuple[tuple, list, list[tuple[int, int, int]]]:
+    """The graph numbered from the top bit down, vertex i and edge j in
+    name order as n - 1 - i and m - 1 - j, and `_live_edge_sets` over it
+    in factor order: vertex names by number, edges by number as vertex
+    number pairs, and rows by vertex count, vertex names, edge count and
+    edge names.  Two name lists of one length first differ at their
+    masks' highest differing bit, so a higher mask is an earlier list."""
+    names = g.vertices[::-1]
+    number = {v: i for i, v in enumerate(names)}
+    edges = [(number[u], number[v]) for u, v in reversed(g.edges)]
+    return names, edges, sorted(_live_edge_sets(len(names), edges), key=lambda r: (
+        r[0].bit_count(), -r[0], r[1].bit_count(), -r[1]))
 
 
 def z_gamma(g: WeightedGraph) -> TropicalExpr:
     """Tropical product of the factors over all connected bipartite
     proper subgraphs; its value at the weight valuations is the p-torsion
     exponent for every odd prime p.  Only the live factors are built (see
-    the module docstring): the others are zero at every valuation.  The
-    graph is numbered once, and each factor picks its nodes by the bits
-    of its `_factor_rows` row.  The one row with no boundary is the whole
-    graph, found exactly when it is bipartite: it marks the chain gap.
+    the module docstring): the others are zero at every valuation.  Each
+    factor picks its nodes by the bits of its `_factor_rows` row.  The
+    whole graph's row, found exactly when it is bipartite, marks the chain gap.
 
     A bipartite connected graph needs a correction: the factors count
     every admissible (subgraph, level) pair, but the pairs on the
@@ -394,13 +396,12 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
     comps = components(full_subgraph(g))
     if len(comps) > 1:
         return times(z_gamma(c.as_graph()) for c in comps)
-    var = [Var(v) for v in g.vertices]
-    number = {v: i for i, v in enumerate(g.vertices)}
-    edges = [(number[u], number[v]) for u, v in g.edges]
+    names, edges, rows = _factor_rows(g)
+    var = [Var(v) for v in names]
     mono = [Times((var[u], var[v])) for u, v in edges]
     neg = [Quotient(UNIT, m) for m in mono]
     factors, vset, bipartite = [], None, False
-    for vmask, emask, touch in _factor_rows(len(var), edges):
+    for vmask, emask, touch in rows:
         if touch == emask:  # no boundary: the whole graph, when bipartite
             bipartite = True
             continue
@@ -411,9 +412,9 @@ def z_gamma(g: WeightedGraph) -> TropicalExpr:
         factors.append(_factor(_pick(mono, touch & ~emask),
                                _pick(neg, emask), low, low_neg))
     product = times(factors)
-    if g.edges and bipartite:  # the gap's maximum reuses the edge negations
-        top = mono[0] if len(mono) == 1 else _negated_min(neg)
-        return Quotient(product, Quotient(top, plus(var)))
+    if g.edges and bipartite:  # the gap reuses the edge negations, in name order
+        top = mono[0] if len(mono) == 1 else _negated_min(neg[::-1])
+        return Quotient(product, Quotient(top, plus(var[::-1])))
     return product
 
 

@@ -436,10 +436,8 @@ def live_edge_sets(k: int, edges: Sequence[tuple[int, int]]) -> list[tuple[int, 
 def factor_rows_by_name(g: WeightedGraph) -> list[tuple[tuple, tuple, list]]:
     """(vertices, edges, boundary) of the rows `tropical.z_gamma` builds
     its factors from on a connected graph, in its order, by name."""
-    verts, edges = g.vertices, g.edges
-    number = {v: i for i, v in enumerate(verts)}
-    rows = _factor_rows(len(verts),
-                        [(number[u], number[v]) for u, v in edges])
+    verts, pairs, rows = _factor_rows(g)
+    edges = [(verts[a], verts[b]) for a, b in pairs]
     return [(tuple(_pick(verts, vm)), tuple(_pick(edges, em)),
              _pick(edges, t & ~em))
             for vm, em, t in rows if t != em]

@@ -23,6 +23,7 @@ from gcoh.graphs import (
     subgraph_of,
 )
 from references import boundary_valuation, find_odd_cycle, min_valuation, reduce_graph
+from test_intlinalg import outputs_under_hash_seeds
 
 
 def k3_27_1_3():
@@ -149,6 +150,22 @@ def test_bipartition_examples():
     path = WeightedGraph({"u": 2, "v": 3, "w": 2}, [("u", "v"), ("v", "w")])
     b = bipartition(full_subgraph(path))
     assert (b["u"], b["v"], b["w"]) == (1, -1, 1)
+
+
+def test_bipartition_is_independent_of_the_hash_seed():
+    # the colouring's key order must not follow the hash order of the
+    # edge set the search walks
+    code = (
+        "import hashlib, random\n"
+        "from gcoh.graphs import bipartition, full_subgraph\n"
+        "from gcoh.verify import random_connected\n"
+        "h = hashlib.sha256()\n"
+        "for seed in range(600):\n"
+        "    b = bipartition(full_subgraph(random_connected(random.Random(seed), 9, 2, 5)))\n"
+        "    h.update(repr(None if b is None else list(b.items())).encode())\n"
+        "print(h.hexdigest())\n")
+    digests = outputs_under_hash_seeds(code, ("0", "1", "2"))
+    assert len(digests[0]) == 65 and digests[0] == digests[1] == digests[2]
 
 
 def test_odd_cycle_witness():

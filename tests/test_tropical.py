@@ -34,6 +34,8 @@ from gcoh.tropical import (
     Var,
     _close_edge,
     _factor,
+    _factor_rows,
+    _pick,
     elementary_symmetric,
     eval_expr,
     g_delta,
@@ -650,6 +652,24 @@ def test_live_factors_match_the_search_per_vertex_set():
     graphs.append(graph_with(rng, 10, 14))
     for g in graphs:
         assert factor_rows_by_name(g) == list(candidates_by_vertex_set(g)), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_higher_mask_is_an_earlier_name_list(data):
+    """Over the numbering `_factor_rows` gives, two masks of one size
+    order as the name lists `_pick` reads off them: -a < -b exactly when
+    a's list is the earlier one, so the rows can sort on ints."""
+    ids = data.draw(st.lists(st.text("ab_-09", min_size=1, max_size=3),
+                             min_size=1, max_size=12, unique=True))
+    names, _, _ = _factor_rows(WeightedGraph(dict.fromkeys(ids, 1), []))
+    k = data.draw(st.integers(0, len(names)))
+    bits = st.lists(st.integers(0, len(names) - 1), min_size=k, max_size=k,
+                    unique=True)
+    a, b = (sum(1 << i for i in data.draw(bits)) for _ in range(2))
+    first, second = _pick(names, a), _pick(names, b)
+    assert first == sorted(first) and second == sorted(second)
+    assert (-a < -b) == (first < second), (names, a, b)
 
 
 def test_packed_closure_matches_the_list_closure():
