@@ -52,8 +52,22 @@ def _load(path: str) -> WeightedGraph:
         raise InputError(f"cannot read graph file {path}: {exc}") from exc
 
 
+_EMIT_BATCH = 1 << 16  # characters per write
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write doc as `json.dumps(doc, sort_keys=True, indent=2)` and a
+    newline, encoded in chunks and written in batches of about 64 KiB,
+    so a large report is never held whole."""
+    batch, size = [], 0
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _EMIT_BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    sys.stdout.write("".join(batch))
 
 
 def cmd_cohomology(args) -> int:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -122,17 +121,30 @@ class WeightedGraph:
         return f"WeightedGraph({ws};{es})"
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """A subgraph of a fixed parent graph.
+class Subgraph(tuple):
+    """A subgraph of a fixed parent graph: the pair (vertex_set, edge_set).
 
     Every edge of `edge_set` must have both endpoints in `vertex_set`.
-    Weights are induced from the parent.
+    Weights are induced from the parent.  The hash is the pair's,
+    computed in C, and two subgraphs are equal when their pairs are,
+    whatever their parents; a subgraph never equals a plain tuple, has
+    no order (sort by `sort_key`) and takes no assignment.
     """
 
-    parent: WeightedGraph = field(compare=False)
-    vertex_set: frozenset[str] = frozenset()
-    edge_set: frozenset[Edge] = frozenset()
+    parent: WeightedGraph
+    vertex_set: frozenset[str]
+    edge_set: frozenset[Edge]
+
+    def __new__(cls, parent: WeightedGraph,
+                vertex_set: frozenset[str] = frozenset(),
+                edge_set: frozenset[Edge] = frozenset()):
+        self = tuple.__new__(cls, (vertex_set, edge_set))
+        fields = self.__dict__
+        fields["parent"] = parent
+        fields["vertex_set"] = vertex_set
+        fields["edge_set"] = edge_set
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         for v in self.vertex_set:
@@ -144,17 +156,27 @@ class Subgraph:
             if e[0] not in self.vertex_set or e[1] not in self.vertex_set:
                 raise ValueError(f"edge {e} has an endpoint outside the subgraph")
 
-    def __hash__(self) -> int:
-        # fcomplex keys every table by subgraphs: hash the pair once
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.vertex_set, self.edge_set)))
-            return self._hash
+    __hash__ = tuple.__hash__
 
-    def __getstate__(self) -> dict:
-        # a hash holds only in the process that computed it: not pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Subgraph) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
+
+    def _unordered(self, other):
+        raise TypeError("subgraphs have no order: sort by Subgraph.sort_key")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (Subgraph, (self.parent, self.vertex_set, self.edge_set))
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -361,7 +383,10 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     level a + 1.  Each vertex keeps its class root and its colour, +1 or
     -1; a merge relabels the smaller class and recolours it so that the
     merging edge joins opposite colours, and an edge between equal
-    colours of one class makes the class non-bipartite.
+    colours of one class makes the class non-bipartite.  Each root keeps
+    its class's least valuation and least vertex, merged on union, so a
+    class's `min_val` and the vertex its colouring signs +1 need no scan
+    of its members.
     """
     require_prime(p)
     val = {v: p_valuation(g.parent.weight[v], p) for v in g.vertex_set}
@@ -378,6 +403,7 @@ def filtration(g: Subgraph, p: int) -> Filtration:
     members = {v: [v] for v in g.vertex_set}
     edges: dict[str, list[Edge]] = {v: [] for v in g.vertex_set}
     bip = dict.fromkeys(g.vertex_set, True)
+    low_val, low_vertex = dict(val), {v: v for v in g.vertex_set}  # class minima
 
     owner: dict[str, Subgraph] = {}
     owners, tree = [], []
@@ -401,6 +427,8 @@ def filtration(g: Subgraph, p: int) -> Filtration:
                 members[a] += members.pop(b)
                 edges[a] += edges.pop(b)
                 bip[a] = bip[a] and bip.pop(b)
+                low_val[a] = min(low_val[a], low_val.pop(b))
+                low_vertex[a] = min(low_vertex[a], low_vertex.pop(b))
                 changed[b] = None
                 tree.append(e)
             edges[a].append(e)
@@ -413,9 +441,9 @@ def filtration(g: Subgraph, p: int) -> Filtration:
                 continue
             sub = Subgraph(g.parent, frozenset(members[a]), frozenset(edges[a]))
             span[sub] = (r, top)
-            min_val[sub] = min(val[v] for v in members[a])
+            min_val[sub] = low_val[a]
             if bip[a]:
-                plus = colour[min(members[a])]
+                plus = colour[low_vertex[a]]
                 colouring[sub] = {v: colour[v] * plus for v in members[a]}
             owner.update(dict.fromkeys(members[a], sub))
         changed = {}

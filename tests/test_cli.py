@@ -1,14 +1,17 @@
+import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import gcoh
-from gcoh.cli import main
+from gcoh.cli import _emit, main
 from gcoh.graphs import PRIME_BOUND
 from gcoh.verify import VerificationConfig, run_property
 
@@ -436,6 +439,56 @@ def test_reports_deterministic(k3_file, capsys):
     _, out1, _ = run_cli(capsys, "torsion", k3_file, "--prime", "3")
     _, out2, _ = run_cli(capsys, "torsion", k3_file, "--prime", "3")
     assert out1 == out2
+
+
+class DigestStream:
+    """A text stream that keeps only the length and the SHA-256 of what
+    is written to it."""
+
+    def __init__(self):
+        self.size, self.sha = 0, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        self.sha.update(text.encode())
+        return len(text)
+
+
+def large_report() -> dict:
+    """A forest-like report of about 4 MB once encoded."""
+    n = 150_000
+    return {"prime": 3, "node_count": n,
+            "nodes": [f"({{v{i:06d},v{i + 1:06d}}},{i})" for i in range(n)],
+            "torsion_exponents": list(range(n // 100))}
+
+
+def test_emit_writes_json_dumps_and_a_newline(monkeypatch):
+    small = {"b": [1, "2", {"d": None, "c": True, "e": 2.5}], "a": "\u00e9\n", "": []}
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    _emit(small)
+    assert stream.getvalue() == json.dumps(small, sort_keys=True, indent=2) + "\n"
+
+    doc = large_report()
+    want = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    stream = DigestStream()
+    monkeypatch.setattr(sys, "stdout", stream)
+    _emit(doc)
+    assert stream.size == len(want) > 4_000_000
+    assert stream.sha.hexdigest() == hashlib.sha256(want).hexdigest()
+
+
+def test_emit_never_holds_the_report_whole(monkeypatch):
+    doc = large_report()
+    size = len(json.dumps(doc, sort_keys=True, indent=2)) + 1
+    monkeypatch.setattr(sys, "stdout", DigestStream())
+    tracemalloc.start()
+    try:
+        _emit(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size, (peak, size)
 
 
 def test_verify_small_run(capsys):

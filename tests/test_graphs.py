@@ -120,10 +120,72 @@ def test_subgraph_equality_and_hash_ignore_the_parent():
     assert one == other and hash(one) == hash(other) == hash(one)
     assert {one: 1}[other] == 1
     assert one != subgraph_of(one.parent, "ab", [])
-    # the cached hash is not pickled: it is valid only in this process
     copy = pickle.loads(pickle.dumps(one))
-    assert "_hash" not in copy.__dict__
-    assert copy == one and hash(copy) == hash(one)
+    assert copy == one and hash(copy) == hash(one) and copy.parent.weight == one.parent.weight
+    # a hash holds only in the process that computed it: one pickled here
+    # is rebuilt, with a hash of its own, under another hash seed
+    code = (
+        "import pickle\n"
+        "from gcoh.graphs import subgraph_of\n"
+        f"copy = pickle.loads(bytes.fromhex({pickle.dumps(one).hex()!r}))\n"
+        "fresh = subgraph_of(copy.parent, 'ab', [('b', 'a')])\n"
+        "assert copy == fresh and hash(copy) == hash(fresh) "
+        "== hash((frozenset('ab'), frozenset([('a', 'b')])))\n"
+        "assert {fresh: 1}[copy] == 1 and copy.parent.weight == {'a': 1, 'b': 1, 'c': 1}\n"
+        "print(type(copy).__name__, copy)\n")
+    assert outputs_under_hash_seeds(code, ("1", "2")) == ["Subgraph Subgraph({a,b};{ab})\n"] * 2
+
+
+def test_a_subgraph_is_a_value_of_its_own():
+    g = WeightedGraph({v: 1 for v in "abc"}, [("a", "b"), ("b", "c")])
+    one = subgraph_of(g, "ab", [("a", "b")])
+    pair = (one.vertex_set, one.edge_set)
+    assert hash(one) == hash(pair)
+    assert one != pair and pair != one and not one == pair and not pair == one
+    assert {pair: 1}.get(one) is None and {one: 1}.get(pair) is None
+    same = Subgraph(g, frozenset("ba"), frozenset([("a", "b")]))
+    assert one == same and not one != same and one != full_subgraph(g)
+    for order in (lambda x, y: x < y, lambda x, y: x <= y,
+                  lambda x, y: x > y, lambda x, y: x >= y):
+        for other in (one, full_subgraph(g), pair):
+            with pytest.raises(TypeError):
+                order(one, other)
+        with pytest.raises(TypeError):
+            order(pair, one)
+    for field in ("parent", "vertex_set", "edge_set", "other"):
+        with pytest.raises(AttributeError):
+            setattr(one, field, frozenset())
+        with pytest.raises(AttributeError):
+            delattr(one, field)
+    assert (one.parent, one.vertex_set, one.edge_set) == (g, *pair)
+    assert Subgraph(g) == Subgraph(g, frozenset(), frozenset())
+    with pytest.raises(ValueError, match="endpoint outside"):
+        Subgraph(g, frozenset("a"), frozenset([("a", "b")]))
+
+
+def test_patching_post_init_sees_every_construction(monkeypatch):
+    built = []
+    check = Subgraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Subgraph, "__post_init__", counted)
+    g = k3_27_1_3()
+    full = full_subgraph(g)
+    reduced = reduction(full, 3, 2)
+    parts = components(reduced)
+    assert list(map(id, built)) == list(map(id, [full, reduced, *parts]))
+    del built[:]
+    filt = filtration(full, 3)
+    assert len(built) == len(filt.span) and set(built) == set(filt.span)
+    del built[:]
+    copy = pickle.loads(pickle.dumps(full))
+    assert len(built) == 1 and built[0] is copy and copy == full
+    with pytest.raises(ValueError):  # checked, so counted, and refused
+        subgraph_of(g, "R", [("R", "G")])
+    assert len(built) == 2
 
 
 def test_components_examples():
